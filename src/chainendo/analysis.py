@@ -2,20 +2,37 @@
 
 Everything here is exhaustive and deterministic: sets are normalised to
 lexicographic order, pair scans run in that order, and the first violation
-found is the witness reported.  The closure scan is vectorised with numpy
-because it is the one hot loop (full simplices reach a few thousand
-elements, hence millions of pairs); all other checks are plain loops over
-sets that stay small.
+found is the witness reported.
+
+The scans run on numpy arrays, not on ChainEndo objects.  A set of N maps
+on C_n becomes an (N, n) value matrix, and each map an exact int64 key
+(its values as base-n digits, which fits for n <= MAX_CHAIN).  The closure
+scan streams one row of pairs at a time.  The other checks read the set's
+Cayley tables: for each ordered pair, the key (or member index, -1 when
+the result leaves the set) of the sum and of the product.  Tables are built
+_BLOCK rows at a time, so a public check holds O(_BLOCK * N * n) scratch
+values whatever the set size, and nothing is cached between calls.  Only
+the private helpers behind claims on small sets (_cayley_tables and the
+scans over its output) hold whole (N, N) tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
-from .core import ChainEndo, SizeMismatch
+from .core import ChainEndo, ChainEndoError, SizeMismatch
+
+# Largest chain whose maps have exact int64 keys: the key of a map is below
+# n**n, and 16**16 > 2**63.
+MAX_CHAIN = 15
+
+# Rows of a Cayley table built in one numpy call.
+_BLOCK = 64
 
 
 class NotClosed(ValueError):
@@ -24,6 +41,10 @@ class NotClosed(ValueError):
 
 class NotSubset(ValueError):
     """The candidate ideal is not contained in the ambient set."""
+
+
+class ChainTooLong(ChainEndoError):
+    """The chain is longer than the set kernels support (n <= MAX_CHAIN)."""
 
 
 def canonical(elements: Iterable[ChainEndo]) -> tuple[ChainEndo, ...]:
@@ -52,7 +73,11 @@ class Subset:
         return cls(normalised[0].n, normalised)
 
     def __contains__(self, item: object) -> bool:
-        return item in set(self.elements)
+        return item in self._members
+
+    @cached_property
+    def _members(self) -> frozenset[ChainEndo]:
+        return frozenset(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -72,6 +97,11 @@ class ClosureWitness:
 
 
 def _value_matrix(els: tuple[ChainEndo, ...]) -> np.ndarray:
+    n = els[0].n
+    if n > MAX_CHAIN:
+        raise ChainTooLong(
+            f"chain size {n} is beyond the limit n <= {MAX_CHAIN} of the set checks"
+        )
     return np.array([e.values for e in els], dtype=np.int64)
 
 
@@ -79,6 +109,99 @@ def _pack(matrix: np.ndarray, n: int) -> np.ndarray:
     # Big-endian base-n packing, so code order matches lexicographic order.
     weights = n ** np.arange(matrix.shape[-1] - 1, -1, -1, dtype=np.int64)
     return matrix @ weights
+
+
+def _blocks(size: int):
+    """Slices of _BLOCK consecutive rows covering range(size)."""
+    for start in range(0, size, _BLOCK):
+        yield slice(start, min(start + _BLOCK, size))
+
+
+def _sums(X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """Keys of x + y for x in the rows of X and y in the rows of Y."""
+    return _pack(np.maximum(X[:, None, :], Y[None, :, :]), n)
+
+
+def _products(X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """Keys of x * y (x first, then y) for x in the rows of X, y in Y."""
+    # Y[:, X][j, i] is y_j applied to x_i's values, i.e. x_i * y_j.
+    return _pack(Y[:, X], n).T
+
+
+def _index(codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Member index of each key in the sorted codes, -1 for non-members."""
+    pos = np.searchsorted(codes, keys)
+    pos[pos == len(codes)] = 0
+    return np.where(codes[pos] == keys, pos, -1)
+
+
+def _cayley_tables(els: tuple[ChainEndo, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The + and * tables of a canonical set, as (N, N) member indices.
+
+    A[i, j] is the index of els[i] + els[j] and M[i, j] that of
+    els[i] * els[j], or -1 where the result is not in the set.  Both
+    tables together hold 2 * N**2 indices, so only private checks on sets
+    of bounded size build them whole.
+    """
+    n, size = els[0].n, len(els)
+    V = _value_matrix(els)
+    codes = _pack(V, n)
+    assert (np.diff(codes) > 0).all()  # canonical: sorted and de-duplicated
+    A = np.empty((size, size), dtype=np.intp)
+    M = np.empty((size, size), dtype=np.intp)
+    for rows in _blocks(size):
+        A[rows] = _index(codes, _sums(V[rows], V, n))
+        M[rows] = _index(codes, _products(V[rows], V, n))
+    return A, M
+
+
+def _first_mismatch(
+    p: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> tuple[int, int] | None:
+    """First (i, j), in lex order, where p[src[i, j]] != dst[p[i], p[j]].
+
+    p is an index map from one set to another and src, dst are the same
+    operation's tables on the two sets, src total: the first pair on which
+    p fails to carry the operation over.
+    """
+    bad = np.argwhere(p[src] != dst[p][:, p])
+    if not bad.size:
+        return None
+    return int(bad[0, 0]), int(bad[0, 1])
+
+
+_TRIPLE_LAWS = (
+    "associative addition",
+    "associative multiplication",
+    "left distributivity",
+    "right distributivity",
+)
+
+
+def _triple_law_scan(A: np.ndarray, M: np.ndarray) -> tuple[int, int, int, str] | None:
+    """First triple (x, y, z) breaking a law in _TRIPLE_LAWS, with that law.
+
+    A and M are total + and * tables over range(N) (no -1 entries).
+    Triples are scanned in lex order and, at the first failing triple, the
+    laws in _TRIPLE_LAWS order.  Returns None when every law holds.
+    """
+    for rows in _blocks(len(A)):
+        Ax, Mx = A[rows], M[rows]
+        broken = np.stack(
+            (
+                A[Ax] != Ax[:, A],  # (x + y) + z, x + (y + z)
+                M[Mx] != Mx[:, M],  # (x * y) * z, x * (y * z)
+                Mx[:, A] != A[Mx[:, :, None], Mx[:, None, :]],  # x(y + z), xy + xz
+                M[Ax] != A[Mx[:, None, :], M[None, :, :]],  # (x + y)z, xz + yz
+            )
+        )
+        hit = broken.any(axis=0)
+        if hit.any():
+            x, y, z = np.unravel_index(int(hit.argmax()), hit.shape)
+            law = int(broken[:, x, y, z].argmax())
+            return rows.start + int(x), int(y), int(z), _TRIPLE_LAWS[law]
+    return None
+
 
 def _closure_scan(els, ops):
     """First (i, j, op) whose result escapes, scanning pairs in lex order.
@@ -150,22 +273,33 @@ def is_ideal(
     """Additively closed and absorbing on both sides inside ambient."""
     inner = canonical(ideal)
     outer = canonical(ambient)
-    inner_set = set(inner)
-    if not inner_set <= set(outer):
+    if not set(inner) <= set(outer):
         raise NotSubset("candidate ideal is not inside the ambient set")
-    for x in inner:
-        for y in inner:
-            s = x + y
-            if s not in inner_set:
-                return False, IdealWitness("add", x, y, s)
-    for x in inner:
-        for r in outer:
-            p = r * x
-            if p not in inner_set:
-                return False, IdealWitness("left-absorb", x, r, p)
-            q = x * r
-            if q not in inner_set:
-                return False, IdealWitness("right-absorb", x, r, q)
+    n = inner[0].n
+    VI, VO = _value_matrix(inner), _value_matrix(outer)
+    codes = _pack(VI, n)
+    for rows in _blocks(len(inner)):
+        out = _index(codes, _sums(VI[rows], VI, n)) < 0
+        if out.any():
+            i, j = np.unravel_index(int(out.argmax()), out.shape)
+            x, y = inner[rows.start + i], inner[j]
+            return False, IdealWitness("add", x, y, x + y)
+    for rows in _blocks(len(inner)):
+        # [i, j, 0]: outer[j] * x escapes; [i, j, 1]: x * outer[j] escapes,
+        # so the flat order is the scan order x, r, left before right.
+        out = np.stack(
+            (
+                _index(codes, _products(VO, VI[rows], n).T) < 0,
+                _index(codes, _products(VI[rows], VO, n)) < 0,
+            ),
+            axis=-1,
+        )
+        if out.any():
+            i, j, side = np.unravel_index(int(out.argmax()), out.shape)
+            x, r = inner[rows.start + i], outer[j]
+            if side == 0:
+                return False, IdealWitness("left-absorb", x, r, r * x)
+            return False, IdealWitness("right-absorb", x, r, x * r)
     return True, None
 
 
@@ -201,13 +335,16 @@ def triviality(elements: Iterable[ChainEndo]) -> TrivialityVerdict:
     closed, witness = is_closed(els, "*")
     if not closed:
         raise NotClosed(f"not multiplicatively closed: {witness}")
-    products = {x * y for x in els for y in els}
-    if len(products) != 1:
-        return TrivialityVerdict(False, None, False, False)
-    iota = products.pop()
-    is_min = all(iota.pointwise_le(x) for x in els)
-    is_max = all(x.pointwise_le(iota) for x in els)
-    return TrivialityVerdict(True, iota, is_min, is_max)
+    n = els[0].n
+    V = _value_matrix(els)
+    first = _products(V[:1], V[:1], n)[0, 0]
+    for rows in _blocks(len(els)):
+        if (_products(V[rows], V, n) != first).any():
+            return TrivialityVerdict(False, None, False, False)
+    k = int(np.searchsorted(_pack(V, n), first))  # a member: the set is closed
+    is_min = bool((V[k] <= V).all())
+    is_max = bool((V <= V[k]).all())
+    return TrivialityVerdict(True, els[k], is_min, is_max)
 
 
 @dataclass(frozen=True)
@@ -224,9 +361,19 @@ class Identities:
 def identities(elements: Iterable[ChainEndo]) -> Identities:
     """Left and right multiplicative identities of the set."""
     els = canonical(elements)
-    left = tuple(e for e in els if all(e * x == x for x in els))
-    right = tuple(e for e in els if all(x * e == x for x in els))
-    return Identities(left, right)
+    n = els[0].n
+    V = _value_matrix(els)
+    codes = _pack(V, n)
+    left = np.empty(len(els), dtype=bool)
+    right = np.ones(len(els), dtype=bool)
+    for rows in _blocks(len(els)):
+        P = _products(V[rows], V, n)  # P[i, j]: els[i] * els[j]
+        left[rows] = (P == codes).all(axis=1)
+        right &= (P == codes[rows, None]).all(axis=0)
+    return Identities(
+        tuple(els[i] for i in np.flatnonzero(left)),
+        tuple(els[i] for i in np.flatnonzero(right)),
+    )
 
 
 def similar_pairs(
@@ -241,16 +388,24 @@ def similar_pairs(
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     els = canonical(elements)
-    pairs = []
-    for i, alpha in enumerate(els):
-        for beta in els[i + 1 :]:
-            if side == "left":
-                same = all(g * alpha == g * beta for g in els)
-            else:
-                same = all(alpha * g == beta * g for g in els)
-            if same:
-                pairs.append((alpha, beta))
-    return tuple(pairs)
+    n = els[0].n
+    V = _value_matrix(els)
+    # Refine a class label per element, one block of gammas at a time: two
+    # elements keep sharing a label while their products with every gamma
+    # seen so far agree.
+    labels = np.zeros((len(els), 1), dtype=np.int64)
+    for rows in _blocks(len(els)):
+        if side == "left":
+            seen = _products(V[rows], V, n).T  # [a, g]: gamma * alpha
+        else:
+            seen = _products(V, V[rows], n)  # [a, g]: alpha * gamma
+        keys = np.hstack((labels, seen))
+        labels = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1, 1)
+    classes: dict[int, list[int]] = {}
+    for i, label in enumerate(labels[:, 0].tolist()):
+        classes.setdefault(label, []).append(i)
+    pairs = sorted(pair for group in classes.values() for pair in combinations(group, 2))
+    return tuple((els[i], els[j]) for i, j in pairs)
 
 
 @dataclass(frozen=True)
@@ -303,39 +458,37 @@ def iso_check(
     if len(S) != len(T):
         return False, None
 
-    def profile(els):
-        size = len(els)
+    n, size = S[0].n, len(S)
+    VS, VT = _value_matrix(S), _value_matrix(T)
+    codes_s, codes_t = _pack(VS, n), _pack(VT, n)
+
+    def profile(els, V, codes):
         index = {e: i for i, e in enumerate(els)}
-        leq = [
-            [els[i].pointwise_le(els[j]) for j in range(size)]
-            for i in range(size)
-        ]
-        down = [sum(row[i] for row in leq) for i in range(size)]
-        up = [sum(leq[i]) for i in range(size)]
-        sig = [
-            (
-                down[i],
-                up[i],
-                els[i].is_idempotent(),
-                down[index[els[i] * els[i]]],
-            )
-            for i in range(size)
-        ]
+        down = np.zeros(size, dtype=np.int64)
+        up = np.empty(size, dtype=np.int64)
+        for rows in _blocks(size):
+            leq = (V[rows, None, :] <= V[None, :, :]).all(axis=2)
+            up[rows] = leq.sum(axis=1)
+            down += leq.sum(axis=0)
+        square = _index(codes, _pack(np.take_along_axis(V, V, axis=1), n))
+        idempotent = square == np.arange(size)
+        sig = list(
+            zip(down.tolist(), up.tolist(), idempotent.tolist(), down[square].tolist())
+        )
         return index, sig
 
-    index_s, sig_s = profile(S)
-    index_t, sig_t = profile(T)
+    index_s, sig_s = profile(S, VS, codes_s)
+    index_t, sig_t = profile(T, VT, codes_t)
     if sorted(sig_s) != sorted(sig_t):
         return False, None
 
-    size = len(S)
-
     def verify(assign):
-        for i in range(size):
-            for j in range(size):
-                if assign[index_s[S[i] + S[j]]] != assign[i] + assign[j]:
-                    return False
-                if assign[index_s[S[i] * S[j]]] != assign[i] * assign[j]:
+        p = np.array([index_t[t] for t in assign])
+        image = VT[p]  # image[i] holds the values of assign[i]
+        for op in (_sums, _products):
+            for rows in _blocks(size):
+                result = _index(codes_s, op(VS[rows], VS, n))
+                if (codes_t[p[result]] != op(image[rows], image, n)).any():
                     return False
         return True
 

@@ -20,6 +20,8 @@ from math import comb
 from time import perf_counter
 from typing import Callable, Iterator
 
+import numpy as np
+
 from . import analysis, counting, simplex, strings, triangle
 from .core import (
     ChainEndo,
@@ -146,26 +148,21 @@ def _singleton_family(n_needed: int, params: tuple):
 
 def _chk_semiring_laws(params):
     (n,) = params
-    els = list(all_endomorphisms(n))
-    for x in els:
-        if x + x != x:
-            return False, {"law": "idempotent addition", "x": _fmt(x)}
-    for x in els:
-        for y in els:
-            if x + y != y + x:
-                return False, {"law": "commutative addition", "x": _fmt(x), "y": _fmt(y)}
-    for x in els:
-        for y in els:
-            for z in els:
-                trip = {"x": _fmt(x), "y": _fmt(y), "z": _fmt(z)}
-                if (x + y) + z != x + (y + z):
-                    return False, {"law": "associative addition", **trip}
-                if (x * y) * z != x * (y * z):
-                    return False, {"law": "associative multiplication", **trip}
-                if x * (y + z) != x * y + x * z:
-                    return False, {"law": "left distributivity", **trip}
-                if (x + y) * z != x * z + y * z:
-                    return False, {"law": "right distributivity", **trip}
+    els = tuple(all_endomorphisms(n))
+    A, M = analysis._cayley_tables(els)
+    if (A < 0).any() or (M < 0).any():
+        return False, {"note": "the maps of the chain are not closed"}
+    bad = np.flatnonzero(A.diagonal() != np.arange(len(els)))
+    if bad.size:
+        return False, {"law": "idempotent addition", "x": _fmt(els[bad[0]])}
+    bad = np.argwhere(A != A.T)
+    if bad.size:
+        x, y = bad[0]
+        return False, {"law": "commutative addition", "x": _fmt(els[x]), "y": _fmt(els[y])}
+    hit = analysis._triple_law_scan(A, M)
+    if hit is not None:
+        x, y, z, law = hit
+        return False, {"law": law, "x": _fmt(els[x]), "y": _fmt(els[y]), "z": _fmt(els[z])}
     return True, None
 
 
@@ -944,17 +941,21 @@ def _chk_triangle_add_iso(params):
     n, one, two = params
     src, dst = TriangleSpec(n, *one), TriangleSpec(n, *two)
     phi = triangle.component_map(src, dst)
-    if set(phi.values()) != set(triangle.elements(dst)):
+    els, targets = triangle.elements(src), triangle.elements(dst)
+    if set(phi.values()) != set(targets):
         return False, {"note": "component map must be a bijection"}
-    els = triangle.elements(src)
-    for x in els:
-        for y in els:
-            if phi[x + y] != phi[x] + phi[y]:
-                return False, {"x": _fmt(x), "y": _fmt(y)}
-    for x in els:
-        for y in els:
-            if phi[x * y] != phi[x] * phi[y]:
-                return True, None
+    position = {e: k for k, e in enumerate(targets)}
+    p = np.array([position[phi[x]] for x in els])  # phi as an index map
+    A_src, M_src = analysis._cayley_tables(els)
+    A_dst, M_dst = analysis._cayley_tables(targets)
+    if (A_src < 0).any() or (M_src < 0).any():
+        return False, {"note": "source triangle is not closed"}
+    hit = analysis._first_mismatch(p, A_src, A_dst)
+    if hit is not None:
+        x, y = hit
+        return False, {"x": _fmt(els[x]), "y": _fmt(els[y])}
+    if analysis._first_mismatch(p, M_src, M_dst) is not None:
+        return True, None
     return False, {"note": "unexpected multiplicative isomorphism"}
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from chainendo import analysis, simplex, strings, triangle
 from chainendo.analysis import (
+    ChainTooLong,
     NotClosed,
     NotSubset,
     Subset,
@@ -17,7 +18,7 @@ from chainendo.analysis import (
     similar_pairs,
     triviality,
 )
-from chainendo.core import ChainEndo, all_endomorphisms, constant, identity, parse_compact
+from chainendo.core import ChainEndo, ChainEndoError, all_endomorphisms, constant, identity, parse_compact
 from chainendo.simplex import SimplexSpec
 from chainendo.strings import StringSpec
 from chainendo.triangle import TriangleSpec
@@ -44,6 +45,14 @@ class TestCanonical:
         sub = Subset.of([constant(3, 1), constant(3, 0)])
         assert sub.elements == (constant(3, 0), constant(3, 1))
 
+    def test_subset_membership_set_is_built_once(self):
+        sub = Subset.of([constant(3, 1), constant(3, 0)])
+        assert constant(3, 1) in sub and identity(3) not in sub
+        members = sub._members
+        assert constant(3, 0) in sub
+        assert sub._members is members == {constant(3, 0), constant(3, 1)}
+        assert sub == Subset.of([constant(3, 0), constant(3, 1)])
+
 
 class TestClosure:
     def test_whole_semiring_is_closed(self):
@@ -69,6 +78,22 @@ class TestClosure:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             is_closed([identity(3)], "-")
+
+
+class TestChainLimit:
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_long_chain_is_refused_not_misjudged(self, n):
+        # base-n keys of maps on C_16 overflow int64; the escape once reported
+        # here, 3_16 * 3_3 9_13 = 9_16, is a member of the string
+        with pytest.raises(ChainTooLong, match="n <= 15"):
+            is_subsemiring(strings.elements(StringSpec(n, 3, 9)))
+
+    def test_limit_is_a_chain_error(self):
+        assert issubclass(ChainTooLong, ChainEndoError)
+
+    def test_longest_supported_chain(self):
+        ok, witness = is_subsemiring(strings.elements(StringSpec(15, 3, 9)))
+        assert ok and witness is None
 
 
 class TestIdeal:
@@ -208,6 +233,13 @@ class TestIsoCheck:
                 strings.three_string_union(4, 1, 2, 3),
                 strings.three_string_union(4, 1, 2, 3),
             )
+
+    def test_chains_with_equal_profiles_differ_by_products(self):
+        # both are two-element chains with idempotent members, so only the
+        # final verification of the order-matching bijection can tell the
+        # right-projection product of constants from the meet of {0, id}
+        same, mapping = iso_check([constant(2, 0), constant(2, 1)], [constant(2, 0), identity(2)])
+        assert not same and mapping is None
 
     def test_triangles_with_different_vertices_differ(self):
         same, _ = iso_check(

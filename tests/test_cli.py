@@ -1,6 +1,10 @@
 """Command line front end: spec literals, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from chainendo.core import ChainEndoError
 from chainendo.simplex import SimplexSpec
 from chainendo.strings import StringSpec
 from chainendo.triangle import TriangleSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParseSpec:
@@ -123,6 +129,27 @@ class TestClassify:
 
 
 class TestDecompose:
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_long_chain_exits_two(self, n, capsys):
+        assert main(["decompose", f"tri n={n} a=1 b=2 c=14"]) == 2
+        assert "n <= 15" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]])
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_long_chain_exits_two_in_a_fresh_interpreter(self, n, optimize):
+        # under -O the asserts that once caught the key overflow are gone
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, *optimize, "-m", "chainendo", "decompose", f"tri n={n} a=1 b=2 c=14"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "n <= 15" in done.stderr and "Traceback" not in done.stderr
+        assert done.stdout == ""
+
     def test_text_report(self, capsys):
         assert main(["decompose", "tri n=4 a=1 b=2 c=3"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -103,6 +103,11 @@ class TestEnumeration:
 
 
 class TestRegions:
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_long_chain_is_refused(self, n):
+        with pytest.raises(analysis.ChainTooLong):
+            decompose(TriangleSpec(n, 1, 2, 14))
+
     def test_frozen_partition_of_the_smallest_triangle(self):
         report = decompose(SPEC)
         want = {
