@@ -4,16 +4,21 @@ Everything here is exhaustive and deterministic: sets are normalised to
 lexicographic order, pair scans run in that order, and the first violation
 found is the witness reported.
 
-The scans run on numpy arrays, not on ChainEndo objects.  A set of N maps
-on C_n becomes an (N, n) value matrix, and each map an exact int64 key
-(its values as base-n digits, which fits for n <= MAX_CHAIN).  The closure
-scan streams one row of pairs at a time.  The other checks read the set's
+A set is a Subset: its elements, the (N, n) int64 matrix of their values
+and one exact int64 key per map (its values as base-n digits).  Matrix and
+keys are built on first use and kept on the Subset, so a check that passes
+its Subset on to another check does not rebuild them; no other state
+survives a call.  Keys are exact only for n <= MAX_CHAIN, so building the
+matrix of a longer chain raises ChainTooLong.
+
+The scans run on these arrays, not on ChainEndo objects.  The closure scan
+streams one row of pairs at a time.  The other checks read the set's
 Cayley tables: for each ordered pair, the key (or member index, -1 when
 the result leaves the set) of the sum and of the product.  Tables are built
 _BLOCK rows at a time, so a public check holds O(_BLOCK * N * n) scratch
-values whatever the set size, and nothing is cached between calls.  Only
-the private helpers behind claims on small sets (_cayley_tables and the
-scans over its output) hold whole (N, N) tables.
+values whatever the set size.  Only the private helpers behind claims on
+small sets (_cayley_tables and the scans over its output) hold whole (N, N)
+tables.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import add, mul
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -47,29 +53,24 @@ class ChainTooLong(ChainEndoError):
     """The chain is longer than the set kernels support (n <= MAX_CHAIN)."""
 
 
-def canonical(elements: Iterable[ChainEndo]) -> tuple[ChainEndo, ...]:
-    """Sorted, de-duplicated tuple; rejects mixed chain sizes."""
-    if isinstance(elements, Subset):
-        return elements.elements
-    result = tuple(sorted(set(elements)))
-    if not result:
-        raise ValueError("empty set of endomorphisms")
-    sizes = {e.n for e in result}
-    if len(sizes) > 1:
-        raise SizeMismatch(f"mixed chain sizes {sorted(sizes)}")
-    return result
-
-
 @dataclass(frozen=True)
 class Subset:
-    """A normalised set of endomorphisms of one chain."""
+    """Sorted, de-duplicated maps of one chain, with their values and keys."""
 
     n: int
     elements: tuple[ChainEndo, ...]
 
     @classmethod
     def of(cls, elements: Iterable[ChainEndo]) -> "Subset":
-        normalised = canonical(elements)
+        """Normalise elements; a Subset is returned as it is."""
+        if isinstance(elements, Subset):
+            return elements
+        normalised = tuple(sorted(set(elements)))
+        if not normalised:
+            raise ValueError("empty set of endomorphisms")
+        sizes = {e.n for e in normalised}
+        if len(sizes) > 1:
+            raise SizeMismatch(f"mixed chain sizes {sorted(sizes)}")
         return cls(normalised[0].n, normalised)
 
     def __contains__(self, item: object) -> bool:
@@ -79,11 +80,30 @@ class Subset:
     def _members(self) -> frozenset[ChainEndo]:
         return frozenset(self.elements)
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Row i holds elements[i].values; raises ChainTooLong beyond MAX_CHAIN."""
+        if self.n > MAX_CHAIN:
+            raise ChainTooLong(
+                f"chain size {self.n} is beyond the limit n <= {MAX_CHAIN} of the set checks"
+            )
+        return np.array([e.values for e in self.elements], dtype=np.int64)
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Exact key of each element; strictly increasing."""
+        return _pack(self.values, self.n)
+
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def canonical(elements: Iterable[ChainEndo]) -> tuple[ChainEndo, ...]:
+    """Sorted, de-duplicated tuple; rejects mixed chain sizes."""
+    return Subset.of(elements).elements
 
 
 @dataclass(frozen=True)
@@ -96,17 +116,8 @@ class ClosureWitness:
     result: ChainEndo
 
 
-def _value_matrix(els: tuple[ChainEndo, ...]) -> np.ndarray:
-    n = els[0].n
-    if n > MAX_CHAIN:
-        raise ChainTooLong(
-            f"chain size {n} is beyond the limit n <= {MAX_CHAIN} of the set checks"
-        )
-    return np.array([e.values for e in els], dtype=np.int64)
-
-
 def _pack(matrix: np.ndarray, n: int) -> np.ndarray:
-    # Big-endian base-n packing, so code order matches lexicographic order.
+    # Big-endian base-n packing, so key order matches lexicographic order.
     weights = n ** np.arange(matrix.shape[-1] - 1, -1, -1, dtype=np.int64)
     return matrix @ weights
 
@@ -128,30 +139,34 @@ def _products(X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     return _pack(Y[:, X], n).T
 
 
-def _index(codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Member index of each key in the sorted codes, -1 for non-members."""
+def _locate(codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each key in the sorted codes, and whether it is there."""
     pos = np.searchsorted(codes, keys)
     pos[pos == len(codes)] = 0
-    return np.where(codes[pos] == keys, pos, -1)
+    return pos, codes[pos] == keys
 
 
-def _cayley_tables(els: tuple[ChainEndo, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The + and * tables of a canonical set, as (N, N) member indices.
+def _index(codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Member index of each key in the sorted codes, -1 for non-members."""
+    pos, found = _locate(codes, keys)
+    return np.where(found, pos, -1)
 
-    A[i, j] is the index of els[i] + els[j] and M[i, j] that of
-    els[i] * els[j], or -1 where the result is not in the set.  Both
-    tables together hold 2 * N**2 indices, so only private checks on sets
-    of bounded size build them whole.
+
+def _cayley_tables(elements: Iterable[ChainEndo]) -> tuple[np.ndarray, np.ndarray]:
+    """The + and * tables of a set, as (N, N) member indices.
+
+    A[i, j] is the index of x_i + x_j and M[i, j] that of x_i * x_j, x the
+    elements of Subset.of(elements), or -1 where the result is not in the
+    set.  Both tables together hold 2 * N**2 indices, so only private
+    checks on sets of bounded size build them whole.
     """
-    n, size = els[0].n, len(els)
-    V = _value_matrix(els)
-    codes = _pack(V, n)
-    assert (np.diff(codes) > 0).all()  # canonical: sorted and de-duplicated
+    s = Subset.of(elements)
+    V, size = s.values, len(s)
     A = np.empty((size, size), dtype=np.intp)
     M = np.empty((size, size), dtype=np.intp)
     for rows in _blocks(size):
-        A[rows] = _index(codes, _sums(V[rows], V, n))
-        M[rows] = _index(codes, _products(V[rows], V, n))
+        A[rows] = _index(s.keys, _sums(V[rows], V, s.n))
+        M[rows] = _index(s.keys, _products(V[rows], V, s.n))
     return A, M
 
 
@@ -206,31 +221,36 @@ def _triple_law_scan(A: np.ndarray, M: np.ndarray) -> tuple[int, int, int, str] 
 def _closure_scan(els, ops):
     """First (i, j, op) whose result escapes, scanning pairs in lex order.
 
-    Within one pair "+" is tried before "*".  Returns None when closed.
+    i and j index the elements of Subset.of(els).  Within one pair "+" is
+    tried before "*".  Returns None when closed.
     """
-    n = els[0].n
-    V = _value_matrix(els)
-    codes = _pack(V, n)
-    assert (np.diff(codes) > 0).all()  # canonical() sorted and de-duplicated
-    for i in range(len(els)):
+    s = Subset.of(els)
+    V = s.values
+    for i in range(len(s)):
         best = None
         for op in ops:
             if op == "+":
                 R = np.maximum(V, V[i])
             else:
-                R = V[:, V[i]]  # row j becomes els[j] after els[i]
-            out = _pack(R, n)
-            pos = np.searchsorted(codes, out)
-            pos[pos == len(els)] = 0
-            bad = codes[pos] != out
-            if bad.any():
-                j = int(bad.argmax())
+                R = V[:, V[i]]  # row j becomes element j after element i
+            _, found = _locate(s.keys, _pack(R, s.n))
+            if not found.all():
+                j = int(found.argmin())
                 if best is None or j < best[0]:
                     best = (j, op, tuple(int(v) for v in R[j]))
         if best is not None:
             j, op, values = best
-            return i, j, op, ChainEndo._wrap(n, values)
+            return i, j, op, ChainEndo._wrap(s.n, values)
     return None
+
+
+def _closure(elements: Iterable[ChainEndo], ops) -> tuple[bool, ClosureWitness | None]:
+    s = Subset.of(elements)
+    hit = _closure_scan(s, ops)
+    if hit is None:
+        return True, None
+    i, j, op, result = hit
+    return False, ClosureWitness(s.elements[i], s.elements[j], op, result)
 
 
 def is_closed(
@@ -239,24 +259,14 @@ def is_closed(
     """Closure under one operation, with the first escaping pair."""
     if op not in ("+", "*"):
         raise ValueError(f"op must be '+' or '*', got {op!r}")
-    els = canonical(elements)
-    hit = _closure_scan(els, (op,))
-    if hit is None:
-        return True, None
-    i, j, op_hit, result = hit
-    return False, ClosureWitness(els[i], els[j], op_hit, result)
+    return _closure(elements, (op,))
 
 
 def is_subsemiring(
     elements: Iterable[ChainEndo],
 ) -> tuple[bool, ClosureWitness | None]:
     """Closure under both + and *, with the first escaping pair."""
-    els = canonical(elements)
-    hit = _closure_scan(els, ("+", "*"))
-    if hit is None:
-        return True, None
-    i, j, op_hit, result = hit
-    return False, ClosureWitness(els[i], els[j], op_hit, result)
+    return _closure(elements, ("+", "*"))
 
 
 @dataclass(frozen=True)
@@ -271,18 +281,15 @@ def is_ideal(
     ideal: Iterable[ChainEndo], ambient: Iterable[ChainEndo]
 ) -> tuple[bool, IdealWitness | None]:
     """Additively closed and absorbing on both sides inside ambient."""
-    inner = canonical(ideal)
-    outer = canonical(ambient)
-    if not set(inner) <= set(outer):
+    inner, outer = Subset.of(ideal), Subset.of(ambient)
+    if not inner._members <= outer._members:
         raise NotSubset("candidate ideal is not inside the ambient set")
-    n = inner[0].n
-    VI, VO = _value_matrix(inner), _value_matrix(outer)
-    codes = _pack(VI, n)
+    n, VI, VO, codes = inner.n, inner.values, outer.values, inner.keys
     for rows in _blocks(len(inner)):
         out = _index(codes, _sums(VI[rows], VI, n)) < 0
         if out.any():
             i, j = np.unravel_index(int(out.argmax()), out.shape)
-            x, y = inner[rows.start + i], inner[j]
+            x, y = inner.elements[rows.start + i], inner.elements[j]
             return False, IdealWitness("add", x, y, x + y)
     for rows in _blocks(len(inner)):
         # [i, j, 0]: outer[j] * x escapes; [i, j, 1]: x * outer[j] escapes,
@@ -296,7 +303,7 @@ def is_ideal(
         )
         if out.any():
             i, j, side = np.unravel_index(int(out.argmax()), out.shape)
-            x, r = inner[rows.start + i], outer[j]
+            x, r = inner.elements[rows.start + i], outer.elements[j]
             if side == 0:
                 return False, IdealWitness("left-absorb", x, r, r * x)
             return False, IdealWitness("right-absorb", x, r, x * r)
@@ -331,20 +338,19 @@ class TrivialityVerdict:
 
 def triviality(elements: Iterable[ChainEndo]) -> TrivialityVerdict:
     """Detect one-product-value semirings; needs multiplicative closure."""
-    els = canonical(elements)
-    closed, witness = is_closed(els, "*")
+    s = Subset.of(elements)
+    closed, witness = is_closed(s, "*")
     if not closed:
         raise NotClosed(f"not multiplicatively closed: {witness}")
-    n = els[0].n
-    V = _value_matrix(els)
-    first = _products(V[:1], V[:1], n)[0, 0]
-    for rows in _blocks(len(els)):
-        if (_products(V[rows], V, n) != first).any():
+    V = s.values
+    first = _products(V[:1], V[:1], s.n)[0, 0]
+    for rows in _blocks(len(s)):
+        if (_products(V[rows], V, s.n) != first).any():
             return TrivialityVerdict(False, None, False, False)
-    k = int(np.searchsorted(_pack(V, n), first))  # a member: the set is closed
+    k = int(np.searchsorted(s.keys, first))  # a member: the set is closed
     is_min = bool((V[k] <= V).all())
     is_max = bool((V <= V[k]).all())
-    return TrivialityVerdict(True, els[k], is_min, is_max)
+    return TrivialityVerdict(True, s.elements[k], is_min, is_max)
 
 
 @dataclass(frozen=True)
@@ -360,19 +366,17 @@ class Identities:
 
 def identities(elements: Iterable[ChainEndo]) -> Identities:
     """Left and right multiplicative identities of the set."""
-    els = canonical(elements)
-    n = els[0].n
-    V = _value_matrix(els)
-    codes = _pack(V, n)
-    left = np.empty(len(els), dtype=bool)
-    right = np.ones(len(els), dtype=bool)
-    for rows in _blocks(len(els)):
-        P = _products(V[rows], V, n)  # P[i, j]: els[i] * els[j]
+    s = Subset.of(elements)
+    V, codes = s.values, s.keys
+    left = np.empty(len(s), dtype=bool)
+    right = np.ones(len(s), dtype=bool)
+    for rows in _blocks(len(s)):
+        P = _products(V[rows], V, s.n)  # P[i, j]: element i * element j
         left[rows] = (P == codes).all(axis=1)
         right &= (P == codes[rows, None]).all(axis=0)
     return Identities(
-        tuple(els[i] for i in np.flatnonzero(left)),
-        tuple(els[i] for i in np.flatnonzero(right)),
+        tuple(s.elements[i] for i in np.flatnonzero(left)),
+        tuple(s.elements[i] for i in np.flatnonzero(right)),
     )
 
 
@@ -387,25 +391,24 @@ def similar_pairs(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    els = canonical(elements)
-    n = els[0].n
-    V = _value_matrix(els)
+    s = Subset.of(elements)
+    V = s.values
     # Refine a class label per element, one block of gammas at a time: two
     # elements keep sharing a label while their products with every gamma
     # seen so far agree.
-    labels = np.zeros((len(els), 1), dtype=np.int64)
-    for rows in _blocks(len(els)):
+    labels = np.zeros((len(s), 1), dtype=np.int64)
+    for rows in _blocks(len(s)):
         if side == "left":
-            seen = _products(V[rows], V, n).T  # [a, g]: gamma * alpha
+            seen = _products(V[rows], V, s.n).T  # [a, g]: gamma * alpha
         else:
-            seen = _products(V, V[rows], n)  # [a, g]: alpha * gamma
+            seen = _products(V, V[rows], s.n)  # [a, g]: alpha * gamma
         keys = np.hstack((labels, seen))
         labels = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1, 1)
     classes: dict[int, list[int]] = {}
     for i, label in enumerate(labels[:, 0].tolist()):
         classes.setdefault(label, []).append(i)
     pairs = sorted(pair for group in classes.values() for pair in combinations(group, 2))
-    return tuple((els[i], els[j]) for i, j in pairs)
+    return tuple((s.elements[i], s.elements[j]) for i, j in pairs)
 
 
 @dataclass(frozen=True)
@@ -449,46 +452,44 @@ def iso_check(
     unique monotone bijection.  Returns the first isomorphism found in
     lexicographic assignment order, or (False, None).
     """
-    S = canonical(first)
-    T = canonical(second)
-    for name, els in (("first", S), ("second", T)):
-        closed, witness = is_subsemiring(els)
+    src, dst = Subset.of(first), Subset.of(second)
+    for name, s in (("first", src), ("second", dst)):
+        closed, witness = is_subsemiring(s)
         if not closed:
             raise NotClosed(f"{name} set is not a subsemiring: {witness}")
-    if len(S) != len(T):
+    if len(src) != len(dst):
         return False, None
 
-    n, size = S[0].n, len(S)
-    VS, VT = _value_matrix(S), _value_matrix(T)
-    codes_s, codes_t = _pack(VS, n), _pack(VT, n)
+    S, T, size = src.elements, dst.elements, len(src)
 
-    def profile(els, V, codes):
-        index = {e: i for i, e in enumerate(els)}
+    def profile(s):
+        V = s.values
+        index = {e: i for i, e in enumerate(s.elements)}
         down = np.zeros(size, dtype=np.int64)
         up = np.empty(size, dtype=np.int64)
         for rows in _blocks(size):
             leq = (V[rows, None, :] <= V[None, :, :]).all(axis=2)
             up[rows] = leq.sum(axis=1)
             down += leq.sum(axis=0)
-        square = _index(codes, _pack(np.take_along_axis(V, V, axis=1), n))
+        square = _index(s.keys, _pack(np.take_along_axis(V, V, axis=1), s.n))
         idempotent = square == np.arange(size)
         sig = list(
             zip(down.tolist(), up.tolist(), idempotent.tolist(), down[square].tolist())
         )
         return index, sig
 
-    index_s, sig_s = profile(S, VS, codes_s)
-    index_t, sig_t = profile(T, VT, codes_t)
+    index_s, sig_s = profile(src)
+    index_t, sig_t = profile(dst)
     if sorted(sig_s) != sorted(sig_t):
         return False, None
 
     def verify(assign):
         p = np.array([index_t[t] for t in assign])
-        image = VT[p]  # image[i] holds the values of assign[i]
+        image = dst.values[p]  # image[i] holds the values of assign[i]
         for op in (_sums, _products):
             for rows in _blocks(size):
-                result = _index(codes_s, op(VS[rows], VS, n))
-                if (codes_t[p[result]] != op(image[rows], image, n)).any():
+                result = _index(src.keys, op(src.values[rows], src.values, src.n))
+                if (dst.keys[p[result]] != op(image[rows], image, dst.n)).any():
                     return False
         return True
 
@@ -502,12 +503,19 @@ def iso_check(
             return True, dict(zip(S, assign))
         return False, None
 
-    candidates = [
-        [t for t in T if sig_t[index_t[t]] == sig_s[i]] for i in range(size)
-    ]
+    candidates = [[t for t in T if sig_t[index_t[t]] == sig_s[i]] for i in range(size)]
 
     assign: list[ChainEndo | None] = [None] * size
     used: set[ChainEndo] = set()
+
+    def consistent(i: int) -> bool:
+        # x + y, x * y, y * x for x = S[i] and each earlier y, wherever the
+        # result is already assigned
+        return all(
+            (k := index_s[op(S[a], S[b])]) > i or assign[k] == op(assign[a], assign[b])
+            for j in range(i)
+            for a, b, op in ((i, j, add), (i, j, mul), (j, i, mul))
+        )
 
     def backtrack(i: int) -> bool:
         if i == size:
@@ -517,24 +525,7 @@ def iso_check(
                 continue
             assign[i] = t
             used.add(t)
-            ok = True
-            for j in range(i):
-                s_sum = S[i] + S[j]
-                k = index_s[s_sum]
-                if k <= i and assign[k] != assign[i] + assign[j]:
-                    ok = False
-                    break
-                s_mul = S[i] * S[j]
-                k = index_s[s_mul]
-                if k <= i and assign[k] != assign[i] * assign[j]:
-                    ok = False
-                    break
-                s_mul = S[j] * S[i]
-                k = index_s[s_mul]
-                if k <= i and assign[k] != assign[j] * assign[i]:
-                    ok = False
-                    break
-            if ok and backtrack(i + 1):
+            if consistent(i) and backtrack(i + 1):
                 return True
             used.discard(t)
             assign[i] = None

@@ -20,7 +20,6 @@ import sys
 
 from . import analysis, claims, counting, diagram, simplex, strings, triangle
 from .core import ChainEndoError, format_compact, parse_compact
-from .counting import DomainError
 from .simplex import SimplexSpec
 from .strings import StringSpec
 from .triangle import TriangleSpec
@@ -296,8 +295,12 @@ def _cmd_render(args) -> int:
         raise ChainEndoError("render expects a tri spec")
     text = diagram.render(spec, mode=args.mode, color_by=args.color_by)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -396,10 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     except claims.UnknownClaim as err:
         print(f"unknown claim: {err.args[0]}", file=sys.stderr)
         return 2
-    except (ChainEndoError, DomainError, diagram.UnsupportedSize) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except ValueError as err:  # ChainEndoError, DomainError, UnsupportedSize among them
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ which is the deterministic enumeration order used everywhere.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
 from typing import Iterator, Sequence
@@ -55,7 +56,7 @@ class ChainEndo:
 
     Stored as the value tuple (alpha(0), ..., alpha(n-1)).  Monotonicity is
     checked once at construction; the arithmetic produces monotone tuples by
-    construction and only re-asserts in debug runs.
+    construction and skips the check (a property test covers it).
 
     The comparison operators give the lexicographic order on value tuples.
     That order is total, extends the pointwise (additive) order, and makes
@@ -87,9 +88,6 @@ class ChainEndo:
         self = object.__new__(cls)
         self.n = n
         self.values = values
-        assert len(values) == n
-        assert all(0 <= v < n for v in values)
-        assert all(x <= y for x, y in zip(values, values[1:]))
         return self
 
     @classmethod
@@ -266,6 +264,8 @@ class CompactForm:
     def to_endo(self, n: int | None = None) -> ChainEndo:
         if n is not None and n != self.n:
             raise SumMismatch(f"multiplicities sum to {self.n}, expected {n}")
+        if self.n > sys.maxsize:
+            raise OutOfRange(f"chain size {self.n} is above sys.maxsize")
         values = []
         for symbol, mult in self.runs:
             values.extend([symbol] * mult)

@@ -89,6 +89,13 @@ def is_internal(spec: SimplexSpec) -> bool:
     return 0 not in spec.vertices and (spec.n - 1) not in spec.vertices
 
 
+def _vertex_value(spec: SimplexSpec, m: int) -> int:
+    """The chain value of vertex index m."""
+    if not 0 <= m < spec.k:
+        raise OutOfRange(f"vertex index {m} outside 0..{spec.k - 1}")
+    return spec.vertices[m]
+
+
 @dataclass(frozen=True)
 class LayerId:
     """Layer s of vertex index m: the value vertices[m] occurs s times."""
@@ -98,8 +105,7 @@ class LayerId:
     s: int
 
     def __post_init__(self):
-        if not 0 <= self.m < self.spec.k:
-            raise OutOfRange(f"vertex index {self.m} outside 0..{self.spec.k - 1}")
+        _vertex_value(self.spec, self.m)
         if not 0 <= self.s <= self.spec.n:
             raise OutOfRange(f"layer index {self.s} outside 0..{self.spec.n}")
 
@@ -116,19 +122,21 @@ def layer(layer_id: LayerId) -> tuple[ChainEndo, ...]:
 
 def layers(spec: SimplexSpec, m: int) -> tuple[tuple[ChainEndo, ...], ...]:
     """All layers of one vertex, s = 0 first; they partition the simplex."""
-    return tuple(layer(LayerId(spec, m, s)) for s in range(spec.n + 1))
+    value = _vertex_value(spec, m)
+    buckets = [[] for _ in range(spec.n + 1)]
+    for e in enumerate_simplex(spec):
+        buckets[e.values.count(value)].append(e)
+    return tuple(map(tuple, buckets))
 
 
 def discrete_neighborhood(
     spec: SimplexSpec, m: int, t: int
 ) -> tuple[ChainEndo, ...]:
-    """The vertex constant plus the t layers of highest multiplicity."""
+    """The vertex constant (layer n) plus the t layers n - t .. n - 1 below it."""
     if not 1 <= t <= spec.n:
         raise OutOfRange(f"radius {t} outside 1..{spec.n}")
-    members = {constant(spec.n, spec.vertices[m])}
-    for s in range(spec.n - t, spec.n):
-        members.update(layer(LayerId(spec, m, s)))
-    return tuple(sorted(members))
+    value = _vertex_value(spec, m)
+    return tuple(e for e in enumerate_simplex(spec) if e.values.count(value) >= spec.n - t)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,10 @@ class TestClassify:
         assert main(["classify", "2 1"]) == 2
         assert capsys.readouterr().err
 
+    def test_chain_beyond_any_sequence_exits_two(self, capsys):
+        assert main(["classify", "1_99999999999999999999"]) == 2
+        assert capsys.readouterr().err.startswith("error: chain size 99999999999999999999")
+
 
 class TestDecompose:
     @pytest.mark.parametrize("n", [16, 20])
@@ -288,6 +292,11 @@ class TestRender:
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("<?xml")
 
+    def test_unwritable_out_file_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.svg"
+        assert main(["render", "tri n=3 a=0 b=1 c=2", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
     def test_requires_triangle(self, capsys):
         assert main(["render", "sim n=4 A=1,2"]) == 2
         assert capsys.readouterr().err
@@ -313,3 +322,27 @@ class TestIso:
         payload = json.loads(capsys.readouterr().out)
         assert payload["isomorphic"] is True
         assert payload["mapping"]["1_5"] == "1_5"
+
+
+@pytest.mark.parametrize(
+    "command", [["check", "--n-max", "4", "--json"], ["counts", "--n-max", "5", "--json"]]
+)
+def test_optimized_interpreter_gives_the_same_json(command):
+    # the hot path carries no asserts, so python -O must not change a verdict
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    outputs = []
+    for optimize in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *optimize, "-m", "chainendo", *command],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        if command[0] == "check":
+            for entry in payload:
+                del entry["elapsed"]
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]

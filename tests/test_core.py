@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from chainendo import analysis, simplex, strings, triangle
 from chainendo.core import (
     ChainEndo,
     CompactForm,
@@ -20,21 +21,19 @@ from chainendo.core import (
 )
 
 
-def endos(max_n=6):
-    """Random monotone self-maps: sorted value tuples are exactly those."""
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(
-            st.integers(0, n - 1), min_size=n, max_size=n
-        ).map(lambda vals: ChainEndo(n, tuple(sorted(vals))))
+def maps_on(n):
+    """Random monotone self-maps of C_n: sorted value tuples are exactly those."""
+    return st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(
+        lambda vals: ChainEndo(n, tuple(sorted(vals)))
     )
+
+
+def endos(max_n=6):
+    return st.integers(1, max_n).flatmap(maps_on)
 
 
 def same_n_triples(max_n=5):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.tuples(*(st.lists(
-            st.integers(0, n - 1), min_size=n, max_size=n
-        ).map(lambda vals: ChainEndo(n, tuple(sorted(vals)))) for _ in range(3)))
-    )
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(*(maps_on(n) for _ in range(3))))
 
 
 class TestConstruction:
@@ -144,6 +143,59 @@ class TestEnumeration:
     def test_every_member_is_monotone(self):
         for e in all_endomorphisms(4):
             assert all(e(i) <= e(i + 1) for i in range(3))
+
+
+def _validated(e):
+    """e must equal the map the validating constructor builds from its values."""
+    assert e == ChainEndo(e.n, e.values)
+
+
+class TestUncheckedResultsAreValid:
+    """Arithmetic and enumeration build maps without validation
+    (ChainEndo._wrap); every such map must pass the validating constructor.
+    """
+
+    @given(same_n_triples(), st.integers(1, 6))
+    def test_arithmetic(self, triple, count):
+        x, y, _ = triple
+        _validated(x + y)
+        _validated(x * y)
+        _validated(x**count)
+
+    @given(st.integers(1, 7), st.data())
+    def test_constant_and_identity(self, n, data):
+        _validated(constant(n, data.draw(st.integers(0, n - 1))))
+        _validated(identity(n))
+
+    @given(st.integers(1, 6))
+    def test_all_endomorphisms(self, n):
+        for e in all_endomorphisms(n):
+            _validated(e)
+
+    @given(st.integers(1, 7), st.data())
+    def test_simplex_enumeration(self, n, data):
+        vertices = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        for e in simplex.enumerate_simplex(simplex.SimplexSpec(n, tuple(vertices))):
+            _validated(e)
+
+    @given(st.integers(2, 9), st.data())
+    def test_string_elements(self, n, data):
+        a, b = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=2)))
+        _validated(strings.elem(strings.StringSpec(n, a, b), data.draw(st.integers(0, n))))
+
+    @given(st.integers(3, 9), st.data())
+    def test_triangle_elements(self, n, data):
+        a, b, c = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=3, max_size=3)))
+        k = data.draw(st.integers(0, n))
+        ell = data.draw(st.integers(0, n - k))
+        spec = triangle.TriangleSpec(n, a, b, c)
+        _validated(triangle.to_endo(spec, triangle.TriElem(k, ell, n - k - ell)))
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(maps_on(n), min_size=1, max_size=12)))
+    def test_closure_witness(self, members):
+        ok, witness = analysis.is_subsemiring(members)
+        if not ok:
+            _validated(witness.result)
 
 
 class TestPowers:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from chainendo import analysis, claims, strings, triangle
-from chainendo.analysis import NotClosed, canonical
+from chainendo.analysis import NotClosed, Subset, canonical
 from chainendo.core import all_endomorphisms
 from chainendo.strings import StringSpec
 from chainendo.triangle import TriangleSpec
@@ -33,13 +33,30 @@ CLOSED = _closed_sets()
 
 
 @st.composite
-def random_subsets(draw, max_size=24):
+def random_picks(draw, max_size=24):
+    """Maps of one random chain, in any order and with repeats."""
     n = draw(st.integers(1, 5))
-    picks = draw(st.lists(st.sampled_from(MAPS[n]), min_size=1, max_size=max_size))
-    return canonical(picks)
+    return draw(st.lists(st.sampled_from(MAPS[n]), min_size=1, max_size=max_size))
+
+
+def random_subsets(max_size=24):
+    return random_picks(max_size).map(canonical)
 
 
 map_sets = st.one_of(random_subsets(), st.sampled_from(CLOSED).map(canonical))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_picks(), st.sampled_from(CLOSED)))
+def test_subset_carries_its_values_and_sorted_keys(picks):
+    s = Subset.of(picks)
+    assert s.elements == tuple(sorted(set(picks)))
+    assert (np.diff(s.keys) > 0).all()
+    assert s.values.dtype == np.int64
+    assert s.values.tolist() == [list(e.values) for e in s.elements]
+    # a Subset passed along is neither re-normalised nor re-packed
+    assert Subset.of(s) is s
+    assert s.values is s.values and s.keys is s.keys
 
 
 def _under_small_blocks(fn, *args):

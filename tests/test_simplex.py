@@ -139,6 +139,19 @@ class TestLayers:
     def test_full_multiplicity_layer_is_the_constant(self):
         assert layer(LayerId(SPEC, 2, 4)) == (constant(4, 3),)
 
+    def test_layers_are_the_single_layers(self):
+        for spec in (SPEC, SimplexSpec(5, (0, 2, 4)), SimplexSpec(6, (2, 3))):
+            for m in range(spec.k):
+                expected = tuple(layer(LayerId(spec, m, s)) for s in range(spec.n + 1))
+                assert layers(spec, m) == expected
+
+    @pytest.mark.parametrize("m", [-1, 3])
+    def test_vertex_index_validated(self, m):
+        with pytest.raises(OutOfRange):
+            layers(SPEC, m)
+        with pytest.raises(OutOfRange):
+            discrete_neighborhood(SPEC, m, 1)
+
 
 class TestNeighborhoods:
     def test_radius_validated(self):
@@ -150,6 +163,15 @@ class TestNeighborhoods:
     def test_radius_one_around_greatest_vertex(self):
         got = discrete_neighborhood(SPEC, 2, 1)
         assert got == (endo("1 3_3"), endo("2 3_3"), endo("3_4"))
+
+    def test_neighborhood_is_constant_plus_top_layers(self):
+        for spec in (SPEC, SimplexSpec(5, (0, 2, 4)), SimplexSpec(6, (2, 3))):
+            for m in range(spec.k):
+                for t in range(1, spec.n + 1):
+                    members = {constant(spec.n, spec.vertices[m])}
+                    for s in range(spec.n - t, spec.n):
+                        members.update(layer(LayerId(spec, m, s)))
+                    assert discrete_neighborhood(spec, m, t) == tuple(sorted(members))
 
     def test_full_radius_recovers_the_simplex(self):
         assert discrete_neighborhood(SPEC, 0, 4) == enumerate_simplex(SPEC)
