@@ -4,28 +4,32 @@ Everything here is exhaustive and deterministic: sets are normalised to
 lexicographic order, pair scans run in that order, and the first violation
 found is the witness reported.
 
-A set is a Subset: its elements, the (N, n) int64 matrix of their values
-and one exact int64 key per map (its values as base-n digits).  Matrix and
-keys are built on first use and kept on the Subset, so a check that passes
-its Subset on to another check does not rebuild them; no other state
-survives a call.  Keys are exact only for n <= MAX_CHAIN, so building the
-matrix of a longer chain raises ChainTooLong.
+A set is a Subset: its elements, the (N, n) int64 matrix of their values,
+its contiguous (n, N) transpose and one exact int64 key per map, the map's
+lexicographic rank among all C(2n-1, n) monotone maps of its chain.  These
+are built on first use and kept on the Subset, so a check that passes its
+Subset on to another check does not rebuild them; no other state survives
+a call.  Building the matrix of a chain longer than MAX_CHAIN raises
+ChainTooLong.
 
-The scans run on these arrays, not on ChainEndo objects.  The closure scan
-streams one row of pairs at a time.  The other checks read the set's
-Cayley tables: for each ordered pair, the key (or member index, -1 when
-the result leaves the set) of the sum and of the product.  Tables are built
-_BLOCK rows at a time, so a public check holds O(_BLOCK * N * n) scratch
-values whatever the set size.  Only the private helpers behind claims on
-small sets (_cayley_tables and the scans over its output) hold whole (N, N)
-tables.
+The scans run on these arrays, not on ChainEndo objects, and build the keys
+of sums and products one column at a time.  The closure scan runs in row
+blocks that double from one row up to _PAIR_BUDGET pairs, so an early
+escape costs one row; it tests membership in a dense table indexed by rank.
+The other checks read the set's Cayley tables: for each ordered pair, the
+key (or member index, -1 when the result leaves the set) of the sum and of
+the product.  Tables are built _BLOCK rows at a time, so a public check
+holds O(_BLOCK * N * n) scratch values whatever the set size.  Only the
+private helpers behind claims on small sets (_cayley_tables and the scans
+over its output) hold whole (N, N) tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
+from math import comb
 from operator import add, mul
 from typing import Iterable, Literal, Mapping
 
@@ -33,12 +37,16 @@ import numpy as np
 
 from .core import ChainEndo, ChainEndoError, SizeMismatch
 
-# Largest chain whose maps have exact int64 keys: the key of a map is below
-# n**n, and 16**16 > 2**63.
+# Largest chain the set checks accept.  Ranks stay exact in int64 up to
+# n = 33, but the closure scan's member table holds one byte per monotone
+# map, C(2n-1, n) of them: 74 MiB of address space at n = 15, 286 MiB at 16.
 MAX_CHAIN = 15
 
 # Rows of a Cayley table built in one numpy call.
 _BLOCK = 64
+
+# Most pairs the closure scan combines in one numpy call.
+_PAIR_BUDGET = 2**14
 
 
 class NotClosed(ValueError):
@@ -90,8 +98,13 @@ class Subset:
         return np.array([e.values for e in self.elements], dtype=np.int64)
 
     @cached_property
+    def columns(self) -> np.ndarray:
+        """The (n, N) transpose of values, contiguous: row k holds every value at k."""
+        return np.ascontiguousarray(self.values.T)
+
+    @cached_property
     def keys(self) -> np.ndarray:
-        """Exact key of each element; strictly increasing."""
+        """Lex rank of each element among all maps of the chain; strictly increasing."""
         return _pack(self.values, self.n)
 
     def __iter__(self):
@@ -116,10 +129,31 @@ class ClosureWitness:
     result: ChainEndo
 
 
+@cache
+def _rank_weights(n: int) -> np.ndarray:
+    """(n, n) table W such that the lex rank of a map v is the sum of W[k, v[k]].
+
+    G(k, c) = C(2n-1-k, n-k) - C(2n-1-k-c, n-k) counts the monotone tails
+    v[k:] whose first value is below c.  The maps before v that first differ
+    from it at position k hold some c with v[k-1] <= c < v[k] there, so they
+    number G(k, v[k]) - G(k, v[k-1]), with v[-1] = 0.  Summed over k this
+    telescopes to the sum of W[k, v[k]] = G(k, v[k]) - G(k+1, v[k]).
+    """
+
+    def G(k: int, c: int) -> int:
+        return comb(2 * n - 1 - k, n - k) - comb(2 * n - 1 - k - c, n - k)
+
+    W = np.array(
+        [[G(k, c) - G(k + 1, c) for c in range(n)] for k in range(n)], dtype=np.int64
+    )
+    W.flags.writeable = False
+    return W
+
+
 def _pack(matrix: np.ndarray, n: int) -> np.ndarray:
-    # Big-endian base-n packing, so key order matches lexicographic order.
-    weights = n ** np.arange(matrix.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return matrix @ weights
+    """Lex rank of each row of a (..., n) value matrix."""
+    W = _rank_weights(n)
+    return W[np.arange(n), matrix].sum(axis=-1)
 
 
 def _blocks(size: int):
@@ -128,28 +162,30 @@ def _blocks(size: int):
         yield slice(start, min(start + _BLOCK, size))
 
 
-def _sums(X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
-    """Keys of x + y for x in the rows of X and y in the rows of Y."""
-    return _pack(np.maximum(X[:, None, :], Y[None, :, :]), n)
+def _sums(X: np.ndarray, YT: np.ndarray, n: int) -> np.ndarray:
+    """Keys of x + y for x in the rows of X and y in the columns of YT."""
+    W = _rank_weights(n)
+    acc = np.zeros((len(X), YT.shape[1]), dtype=np.int64)
+    for k in range(n):
+        acc += W[k][np.maximum(YT[k], X[:, k : k + 1])]
+    return acc
 
 
-def _products(X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
-    """Keys of x * y (x first, then y) for x in the rows of X, y in Y."""
-    # Y[:, X][j, i] is y_j applied to x_i's values, i.e. x_i * y_j.
-    return _pack(Y[:, X], n).T
-
-
-def _locate(codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each key in the sorted codes, and whether it is there."""
-    pos = np.searchsorted(codes, keys)
-    pos[pos == len(codes)] = 0
-    return pos, codes[pos] == keys
+def _products(X: np.ndarray, YT: np.ndarray, n: int) -> np.ndarray:
+    """Keys of x * y (x first, then y) for x in the rows of X, y in the columns of YT."""
+    W = _rank_weights(n)
+    acc = np.zeros((len(X), YT.shape[1]), dtype=np.int64)
+    for k in range(n):
+        # YT[X[:, k]][i, j] is y_j at x_i's value at k, i.e. (x_i * y_j)[k].
+        acc += W[k][YT[X[:, k]]]
+    return acc
 
 
 def _index(codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Member index of each key in the sorted codes, -1 for non-members."""
-    pos, found = _locate(codes, keys)
-    return np.where(found, pos, -1)
+    pos = np.searchsorted(codes, keys)
+    pos[pos == len(codes)] = 0
+    return np.where(codes[pos] == keys, pos, -1)
 
 
 def _cayley_tables(elements: Iterable[ChainEndo]) -> tuple[np.ndarray, np.ndarray]:
@@ -161,12 +197,12 @@ def _cayley_tables(elements: Iterable[ChainEndo]) -> tuple[np.ndarray, np.ndarra
     checks on sets of bounded size build them whole.
     """
     s = Subset.of(elements)
-    V, size = s.values, len(s)
+    V, VT, size = s.values, s.columns, len(s)
     A = np.empty((size, size), dtype=np.intp)
     M = np.empty((size, size), dtype=np.intp)
     for rows in _blocks(size):
-        A[rows] = _index(s.keys, _sums(V[rows], V, s.n))
-        M[rows] = _index(s.keys, _products(V[rows], V, s.n))
+        A[rows] = _index(s.keys, _sums(V[rows], VT, s.n))
+        M[rows] = _index(s.keys, _products(V[rows], VT, s.n))
     return A, M
 
 
@@ -219,28 +255,40 @@ def _triple_law_scan(A: np.ndarray, M: np.ndarray) -> tuple[int, int, int, str] 
 
 
 def _closure_scan(els, ops):
-    """First (i, j, op) whose result escapes, scanning pairs in lex order.
+    """First (i, j, op, result) whose result escapes, scanning pairs in lex order.
 
-    i and j index the elements of Subset.of(els).  Within one pair "+" is
-    tried before "*".  Returns None when closed.
+    i and j index the elements of Subset.of(els).  Within one pair the ops
+    are tried in the order given.  Returns None when closed.
     """
     s = Subset.of(els)
-    V = s.values
-    for i in range(len(s)):
-        best = None
+    V, VT, n, size = s.values, s.columns, s.n, len(s)
+    member = np.zeros(comb(2 * n - 1, n), dtype=bool)  # pages map on first touch
+    member[s.keys] = True
+    max_rows = max(1, _PAIR_BUDGET // size)
+    start, height = 0, 1
+    while start < size:
+        stop = min(start + height, size)
+        best = None  # (i, j, op) of the block's first escape
         for op in ops:
             if op == "+":
-                R = np.maximum(V, V[i])
+                # x + y = y + x: every pair (i, j) with j < start was
+                # scanned as (j, i) in an earlier block
+                first = start
+                escaped = ~member[_sums(V[start:stop], VT[:, start:], n)]
             else:
-                R = V[:, V[i]]  # row j becomes element j after element i
-            _, found = _locate(s.keys, _pack(R, s.n))
-            if not found.all():
-                j = int(found.argmin())
-                if best is None or j < best[0]:
-                    best = (j, op, tuple(int(v) for v in R[j]))
+                first = 0
+                escaped = ~member[_products(V[start:stop], VT, n)]
+            if escaped.any():
+                i, j = np.unravel_index(int(escaped.argmax()), escaped.shape)
+                hit = (start + int(i), first + int(j), op)
+                if best is None or hit[:2] < best[:2]:
+                    best = hit
         if best is not None:
-            j, op, values = best
-            return i, j, op, ChainEndo._wrap(s.n, values)
+            i, j, op = best
+            x, y = V[i], V[j]
+            values = np.maximum(x, y) if op == "+" else y[x]
+            return i, j, op, ChainEndo._wrap(n, tuple(values.tolist()))
+        start, height = stop, min(2 * height, max_rows)
     return None
 
 
@@ -286,7 +334,7 @@ def is_ideal(
         raise NotSubset("candidate ideal is not inside the ambient set")
     n, VI, VO, codes = inner.n, inner.values, outer.values, inner.keys
     for rows in _blocks(len(inner)):
-        out = _index(codes, _sums(VI[rows], VI, n)) < 0
+        out = _index(codes, _sums(VI[rows], inner.columns, n)) < 0
         if out.any():
             i, j = np.unravel_index(int(out.argmax()), out.shape)
             x, y = inner.elements[rows.start + i], inner.elements[j]
@@ -296,8 +344,8 @@ def is_ideal(
         # so the flat order is the scan order x, r, left before right.
         out = np.stack(
             (
-                _index(codes, _products(VO, VI[rows], n).T) < 0,
-                _index(codes, _products(VI[rows], VO, n)) < 0,
+                _index(codes, _products(VO, inner.columns[:, rows], n).T) < 0,
+                _index(codes, _products(VI[rows], outer.columns, n)) < 0,
             ),
             axis=-1,
         )
@@ -342,10 +390,10 @@ def triviality(elements: Iterable[ChainEndo]) -> TrivialityVerdict:
     closed, witness = is_closed(s, "*")
     if not closed:
         raise NotClosed(f"not multiplicatively closed: {witness}")
-    V = s.values
-    first = _products(V[:1], V[:1], s.n)[0, 0]
+    V, VT = s.values, s.columns
+    first = _products(V[:1], VT[:, :1], s.n)[0, 0]
     for rows in _blocks(len(s)):
-        if (_products(V[rows], V, s.n) != first).any():
+        if (_products(V[rows], VT, s.n) != first).any():
             return TrivialityVerdict(False, None, False, False)
     k = int(np.searchsorted(s.keys, first))  # a member: the set is closed
     is_min = bool((V[k] <= V).all())
@@ -371,7 +419,7 @@ def identities(elements: Iterable[ChainEndo]) -> Identities:
     left = np.empty(len(s), dtype=bool)
     right = np.ones(len(s), dtype=bool)
     for rows in _blocks(len(s)):
-        P = _products(V[rows], V, s.n)  # P[i, j]: element i * element j
+        P = _products(V[rows], s.columns, s.n)  # P[i, j]: element i * element j
         left[rows] = (P == codes).all(axis=1)
         right &= (P == codes[rows, None]).all(axis=0)
     return Identities(
@@ -392,16 +440,16 @@ def similar_pairs(
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     s = Subset.of(elements)
-    V = s.values
+    V, VT = s.values, s.columns
     # Refine a class label per element, one block of gammas at a time: two
     # elements keep sharing a label while their products with every gamma
     # seen so far agree.
     labels = np.zeros((len(s), 1), dtype=np.int64)
     for rows in _blocks(len(s)):
         if side == "left":
-            seen = _products(V[rows], V, s.n).T  # [a, g]: gamma * alpha
+            seen = _products(V[rows], VT, s.n).T  # [a, g]: gamma * alpha
         else:
-            seen = _products(V, V[rows], s.n)  # [a, g]: alpha * gamma
+            seen = _products(V, VT[:, rows], s.n)  # [a, g]: alpha * gamma
         keys = np.hstack((labels, seen))
         labels = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1, 1)
     classes: dict[int, list[int]] = {}
@@ -486,10 +534,11 @@ def iso_check(
     def verify(assign):
         p = np.array([index_t[t] for t in assign])
         image = dst.values[p]  # image[i] holds the values of assign[i]
+        imageT = dst.columns[:, p]
         for op in (_sums, _products):
             for rows in _blocks(size):
-                result = _index(src.keys, op(src.values[rows], src.values, src.n))
-                if (dst.keys[p[result]] != op(image[rows], image, dst.n)).any():
+                result = _index(src.keys, op(src.values[rows], src.columns, src.n))
+                if (dst.keys[p[result]] != op(image[rows], imageT, dst.n)).any():
                     return False
         return True
 

@@ -531,7 +531,7 @@ def _chk_consecutive_union(params):
 
 def _chk_three_string_union(params):
     n, a, b, c = params
-    union = strings.three_string_union(n, a, b, c)
+    union = analysis.Subset.of(strings.three_string_union(n, a, b, c))
     if len(union) != 3 * n:
         return False, {"size": len(union)}
     add_ok, _ = analysis.is_closed(union, "+")
@@ -540,13 +540,12 @@ def _chk_three_string_union(params):
     mul_ok, wit = analysis.is_closed(union, "*")
     if not mul_ok:
         return False, _pair(wit)
-    members = set(union)
     ab, ac = StringSpec(n, a, b), StringSpec(n, a, c)
     for k in range(1, n):
         for m in range(k + 1, n):
             total = strings.elem(ab, k) + strings.elem(ac, m)
             want = ChainEndo(n, (a,) * k + (b,) * (m - k) + (c,) * (n - m))
-            if total != want or total in members:
+            if total != want or total in union:
                 return False, {"k": k, "m": m, "sum": _fmt(total)}
     return True, None
 
@@ -664,7 +663,7 @@ def _chk_boundary_interior(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
     boundary = triangle.boundary(spec)
-    inner = triangle.interior(spec)
+    inner = analysis.Subset.of(triangle.interior(spec))
     if set(boundary) != set(strings.three_string_union(n, a, b, c)):
         return False, {"note": "boundary must be the three strings"}
     if len(boundary) + len(inner) != counting.triangle_order(n):
@@ -682,7 +681,7 @@ def _chk_boundary_interior(params):
     if witness * witness != square:
         return False, {"witness": _fmt(witness)}
     if a >= 1 or b >= 2:
-        if witness not in set(inner) or square in set(inner):
+        if witness not in inner or square in inner:
             return False, {"witness": _fmt(witness), "square": _fmt(square)}
     elif witness != square or not witness.is_idempotent():
         return False, {"witness": _fmt(witness), "note": "degenerate case"}
@@ -926,13 +925,13 @@ def _chk_layer_string_iso(params):
 def _chk_middle_layer_counterexample(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
-    layer = tuple(e for e in triangle.elements(spec) if e.values.count(b) == 2)
+    layer = analysis.Subset.of(e for e in triangle.elements(spec) if e.values.count(b) == 2)
     add_ok, _ = analysis.is_closed(layer, "+")
     mul_ok, wit = analysis.is_closed(layer, "*")
     if not add_ok or mul_ok:
         return False, {"add": add_ok, "mul": mul_ok}
     probe = ChainEndo(n, (1, 2, 2, 3))
-    if probe not in set(layer) or (probe * probe).values.count(b) == 2:
+    if probe not in layer or (probe * probe).values.count(b) == 2:
         return False, {"probe": _fmt(probe)}
     return True, None
 

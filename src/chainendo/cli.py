@@ -229,11 +229,20 @@ def _decompose_string(spec: StringSpec, args) -> int:
     return 0
 
 
+def _require_positive(args, *options: str) -> None:
+    """Refuse a sweep bound below 1, which would check nothing and pass."""
+    for option in options:
+        value = getattr(args, option.lstrip("-").replace("-", "_"))
+        if value < 1:
+            raise ChainEndoError(f"{option} must be at least 1, got {value}")
+
+
 def _cmd_check(args) -> int:
     if args.list:
         for claim in claims.REGISTRY.values():
             print(f"{claim.id}: {claim.statement}")
         return 0
+    _require_positive(args, "--n-max", "--jobs")
     ids = args.ids or None
     results = claims.run_all(args.n_max, jobs=args.jobs, ids=ids)
     if args.json:
@@ -261,6 +270,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_counts(args) -> int:
+    _require_positive(args, "--n-max")
     report = counting.audit(args.n_max)
     if args.json:
         _emit(

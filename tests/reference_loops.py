@@ -24,6 +24,22 @@ TRIPLE_LAWS = (
 )
 
 
+def closure_scan(elements, ops):
+    """First (i, j, op, result) whose result leaves the set, pairs in lex order.
+
+    Within one pair the ops are tried in the order given.
+    """
+    els = canonical(elements)
+    members = set(els)
+    for i, x in enumerate(els):
+        for j, y in enumerate(els):
+            for op in ops:
+                result = x + y if op == "+" else x * y
+                if result not in members:
+                    return i, j, op, result
+    return None
+
+
 def is_ideal(ideal, ambient):
     inner = canonical(ideal)
     outer = canonical(ambient)

@@ -5,6 +5,7 @@ import pytest
 from chainendo import analysis, simplex, strings, triangle
 from chainendo.analysis import (
     ChainTooLong,
+    ClosureWitness,
     NotClosed,
     NotSubset,
     Subset,
@@ -94,6 +95,23 @@ class TestChainLimit:
     def test_longest_supported_chain(self):
         ok, witness = is_subsemiring(strings.elements(StringSpec(15, 3, 9)))
         assert ok and witness is None
+
+    def test_witness_at_the_longest_chain(self):
+        # the same witnesses the base-n keys gave before keys became lex ranks
+        n = 15
+        halves = ChainEndo(n, tuple(min(v // 2 + 3, 14) for v in range(n)))
+        shift = ChainEndo(n, tuple(min(v + 4, 14) for v in range(n)))
+        step = ChainEndo(n, tuple(3 if v < 9 else 9 for v in range(n)))
+        capped = ChainEndo(n, tuple(min(v // 2 + 3, 14) if v < 9 else 14 for v in range(n)))
+        els = [halves, shift, step, capped]
+        ok, witness = is_subsemiring(els)
+        assert not ok
+        assert witness == ClosureWitness(
+            step, halves, "+", endo("3_2 4_2 5_2 6_2 7 9_5 10", n)
+        )
+        ok, witness = is_closed(els, "*")
+        assert not ok
+        assert witness == ClosureWitness(step, halves, "*", endo("4_9 7_6", n))
 
 
 class TestIdeal:

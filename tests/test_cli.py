@@ -235,6 +235,15 @@ class TestCheck:
         ]
         assert all(entry["holds"] for entry in payload)
 
+    @pytest.mark.parametrize(
+        "option, value", [("--n-max", "0"), ("--n-max", "-3"), ("--jobs", "0"), ("--jobs", "-1")]
+    )
+    def test_bound_below_one_exits_two(self, option, value, capsys):
+        assert main(["check", "mul-noncommutative", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {option} must be at least 1, got {value}\n"
+        assert captured.out == ""
+
     def test_unknown_claim_exits_two(self, capsys):
         assert main(["check", "bogus-claim"]) == 2
         assert "unknown claim" in capsys.readouterr().err
@@ -260,6 +269,14 @@ class TestCounts:
         assert main(["counts", "--n-max", "4"]) == 0
         out = capsys.readouterr().out
         assert out.count("pass") == 18 and "FAIL" not in out
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bound_below_one_exits_two(self, value, capsys):
+        # it used to print 18 "pass ... checked=0" lines and exit 0
+        assert main(["counts", "--n-max", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --n-max must be at least 1, got {value}\n"
+        assert captured.out == ""
 
     def test_json_audit(self, capsys):
         assert main(["counts", "--n-max", "4", "--json"]) == 0

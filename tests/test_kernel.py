@@ -1,6 +1,7 @@
 """The numpy Cayley-table kernel against the pure-Python reference loops."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import reference_loops as ref
 from chainendo import analysis, claims, strings, triangle
 from chainendo.analysis import NotClosed, Subset, canonical
-from chainendo.core import all_endomorphisms
+from chainendo.core import all_endomorphisms, parse_compact
 from chainendo.strings import StringSpec
 from chainendo.triangle import TriangleSpec
 
@@ -73,6 +74,47 @@ def _under_small_blocks(fn, *args):
     else:
         assert again == result
     return result
+
+
+def test_keys_are_lex_ranks():
+    for n in range(1, 8):
+        keys = Subset.of(all_endomorphisms(n)).keys
+        assert np.array_equal(keys, np.arange(comb(2 * n - 1, n)))
+
+
+@st.composite
+def closed_with_strays(draw):
+    """A closed set with a few maps of its chain added, so escapes come late."""
+    closed = draw(st.sampled_from(CLOSED))
+    strays = draw(st.lists(st.sampled_from(MAPS[closed[0].n]), max_size=3))
+    return canonical((*closed, *strays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(map_sets, closed_with_strays()),
+    st.sampled_from([("+",), ("*",), ("+", "*")]),
+)
+def test_closure_scan_matches_reference(els, ops):
+    expected = ref.closure_scan(els, ops)
+    assert analysis._closure_scan(els, ops) == expected
+    # budgets 1 and 3 keep blocks one row tall on all but one-map sets, 40
+    # caps the doubling inside the set, and the default above lets it run to
+    # the end: block seams and doubling steps fall on different rows
+    for budget in (1, 3, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_PAIR_BUDGET", budget)
+            assert analysis._closure_scan(els, ops) == expected
+
+
+def test_closure_scan_tries_ops_in_the_given_order_within_a_pair():
+    # the first pair escapes under both ops: 0_2 2 + 0 1_2 = 0 1 2 and
+    # 0_2 2 * 0 1_2 = 0_2 1
+    els = canonical([parse_compact("0_2 2", 3), parse_compact("0 1_2", 3)])
+    for ops in (("+", "*"), ("*", "+")):
+        hit = analysis._closure_scan(els, ops)
+        assert hit == ref.closure_scan(els, ops)
+        assert hit[:3] == (0, 1, ops[0])
 
 
 @settings(max_examples=150, deadline=None)
