@@ -13,15 +13,17 @@ a call.  Building the matrix of a chain longer than MAX_CHAIN raises
 ChainTooLong.
 
 The scans run on these arrays, not on ChainEndo objects, and build the keys
-of sums and products one column at a time.  The closure scan runs in row
-blocks that double from one row up to _PAIR_BUDGET pairs, so an early
-escape costs one row; it tests membership in a dense table indexed by rank.
-The other checks read the set's Cayley tables: for each ordered pair, the
-key (or member index, -1 when the result leaves the set) of the sum and of
-the product.  Tables are built _BLOCK rows at a time, so a public check
-holds O(_BLOCK * N * n) scratch values whatever the set size.  Only the
-private helpers behind claims on small sets (_cayley_tables and the scans
-over its output) hold whole (N, N) tables.
+of sums and products one column at a time.  The checks read the set's
+Cayley tables: for each ordered pair, the key (or member index, -1 when the
+result leaves the set) of the sum and of the product.  One pair budget,
+_PAIR_BUDGET, sizes every block: a block of rows combined with width
+columns each has _PAIR_BUDGET // width rows, or one row when a row alone is
+wider, so the scratch arrays of each numpy call stay near the budget
+whatever the set size.  The closure scan's blocks double from one row up to
+that same height, so an early escape costs one row; it tests membership in
+a dense table indexed by rank.  Only the private helpers behind claims on
+small sets (_cayley_tables and the scans over its output) hold whole (N, N)
+tables.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import comb
-from operator import add, mul
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -42,10 +43,7 @@ from .core import ChainEndo, ChainEndoError, SizeMismatch
 # map, C(2n-1, n) of them: 74 MiB of address space at n = 15, 286 MiB at 16.
 MAX_CHAIN = 15
 
-# Rows of a Cayley table built in one numpy call.
-_BLOCK = 64
-
-# Most pairs the closure scan combines in one numpy call.
+# Most pairs a scan combines in one numpy call.
 _PAIR_BUDGET = 2**14
 
 
@@ -156,10 +154,12 @@ def _pack(matrix: np.ndarray, n: int) -> np.ndarray:
     return W[np.arange(n), matrix].sum(axis=-1)
 
 
-def _blocks(size: int):
-    """Slices of _BLOCK consecutive rows covering range(size)."""
-    for start in range(0, size, _BLOCK):
-        yield slice(start, min(start + _BLOCK, size))
+def _blocks(size: int, width: int):
+    """Slices of consecutive rows covering range(size), for rows combined
+    with width columns each: _PAIR_BUDGET // width rows, at least one."""
+    height = max(1, _PAIR_BUDGET // width)
+    for start in range(0, size, height):
+        yield slice(start, min(start + height, size))
 
 
 def _sums(X: np.ndarray, YT: np.ndarray, n: int) -> np.ndarray:
@@ -200,7 +200,7 @@ def _cayley_tables(elements: Iterable[ChainEndo]) -> tuple[np.ndarray, np.ndarra
     V, VT, size = s.values, s.columns, len(s)
     A = np.empty((size, size), dtype=np.intp)
     M = np.empty((size, size), dtype=np.intp)
-    for rows in _blocks(size):
+    for rows in _blocks(size, size):
         A[rows] = _index(s.keys, _sums(V[rows], VT, s.n))
         M[rows] = _index(s.keys, _products(V[rows], VT, s.n))
     return A, M
@@ -236,7 +236,7 @@ def _triple_law_scan(A: np.ndarray, M: np.ndarray) -> tuple[int, int, int, str] 
     Triples are scanned in lex order and, at the first failing triple, the
     laws in _TRIPLE_LAWS order.  Returns None when every law holds.
     """
-    for rows in _blocks(len(A)):
+    for rows in _blocks(len(A), len(A) ** 2):
         Ax, Mx = A[rows], M[rows]
         broken = np.stack(
             (
@@ -332,14 +332,12 @@ def is_ideal(
     inner, outer = Subset.of(ideal), Subset.of(ambient)
     if not inner._members <= outer._members:
         raise NotSubset("candidate ideal is not inside the ambient set")
+    hit = _closure_scan(inner, ("+",))
+    if hit is not None:
+        i, j, _, result = hit
+        return False, IdealWitness("add", inner.elements[i], inner.elements[j], result)
     n, VI, VO, codes = inner.n, inner.values, outer.values, inner.keys
-    for rows in _blocks(len(inner)):
-        out = _index(codes, _sums(VI[rows], inner.columns, n)) < 0
-        if out.any():
-            i, j = np.unravel_index(int(out.argmax()), out.shape)
-            x, y = inner.elements[rows.start + i], inner.elements[j]
-            return False, IdealWitness("add", x, y, x + y)
-    for rows in _blocks(len(inner)):
+    for rows in _blocks(len(inner), len(outer)):
         # [i, j, 0]: outer[j] * x escapes; [i, j, 1]: x * outer[j] escapes,
         # so the flat order is the scan order x, r, left before right.
         out = np.stack(
@@ -392,7 +390,7 @@ def triviality(elements: Iterable[ChainEndo]) -> TrivialityVerdict:
         raise NotClosed(f"not multiplicatively closed: {witness}")
     V, VT = s.values, s.columns
     first = _products(V[:1], VT[:, :1], s.n)[0, 0]
-    for rows in _blocks(len(s)):
+    for rows in _blocks(len(s), len(s)):
         if (_products(V[rows], VT, s.n) != first).any():
             return TrivialityVerdict(False, None, False, False)
     k = int(np.searchsorted(s.keys, first))  # a member: the set is closed
@@ -418,7 +416,7 @@ def identities(elements: Iterable[ChainEndo]) -> Identities:
     V, codes = s.values, s.keys
     left = np.empty(len(s), dtype=bool)
     right = np.ones(len(s), dtype=bool)
-    for rows in _blocks(len(s)):
+    for rows in _blocks(len(s), len(s)):
         P = _products(V[rows], s.columns, s.n)  # P[i, j]: element i * element j
         left[rows] = (P == codes).all(axis=1)
         right &= (P == codes[rows, None]).all(axis=0)
@@ -445,7 +443,7 @@ def similar_pairs(
     # elements keep sharing a label while their products with every gamma
     # seen so far agree.
     labels = np.zeros((len(s), 1), dtype=np.int64)
-    for rows in _blocks(len(s)):
+    for rows in _blocks(len(s), len(s)):
         if side == "left":
             seen = _products(V[rows], VT, s.n).T  # [a, g]: gamma * alpha
         else:
@@ -496,9 +494,10 @@ def iso_check(
     Both sets must be closed under + and *.  Candidate bijections must
     preserve both operations; the search prunes by order-theoretic and
     multiplicative invariants (down-set and up-set sizes, idempotency, the
-    square's down-set size) and, when both sets are chains, collapses to the
-    unique monotone bijection.  Returns the first isomorphism found in
-    lexicographic assignment order, or (False, None).
+    square's down-set size).  On chains the down-set sizes leave one
+    candidate per element, so the search runs straight through without a
+    special case.  Returns the first isomorphism found in lexicographic
+    assignment order, or (False, None).
     """
     src, dst = Subset.of(first), Subset.of(second)
     for name, s in (("first", src), ("second", dst)):
@@ -507,79 +506,69 @@ def iso_check(
             raise NotClosed(f"{name} set is not a subsemiring: {witness}")
     if len(src) != len(dst):
         return False, None
-
-    S, T, size = src.elements, dst.elements, len(src)
+    size = len(src)
 
     def profile(s):
         V = s.values
-        index = {e: i for i, e in enumerate(s.elements)}
         down = np.zeros(size, dtype=np.int64)
         up = np.empty(size, dtype=np.int64)
-        for rows in _blocks(size):
+        for rows in _blocks(size, size * s.n):
             leq = (V[rows, None, :] <= V[None, :, :]).all(axis=2)
             up[rows] = leq.sum(axis=1)
             down += leq.sum(axis=0)
         square = _index(s.keys, _pack(np.take_along_axis(V, V, axis=1), s.n))
         idempotent = square == np.arange(size)
-        sig = list(
+        return list(
             zip(down.tolist(), up.tolist(), idempotent.tolist(), down[square].tolist())
         )
-        return index, sig
 
-    index_s, sig_s = profile(src)
-    index_t, sig_t = profile(dst)
+    sig_s, sig_t = profile(src), profile(dst)
     if sorted(sig_s) != sorted(sig_t):
         return False, None
 
-    def verify(assign):
-        p = np.array([index_t[t] for t in assign])
-        image = dst.values[p]  # image[i] holds the values of assign[i]
+    def combined(s, i, others):
+        """Keys of x_i + x_k, x_i * x_k and x_k * x_i for k in others, x in s."""
+        row, columns = s.values[i : i + 1], s.columns[:, others]
+        return np.concatenate(
+            (
+                _sums(row, columns, s.n)[0],
+                _products(row, columns, s.n)[0],
+                _products(s.values[others], s.columns[:, i : i + 1], s.n)[:, 0],
+            )
+        )
+
+    def verify(p):
+        image = dst.values[p]  # image[i] holds the values of x_i's image
         imageT = dst.columns[:, p]
         for op in (_sums, _products):
-            for rows in _blocks(size):
+            for rows in _blocks(size, size):
                 result = _index(src.keys, op(src.values[rows], src.columns, src.n))
                 if (dst.keys[p[result]] != op(image[rows], imageT, dst.n)).any():
                     return False
         return True
 
-    down_sizes = sorted(d for d, _, _, _ in sig_s)
-    both_chains = down_sizes == list(range(1, size + 1))
-    if both_chains:
-        # Total additive order on both sides: the only candidate is the
-        # order-matching bijection.
-        assign = list(T)
-        if verify(assign):
-            return True, dict(zip(S, assign))
-        return False, None
-
-    candidates = [[t for t in T if sig_t[index_t[t]] == sig_s[i]] for i in range(size)]
-
-    assign: list[ChainEndo | None] = [None] * size
-    used: set[ChainEndo] = set()
-
-    def consistent(i: int) -> bool:
-        # x + y, x * y, y * x for x = S[i] and each earlier y, wherever the
-        # result is already assigned
-        return all(
-            (k := index_s[op(S[a], S[b])]) > i or assign[k] == op(assign[a], assign[b])
-            for j in range(i)
-            for a, b, op in ((i, j, add), (i, j, mul), (j, i, mul))
-        )
+    candidates = [[t for t in range(size) if sig_t[t] == sig_s[i]] for i in range(size)]
+    p = np.zeros(size, dtype=np.intp)  # p[i]: index in the second set of x_i's image
+    used = np.zeros(size, dtype=bool)
 
     def backtrack(i: int) -> bool:
         if i == size:
-            return verify(assign)
+            return verify(p)
+        # results of x_i with each earlier x_j, as member indices: wherever
+        # one is already assigned, its image must be the images' result
+        k = _index(src.keys, combined(src, i, np.arange(i)))
+        known = k <= i
         for t in candidates[i]:
-            if t in used:
+            if used[t]:
                 continue
-            assign[i] = t
-            used.add(t)
-            if consistent(i) and backtrack(i + 1):
-                return True
-            used.discard(t)
-            assign[i] = None
+            p[i] = t
+            if (dst.keys[p[k[known]]] == combined(dst, t, p[:i])[known]).all():
+                used[t] = True
+                if backtrack(i + 1):
+                    return True
+                used[t] = False
         return False
 
     if backtrack(0):
-        return True, dict(zip(S, assign))
+        return True, dict(zip(src.elements, (dst.elements[t] for t in p.tolist())))
     return False, None

@@ -1331,6 +1331,8 @@ REGISTRY: dict[str, Claim] = {claim.id: claim for claim in _CLAIMS}
 
 def run_claim(claim_id: str, n_max: int) -> ClaimResult:
     """Sweep one claim up to the bound; stop at the first failure."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     try:
         claim = REGISTRY[claim_id]
     except KeyError:
@@ -1367,6 +1369,10 @@ def run_all(
 ) -> tuple[ClaimResult, ...]:
     """Run claims in the requested order (registry order when ids is None);
     fan out over processes when jobs > 1."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     order = list(REGISTRY) if ids is None else list(ids)
     for claim_id in order:
         if claim_id not in REGISTRY:

@@ -90,10 +90,6 @@ class ChainEndo:
         self.values = values
         return self
 
-    @classmethod
-    def from_compact(cls, text: str, n: int) -> "ChainEndo":
-        return parse_compact(text, n)
-
     def __call__(self, x: int) -> int:
         if not 0 <= x < self.n:
             raise OutOfRange(f"argument {x} outside the chain 0..{self.n - 1}")

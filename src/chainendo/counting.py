@@ -359,7 +359,6 @@ class CountFormula:
     """One audited count: closed form, oracle, and admissible tuples."""
 
     id: str
-    params: tuple[str, ...]
     evaluate: Callable[..., int]
     oracle: Callable[..., int]
     domain: Callable[[int], Iterator[tuple]]
@@ -371,119 +370,99 @@ FORMULAS: dict[str, CountFormula] = {
     for f in (
         CountFormula(
             "nilpotent_count",
-            ("n", "a"),
             nilpotent_count,
             _oracle_nilpotent,
             _chain_domain,
         ),
         CountFormula(
             "idempotent_count",
-            ("n", "fixed"),
             idempotent_count,
             _oracle_idempotent,
             _fixed_set_domain,
         ),
         CountFormula(
             "simplex_order",
-            ("n", "k"),
             simplex_order,
             _oracle_simplex,
             _simplex_domain,
         ),
         CountFormula(
             "triangle_order",
-            ("n",),
             triangle_order,
             _oracle_triangle,
             _triangle_n_domain,
         ),
         CountFormula(
             "string_nil_low_order",
-            ("n", "a", "b"),
             string_nil_low_order,
             _oracle_string_nil_low,
             _string_domain,
         ),
         CountFormula(
             "string_idem_order",
-            ("n", "a", "b"),
             string_idem_order,
             _oracle_string_idem,
             _string_domain,
         ),
         CountFormula(
             "string_nil_high_order",
-            ("n", "a", "b"),
             string_nil_high_order,
             _oracle_string_nil_high,
             _string_domain,
         ),
-        CountFormula(
-            "ri_order", ("n", "a", "b", "c"), ri_order, _oracle_ri, _triangle_domain
-        ),
+        CountFormula("ri_order", ri_order, _oracle_ri, _triangle_domain),
         CountFormula(
             "ri_order_variant",
-            ("n", "a", "b", "c"),
             ri_order_variant,
             _oracle_ri,
             _triangle_domain,
             expect_equal=False,
         ),
-        CountFormula(
-            "it_order", ("n", "a", "b", "c"), it_order, _oracle_it, _triangle_domain
-        ),
+        CountFormula("it_order", it_order, _oracle_it, _triangle_domain),
         CountFormula(
             "it_rest_order",
-            ("n", "a", "b", "c"),
             it_rest_order,
             _oracle_it_rest,
             _triangle_domain,
         ),
         CountFormula(
             "l_tri_order",
-            ("n", "a", "b", "c"),
             l_tri_order,
             _oracle_l_tri,
             _triangle_domain,
         ),
         CountFormula(
             "r_tri_order",
-            ("n", "a", "b", "c"),
             r_tri_order,
             _oracle_r_tri,
             _triangle_domain,
         ),
         CountFormula(
             "nil_a_order",
-            ("n", "a", "b", "c"),
             nil_a_order,
             _oracle_nil_to("a"),
             _triangle_domain,
         ),
         CountFormula(
             "nil_b_order",
-            ("n", "a", "b", "c"),
             nil_b_order,
             _oracle_nil_to("b"),
             _triangle_domain,
         ),
         CountFormula(
             "nil_c_order",
-            ("n", "a", "b", "c"),
             nil_c_order,
             _oracle_nil_to("c"),
             _triangle_domain,
         ),
         CountFormula(
             "l_par_order",
-            ("n", "a", "b", "c"),
             l_par_order,
             _oracle_l_par,
             _triangle_domain,
         ),
         CountFormula(
             "r_par_order",
-            ("n", "a", "b", "c"),
             r_par_order,
             _oracle_r_par,
             _triangle_domain,
@@ -519,6 +498,8 @@ class AuditReport:
 
 def audit(n_max: int) -> AuditReport:
     """Compare every formula with its oracle on all tuples up to n_max."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     results = []
     for formula in FORMULAS.values():
         checked = 0

@@ -267,7 +267,6 @@ def interior_decompose(
         )
     left = strings.elem(spec.string_ab(), t.k)
     right = strings.elem(spec.string_ac(), spec.n - t.m)
-    assert left + right == alpha
     return left, right
 
 
@@ -287,7 +286,6 @@ def interior_square_witness(
     else:
         witness = elem(spec, 1, spec.b - 1)
         expected = strings.elem(spec.string_ac(), 1)
-    assert witness * witness == expected
     return witness, expected
 
 
@@ -506,7 +504,6 @@ def left_similar_witness(
     else:
         pair = elem(spec, n - 1, 1), elem(spec, n - 2, 2)
     first, second = sorted(pair)
-    assert elem_type(spec, first) == elem_type(spec, second)
     return first, second
 
 

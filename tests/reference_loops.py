@@ -6,6 +6,8 @@ so that property tests can require the kernel to return the same verdicts
 and the same lex-first witnesses.
 """
 
+from operator import add, mul
+
 from chainendo.analysis import (
     IdealWitness,
     Identities,
@@ -139,3 +141,75 @@ def first_additive_break(phi, els):
             if phi[x + y] != phi[x] + phi[y]:
                 return x, y
     return None
+
+
+def _iso_profile(els):
+    """Per element: down-set size, up-set size, idempotency, down-set size of its square."""
+
+    def down(x):
+        return sum(y.pointwise_le(x) for y in els)
+
+    return [
+        (down(x), sum(x.pointwise_le(y) for y in els), x * x == x, down(x * x))
+        for x in els
+    ]
+
+
+def iso_check(first, second):
+    """The object backtracking search for an isomorphism, in the kernel's order.
+
+    Candidates for S[i] are the members of T with S[i]'s profile, in
+    ascending order; both chains take the order-matching bijection at once.
+    """
+    S, T = canonical(first), canonical(second)
+    for name, els in (("first", S), ("second", T)):
+        if closure_scan(els, ("+", "*")) is not None:
+            raise NotClosed(f"{name} set is not a subsemiring")
+    if len(S) != len(T):
+        return False, None
+    size = len(S)
+    sig_s, sig_t = _iso_profile(S), _iso_profile(T)
+    if sorted(sig_s) != sorted(sig_t):
+        return False, None
+    index_s = {e: i for i, e in enumerate(S)}
+
+    def verify(assign):
+        phi = dict(zip(S, assign))
+        return all(
+            phi[x + y] == phi[x] + phi[y] and phi[x * y] == phi[x] * phi[y]
+            for x in S
+            for y in S
+        )
+
+    if sorted(d for d, _, _, _ in sig_s) == list(range(1, size + 1)):
+        assign = list(T)
+        return (True, dict(zip(S, assign))) if verify(assign) else (False, None)
+
+    candidates = [[t for k, t in enumerate(T) if sig_t[k] == sig_s[i]] for i in range(size)]
+    assign = [None] * size
+    used = set()
+
+    def consistent(i):
+        return all(
+            (k := index_s[op(S[a], S[b])]) > i or assign[k] == op(assign[a], assign[b])
+            for j in range(i)
+            for a, b, op in ((i, j, add), (i, j, mul), (j, i, mul))
+        )
+
+    def backtrack(i):
+        if i == size:
+            return verify(assign)
+        for t in candidates[i]:
+            if t in used:
+                continue
+            assign[i] = t
+            used.add(t)
+            if consistent(i) and backtrack(i + 1):
+                return True
+            used.discard(t)
+            assign[i] = None
+        return False
+
+    if backtrack(0):
+        return True, dict(zip(S, assign))
+    return False, None

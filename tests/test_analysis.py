@@ -223,6 +223,14 @@ class TestIsoCheck:
         same, mapping = iso_check(els, els)
         assert same and all(mapping[e] == e for e in els)
 
+    def test_first_isomorphism_in_assignment_order(self):
+        # the two incomparable maps can be swapped, which is an automorphism
+        # too; candidates are tried in ascending order, so the identity
+        # comes first
+        els = [endo("0_2 3_2", 4), endo("1_2 2_2", 4), endo("1_2 3_2", 4)]
+        same, mapping = iso_check(els, els)
+        assert same and all(mapping[e] == e for e in els)
+
     def test_layer_maps_onto_shorter_string(self):
         iso = triangle.layer_string_iso(TriangleSpec(6, 1, 3, 4), 4, 2)
         same, mapping = iso_check(
@@ -257,6 +265,17 @@ class TestIsoCheck:
         # final verification of the order-matching bijection can tell the
         # right-projection product of constants from the meet of {0, id}
         same, mapping = iso_check([constant(2, 0), constant(2, 1)], [constant(2, 0), identity(2)])
+        assert not same and mapping is None
+
+    def test_result_met_after_both_factors_is_checked_at_the_end(self):
+        # two chains with equal invariants: the order-matching bijection
+        # agrees on every result assigned when the search reaches it, but
+        # (1 2_2) * (0 2_2) = 2_3 lands on the last element, which the
+        # search assigns later, so only the final check tells them apart
+        same, mapping = iso_check(
+            [endo("0 2_2", 3), endo("1 2_2", 3), endo("2_3", 3)],
+            [endo("0 1 2", 3), endo("1 2_2", 3), endo("2_3", 3)],
+        )
         assert not same and mapping is None
 
     def test_triangles_with_different_vertices_differ(self):

@@ -40,6 +40,11 @@ class TestRunClaim:
         assert result.holds and result.checked == 0
         assert result.failure_params is None and result.witness is None
 
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_empty_bound_is_refused(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            run_claim("semiring-laws", n_max)
+
     def test_single_claim_result_shape(self):
         result = run_claim("mul-noncommutative", 4)
         assert isinstance(result, ClaimResult)
@@ -83,6 +88,14 @@ class TestRunAll:
     def test_subset_selection_preserves_requested_order(self):
         picked = run_all(3, ids=["string-partition", "simplex-order"])
         assert [r.claim_id for r in picked] == ["string-partition", "simplex-order"]
+
+    @pytest.mark.parametrize(
+        "n_max, jobs, message",
+        [(0, 1, "n_max must be at least 1"), (3, 0, "jobs must be at least 1"), (0, 0, "n_max")],
+    )
+    def test_empty_bound_or_no_workers_is_refused(self, n_max, jobs, message):
+        with pytest.raises(ValueError, match=message):
+            run_all(n_max, jobs=jobs)
 
     def test_unknown_id_in_selection(self):
         with pytest.raises(UnknownClaim):

@@ -131,6 +131,11 @@ class TestAudit:
         variant = next(r for r in report.results if r.id == "ri_order_variant")
         assert variant.ok
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_empty_bound_is_refused(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            audit(n_max)
+
     def test_domain_sizes_scale_with_bound(self):
         small, large = audit(3), audit(4)
         checked = {r.id: r.checked for r in small.results}

@@ -61,18 +61,21 @@ def test_subset_carries_its_values_and_sorted_keys(picks):
 
 
 def _under_small_blocks(fn, *args):
-    """fn(*args), required to be the same when tables are built 3 rows at a time.
+    """fn(*args), required to be the same under small pair budgets.
 
-    The small block puts block seams inside the small sets drawn here.
+    Budget 1 makes every block one row tall, and 40 cuts most of the small
+    sets drawn here into blocks of a few rows, so block seams fall inside
+    them.
     """
     result = fn(*args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_BLOCK", 3)
-        again = fn(*args)
-    if isinstance(result, tuple) and result and isinstance(result[0], np.ndarray):
-        assert all(np.array_equal(a, b) for a, b in zip(result, again))
-    else:
-        assert again == result
+    for budget in (1, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_PAIR_BUDGET", budget)
+            again = fn(*args)
+        if isinstance(result, tuple) and result and isinstance(result[0], np.ndarray):
+            assert all(np.array_equal(a, b) for a, b in zip(result, again))
+        else:
+            assert again == result
     return result
 
 
@@ -173,6 +176,64 @@ def test_iso_check_finds_relabelled_copy(els, data):
         for y in els:
             assert mapping[x + y] == mapping[x] + mapping[y]
             assert mapping[x * y] == mapping[x] * mapping[y]
+
+
+def _layer_string_pairs():
+    """Each basic layer of a triangle with n <= 6 and its companion string."""
+    pairs = []
+    for n in range(3, 7):
+        for a, b, c in itertools.combinations(range(n), 3):
+            spec = TriangleSpec(n, a, b, c)
+            for vertex in (a, c):
+                for layer in triangle.basic_layers(spec, vertex):
+                    iso = triangle.layer_string_iso(spec, vertex, layer.k)
+                    pairs.append((layer.elements, strings.elements(iso.target)))
+    return pairs
+
+
+def _generated(gens):
+    """The closure of gens under + and *."""
+    found = set(gens)
+    while new := {z for x in found for y in found for z in (x + y, x * y)} - found:
+        found |= new
+    return canonical(found)
+
+
+# CLOSED and the closure of every pair of maps on C_2..C_4: many of these
+# share a size and the invariants the iso search prunes by, so the search
+# has to backtrack and to reject
+CLOSED_POOL = list(
+    dict.fromkeys(
+        (
+            *map(canonical, CLOSED),
+            *(_generated(pair) for n in range(2, 5) for pair in itertools.combinations(MAPS[n], 2)),
+        )
+    )
+)
+
+
+@st.composite
+def equal_sized_closed_pairs(draw):
+    """Two closed sets of one chain with the same number of maps."""
+    first = draw(st.sampled_from(CLOSED_POOL))
+    same = [s for s in CLOSED_POOL if s[0].n == first[0].n and len(s) == len(first)]
+    return first, draw(st.sampled_from(same))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(CLOSED_POOL).map(lambda s: (s, s)),
+        equal_sized_closed_pairs(),
+        st.sampled_from(_layer_string_pairs()),
+    )
+)
+def test_iso_check_matches_reference(pair):
+    # the index search must find the object search's verdict and its first
+    # mapping; layers and strings are chains, on chains of different sizes
+    first, second = pair
+    got = _under_small_blocks(analysis.iso_check, first, second)
+    assert got == ref.iso_check(first, second)
 
 
 def test_semiring_laws_hold_on_small_chains():
