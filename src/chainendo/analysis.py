@@ -21,9 +21,9 @@ columns each has _PAIR_BUDGET // width rows, or one row when a row alone is
 wider, so the scratch arrays of each numpy call stay near the budget
 whatever the set size.  The closure scan's blocks double from one row up to
 that same height, so an early escape costs one row; it tests membership in
-a dense table indexed by rank.  Only the private helpers behind claims on
-small sets (_cayley_tables and the scans over its output) hold whole (N, N)
-tables.
+a dense table indexed by rank.  One scan, _hom_mismatch, checks whether a
+given bijection carries + or * over, for iso_check and the claims; whole
+(N, N) tables (_cayley_tables) back only semiring-laws, where n <= 4.
 """
 
 from __future__ import annotations
@@ -206,19 +206,22 @@ def _cayley_tables(elements: Iterable[ChainEndo]) -> tuple[np.ndarray, np.ndarra
     return A, M
 
 
-def _first_mismatch(
-    p: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> tuple[int, int] | None:
-    """First (i, j), in lex order, where p[src[i, j]] != dst[p[i], p[j]].
+def _hom_mismatch(src: Subset, dst: Subset, p, op) -> tuple[int, int] | None:
+    """First (i, j), in lex order, where p(x_i op x_j) != p(x_i) op p(x_j).
 
-    p is an index map from one set to another and src, dst are the same
-    operation's tables on the two sets, src total: the first pair on which
-    p fails to carry the operation over.
+    p is an index map from src into dst (p[i] is the index in dst of x_i's
+    image) and op is _sums or _products.  A result that leaves src counts
+    as a mismatch.  Returns None when p carries op over.
     """
-    bad = np.argwhere(p[src] != dst[p][:, p])
-    if not bad.size:
-        return None
-    return int(bad[0, 0]), int(bad[0, 1])
+    p = np.asarray(p, dtype=np.intp)
+    image, imageT, size = dst.values[p], dst.columns[:, p], len(src)
+    for rows in _blocks(size, size):
+        result = _index(src.keys, op(src.values[rows], src.columns, src.n))
+        bad = (result < 0) | (dst.keys[p[result]] != op(image[rows], imageT, dst.n))
+        if bad.any():
+            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+            return rows.start + int(i), int(j)
+    return None
 
 
 _TRIPLE_LAWS = (
@@ -467,12 +470,8 @@ class ElementClass:
     target: int | None  # constant value when nilpotent
 
 
-def classify_element(
-    alpha: ChainEndo, members: Iterable[ChainEndo] | None = None
-) -> ElementClass:
+def classify_element(alpha: ChainEndo) -> ElementClass:
     """Idempotent, nilpotent onto a constant, or a root of an idempotent."""
-    if members is not None and alpha not in set(members):
-        raise ValueError(f"{alpha} is not a member of the given set")
     limit = alpha.eventual_idempotent()
     exponent = 1
     power = alpha
@@ -537,38 +536,41 @@ def iso_check(
             )
         )
 
-    def verify(p):
-        image = dst.values[p]  # image[i] holds the values of x_i's image
-        imageT = dst.columns[:, p]
-        for op in (_sums, _products):
-            for rows in _blocks(size, size):
-                result = _index(src.keys, op(src.values[rows], src.columns, src.n))
-                if (dst.keys[p[result]] != op(image[rows], imageT, dst.n)).any():
-                    return False
-        return True
-
-    candidates = [[t for t in range(size) if sig_t[t] == sig_s[i]] for i in range(size)]
+    groups: dict[tuple, list[int]] = {}
+    for t, sig in enumerate(sig_t):
+        groups.setdefault(sig, []).append(t)
+    candidates = [groups[sig] for sig in sig_s]  # ascending in the second set
     p = np.zeros(size, dtype=np.intp)  # p[i]: index in the second set of x_i's image
     used = np.zeros(size, dtype=bool)
+    cursor = [0] * size  # per level: position in candidates[i] of the next try
 
-    def backtrack(i: int) -> bool:
-        if i == size:
-            return verify(p)
-        # results of x_i with each earlier x_j, as member indices: wherever
-        # one is already assigned, its image must be the images' result
+    def advance(i: int) -> bool:
+        """Give x_i its next unused candidate that agrees with p[:i]."""
+        if cursor[i]:  # resumed after backtracking: free the last choice
+            used[p[i]] = False
+        # results of x_i with each earlier x_j, as member indices (rebuilt on
+        # each visit, so no level holds arrays): wherever one is already
+        # assigned, its image must be the images' result
         k = _index(src.keys, combined(src, i, np.arange(i)))
         known = k <= i
-        for t in candidates[i]:
+        for c in range(cursor[i], len(candidates[i])):
+            t = candidates[i][c]
             if used[t]:
                 continue
             p[i] = t
             if (dst.keys[p[k[known]]] == combined(dst, t, p[:i])[known]).all():
-                used[t] = True
-                if backtrack(i + 1):
-                    return True
-                used[t] = False
+                cursor[i], used[t] = c + 1, True
+                return True
+        cursor[i] = 0
         return False
 
-    if backtrack(0):
-        return True, dict(zip(src.elements, (dst.elements[t] for t in p.tolist())))
+    # depth first in a loop: a set can have more maps than nested calls
+    i = 0
+    while i >= 0:
+        if i < size:
+            i += 1 if advance(i) else -1
+        elif all(_hom_mismatch(src, dst, p, op) is None for op in (_sums, _products)):
+            return True, dict(zip(src.elements, (dst.elements[t] for t in p.tolist())))
+        else:
+            i -= 1
     return False, None

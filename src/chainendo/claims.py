@@ -940,20 +940,17 @@ def _chk_triangle_add_iso(params):
     n, one, two = params
     src, dst = TriangleSpec(n, *one), TriangleSpec(n, *two)
     phi = triangle.component_map(src, dst)
-    els, targets = triangle.elements(src), triangle.elements(dst)
+    els = analysis.Subset.of(triangle.elements(src))
+    targets = analysis.Subset.of(triangle.elements(dst))
     if set(phi.values()) != set(targets):
         return False, {"note": "component map must be a bijection"}
     position = {e: k for k, e in enumerate(targets)}
-    p = np.array([position[phi[x]] for x in els])  # phi as an index map
-    A_src, M_src = analysis._cayley_tables(els)
-    A_dst, M_dst = analysis._cayley_tables(targets)
-    if (A_src < 0).any() or (M_src < 0).any():
-        return False, {"note": "source triangle is not closed"}
-    hit = analysis._first_mismatch(p, A_src, A_dst)
+    p = [position[phi[x]] for x in els]  # phi as an index map
+    hit = analysis._hom_mismatch(els, targets, p, analysis._sums)
     if hit is not None:
         x, y = hit
-        return False, {"x": _fmt(els[x]), "y": _fmt(els[y])}
-    if analysis._first_mismatch(p, M_src, M_dst) is not None:
+        return False, {"x": _fmt(els.elements[x]), "y": _fmt(els.elements[y])}
+    if analysis._hom_mismatch(els, targets, p, analysis._products) is not None:
         return True, None
     return False, {"note": "unexpected multiplicative isomorphism"}
 

@@ -74,7 +74,7 @@ def layout(spec: TriangleSpec) -> DiagramLayout:
     return DiagramLayout(spec, tuple(rows))
 
 
-def _cells_with_labels(spec: TriangleSpec, color_by: str):
+def _cells_with_labels(spec: TriangleSpec):
     plan = layout(spec)
     for row in plan.rows:
         out = []
@@ -92,7 +92,7 @@ def render_ascii(spec: TriangleSpec, color_by: str = "none") -> str:
             f"ascii diagrams beyond n = {ASCII_SOFT_LIMIT} are hard to read",
             stacklevel=2,
         )
-    rows = list(_cells_with_labels(spec, color_by))
+    rows = list(_cells_with_labels(spec))
     if color_by == "region":
         width = 1
         pitch = 1
@@ -127,7 +127,7 @@ def render_svg(spec: TriangleSpec, color_by: str = "none") -> str:
         f'width="{total_w}" height="{total_h}" '
         f'viewBox="0 0 {total_w} {total_h}">',
     ]
-    for depth, row in enumerate(_cells_with_labels(spec, color_by)):
+    for depth, row in enumerate(_cells_with_labels(spec)):
         y = MARGIN + depth * Y_STEP
         for cell, label, region in row:
             x = MARGIN + cell.x * X_UNIT

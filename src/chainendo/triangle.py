@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from . import analysis, counting, strings
+from . import analysis, counting, simplex, strings
 from .core import ChainEndo, OutOfRange, constant
 from .simplex import SimplexSpec, enumerate_simplex
 
@@ -98,14 +98,12 @@ def elements(spec: TriangleSpec) -> tuple[ChainEndo, ...]:
 
 def interior(spec: TriangleSpec) -> tuple[ChainEndo, ...]:
     """Members using all three values: k, ell, m >= 1."""
-    want = spec.simplex().vertices
-    return tuple(e for e in elements(spec) if e.image() == want)
+    return simplex.interior(spec.simplex())
 
 
 def boundary(spec: TriangleSpec) -> tuple[ChainEndo, ...]:
     """The three strings glued at the corner constants."""
-    want = spec.simplex().vertices
-    return tuple(e for e in elements(spec) if e.image() != want)
+    return simplex.boundary(spec.simplex())
 
 
 class TypeTriple(NamedTuple):
@@ -400,10 +398,12 @@ def layer_string_iso(
 
     pairs = tuple((e, image(e)) for e in layer.elements)
     phi = dict(pairs)
+    src, dst = analysis.Subset.of(phi), analysis.Subset.of(phi.values())
+    position = {e: t for t, e in enumerate(dst)}
+    p = [position[phi[e]] for e in src]  # phi as an index map
     holds = all(
-        phi[x + y] == phi[x] + phi[y] and phi[x * y] == phi[x] * phi[y]
-        for x in layer.elements
-        for y in layer.elements
+        analysis._hom_mismatch(src, dst, p, op) is None
+        for op in (analysis._sums, analysis._products)
     )
     return LayerStringIso(layer, target, pairs, holds)
 

@@ -134,11 +134,14 @@ def triple_law_scan_tables(A, M):
     return None
 
 
-def first_additive_break(phi, els):
-    """First (x, y) with phi[x + y] != phi[x] + phi[y], in lex order."""
+def first_hom_break(phi, els, op):
+    """First (x, y) with phi[op(x, y)] != op(phi[x], phi[y]), in lex order.
+
+    A result outside els, which phi does not map, breaks too.
+    """
     for x in els:
         for y in els:
-            if phi[x + y] != phi[x] + phi[y]:
+            if phi.get(op(x, y)) != op(phi[x], phi[y]):
                 return x, y
     return None
 

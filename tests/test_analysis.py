@@ -278,6 +278,27 @@ class TestIsoCheck:
         )
         assert not same and mapping is None
 
+    def test_candidate_is_freed_when_the_search_backtracks(self):
+        # 0_2 2 3 is tried on 0_2 3_2 first, and that branch fails; after
+        # backtracking, 0_2 3_2 must be free again for 2_4
+        same, mapping = iso_check(
+            [endo("0_2 2 3", 4), endo("2_4", 4), endo("2_3 3", 4)],
+            [endo("0_2 3_2", 4), endo("0 1 2 3", 4), endo("0 1 3_2", 4)],
+        )
+        assert same
+        assert mapping == {
+            endo("0_2 2 3", 4): endo("0 1 2 3", 4),
+            endo("2_4", 4): endo("0_2 3_2", 4),
+            endo("2_3 3", 4): endo("0 1 3_2", 4),
+        }
+
+    def test_full_simplex_deeper_than_the_recursion_limit(self):
+        # 1,716 maps: the search walks one level per map, more levels than
+        # Python's default limit on nested calls
+        els = tuple(all_endomorphisms(7))
+        same, mapping = iso_check(els, els)
+        assert same and all(mapping[e] == e for e in els)
+
     def test_triangles_with_different_vertices_differ(self):
         same, _ = iso_check(
             triangle.elements(TriangleSpec(4, 0, 1, 2)),

@@ -340,6 +340,19 @@ class TestIso:
         assert payload["isomorphic"] is True
         assert payload["mapping"]["1_5"] == "1_5"
 
+    def test_full_simplex_at_n7_gives_a_verdict(self):
+        spec = "sim n=7 A=0,1,2,3,4,5,6"
+        done = subprocess.run(
+            [sys.executable, "-m", "chainendo", "iso", spec, spec],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout.splitlines()[0] == "isomorphic"
+
 
 @pytest.mark.parametrize(
     "command", [["check", "--n-max", "4", "--json"], ["counts", "--n-max", "5", "--json"]]

@@ -2,6 +2,7 @@
 
 import itertools
 from math import comb
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -261,25 +262,39 @@ def test_triple_law_scan_order_on_random_tables(tables):
     assert got == ref.triple_law_scan_tables(A, M)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(CLOSED).map(canonical), st.data())
-def test_first_mismatch_matches_additive_loop(src, data):
-    # a random bijection from a closed set onto a relabelled copy of a
-    # same-sized closed set: the first non-additive pair must agree
-    dsts = [canonical(s) for s in CLOSED if len(s) == len(src)]
-    dst = data.draw(st.sampled_from(dsts))
-    image = data.draw(st.permutations(dst))
-    phi = dict(zip(src, image))
-    position = {e: k for k, e in enumerate(dst)}
-    p = np.array([position[phi[x]] for x in src])
-    A_src, _ = analysis._cayley_tables(src)
-    A_dst, _ = analysis._cayley_tables(dst)
-    hit = analysis._first_mismatch(p, A_src, A_dst)
-    expected = ref.first_additive_break(phi, src)
-    if expected is None:
-        assert hit is None
-    else:
-        assert hit is not None and (src[hit[0]], src[hit[1]]) == expected
+@st.composite
+def index_maps(draw):
+    """(src, dst, p): two sets and an index map p from the first into the second.
+
+    Half the time dst is src and p a permutation, the identity included, so
+    on a set that is not closed only its escaping pairs can break.
+    """
+    src = draw(st.one_of(map_sets, closed_with_strays()))
+    if draw(st.booleans()):
+        return src, src, draw(st.permutations(range(len(src))))
+    dst = draw(st.one_of(map_sets, st.sampled_from(CLOSED).map(canonical)))
+    p = draw(st.lists(st.integers(0, len(dst) - 1), min_size=len(src), max_size=len(src)))
+    return src, dst, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_maps(), st.sampled_from([(analysis._sums, add), (analysis._products, mul)]))
+def test_hom_mismatch_matches_reference(case, ops):
+    src, dst, p = case
+    kernel_op, object_op = ops
+    hit = _under_small_blocks(analysis._hom_mismatch, Subset.of(src), Subset.of(dst), p, kernel_op)
+    phi = {x: dst[t] for x, t in zip(src, p)}
+    expected = ref.first_hom_break(phi, src, object_op)
+    assert (hit and (src[hit[0]], src[hit[1]])) == expected
+
+
+def test_hom_mismatch_reports_the_escaping_pair():
+    # the identity on {0_3, 0_2 1, 0 2_2}, closed under + but not under *:
+    # 0_2 1 * 0 2_2 = 0_2 2 leaves the set, and every earlier product stays
+    s = Subset.of(parse_compact(c, 3) for c in ("0_3", "0_2 1", "0 2_2"))
+    assert analysis._hom_mismatch(s, s, range(3), analysis._sums) is None
+    assert analysis._hom_mismatch(s, s, range(3), analysis._products) == (1, 2)
+    assert analysis._closure_scan(s, ("*",))[:2] == (1, 2)
 
 
 class TestLawScanOrder:
