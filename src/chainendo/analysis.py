@@ -5,25 +5,30 @@ lexicographic order, pair scans run in that order, and the first violation
 found is the witness reported.
 
 A set is a Subset: its elements, the (N, n) int64 matrix of their values,
-its contiguous (n, N) transpose and one exact int64 key per map, the map's
-lexicographic rank among all C(2n-1, n) monotone maps of its chain.  These
-are built on first use and kept on the Subset, so a check that passes its
-Subset on to another check does not rebuild them; no other state survives
-a call.  Building the matrix of a chain longer than MAX_CHAIN raises
-ChainTooLong.
+one exact int64 key per map (the map's lexicographic rank among all
+C(2n-1, n) monotone maps of its chain) and two (n*n, N) rank tables, one
+for sums and one for products, in the smallest integer type that holds
+every rank.  These are built on first use and kept on the Subset, so a
+check that passes its Subset on to another check does not rebuild them; no
+other state survives a call.  Building the matrix of a chain longer than
+MAX_CHAIN raises ChainTooLong.
 
-The scans run on these arrays, not on ChainEndo objects, and build the keys
-of sums and products one column at a time.  The checks read the set's
-Cayley tables: for each ordered pair, the key (or member index, -1 when the
-result leaves the set) of the sum and of the product.  One pair budget,
-_PAIR_BUDGET, sizes every block: a block of rows combined with width
-columns each has _PAIR_BUDGET // width rows, or one row when a row alone is
-wider, so the scratch arrays of each numpy call stay near the budget
-whatever the set size.  The closure scan's blocks double from one row up to
-that same height, so an early escape costs one row; it tests membership in
-a dense table indexed by rank.  One scan, _hom_mismatch, checks whether a
-given bijection carries + or * over, for iso_check and the claims; whole
-(N, N) tables (_cayley_tables) back only semiring-laws, where n <= 4.
+The scans run on these arrays, not on ChainEndo objects.  The rank of a map
+is a sum of one weight per position, and row k*n + c of a table holds, for
+every right operand y, the weight at k of the result when the left operand
+holds c at k.  So the keys of x + y or x * y for a block of left operands
+and a selection of right operands take one gather of n table rows per x and
+one sum over them.  The checks read the set's Cayley tables: for each
+ordered pair, the key (or member index, -1 when the result leaves the set)
+of the sum and of the product.  One pair budget, _PAIR_BUDGET, sizes every
+block: a block of rows combined with width columns each has
+_PAIR_BUDGET // width rows, or one row when a row alone is wider, so the
+scratch arrays of each numpy call stay near the budget whatever the set
+size.  The closure scan's blocks double from one row up to that same
+height, so an early escape costs one row; it tests membership in a dense
+table indexed by rank.  One scan, _hom_mismatch, checks whether a given
+bijection carries + or * over, for iso_check and the claims; whole (N, N)
+tables (_cayley_tables) back only semiring-laws, where n <= 4.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -41,6 +47,7 @@ from .core import ChainEndo, ChainEndoError, SizeMismatch
 # Largest chain the set checks accept.  Ranks stay exact in int64 up to
 # n = 33, but the closure scan's member table holds one byte per monotone
 # map, C(2n-1, n) of them: 74 MiB of address space at n = 15, 286 MiB at 16.
+# Each set's two rank tables add 2 * n**2 * N entries, for N maps.
 MAX_CHAIN = 15
 
 # Most pairs a scan combines in one numpy call.
@@ -61,7 +68,8 @@ class ChainTooLong(ChainEndoError):
 
 @dataclass(frozen=True)
 class Subset:
-    """Sorted, de-duplicated maps of one chain, with their values and keys."""
+    """Sorted, de-duplicated maps of one chain, with their values, keys and
+    rank tables (see the module docstring), each built on first use."""
 
     n: int
     elements: tuple[ChainEndo, ...]
@@ -71,7 +79,7 @@ class Subset:
         """Normalise elements; a Subset is returned as it is."""
         if isinstance(elements, Subset):
             return elements
-        normalised = tuple(sorted(set(elements)))
+        normalised = tuple(sorted(set(elements), key=attrgetter("n", "values")))
         if not normalised:
             raise ValueError("empty set of endomorphisms")
         sizes = {e.n for e in normalised}
@@ -96,14 +104,30 @@ class Subset:
         return np.array([e.values for e in self.elements], dtype=np.int64)
 
     @cached_property
-    def columns(self) -> np.ndarray:
-        """The (n, N) transpose of values, contiguous: row k holds every value at k."""
-        return np.ascontiguousarray(self.values.T)
-
-    @cached_property
     def keys(self) -> np.ndarray:
         """Lex rank of each element among all maps of the chain; strictly increasing."""
         return _pack(self.values, self.n)
+
+    @cached_property
+    def product_table(self) -> np.ndarray:
+        """(n*n, N) table: row k*n + c, column j holds W[k, y_j[c]].
+
+        W is _rank_weights(n) and y the elements, so the key of x * y_j is
+        the sum over k of row k*n + x[k] at column j.
+        """
+        W = _rank_weights(self.n).astype(_key_dtype(self.n))
+        return W[:, self.values.T].reshape(self.n**2, len(self))
+
+    @cached_property
+    def sum_table(self) -> np.ndarray:
+        """(n*n, N) table: row k*n + c, column j holds W[k, max(c, y_j[k])].
+
+        The key of x + y_j is the sum over k of row k*n + x[k] at column j.
+        Rows of W are nondecreasing, so the entry is max(W[k, c], W[k, y_j[k]]).
+        """
+        W = _rank_weights(self.n).astype(_key_dtype(self.n))
+        at = np.take_along_axis(W, self.values.T, axis=1)  # [k, j]: W[k, y_j[k]]
+        return np.maximum(W[:, :, None], at[:, None, :]).reshape(self.n**2, len(self))
 
     def __iter__(self):
         return iter(self.elements)
@@ -148,6 +172,16 @@ def _rank_weights(n: int) -> np.ndarray:
     return W
 
 
+@cache
+def _key_dtype(n: int) -> np.dtype:
+    """Smallest of int16, int32 and int64 that holds every rank, C(2n-1, n) - 1.
+
+    W is nonnegative, so no partial sum of a rank exceeds the rank itself.
+    """
+    top = comb(2 * n - 1, n) - 1
+    return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= top)
+
+
 def _pack(matrix: np.ndarray, n: int) -> np.ndarray:
     """Lex rank of each row of a (..., n) value matrix."""
     W = _rank_weights(n)
@@ -162,23 +196,27 @@ def _blocks(size: int, width: int):
         yield slice(start, min(start + height, size))
 
 
-def _sums(X: np.ndarray, YT: np.ndarray, n: int) -> np.ndarray:
-    """Keys of x + y for x in the rows of X and y in the columns of YT."""
-    W = _rank_weights(n)
-    acc = np.zeros((len(X), YT.shape[1]), dtype=np.int64)
-    for k in range(n):
-        acc += W[k][np.maximum(YT[k], X[:, k : k + 1])]
-    return acc
+def _table_keys(table: np.ndarray, X: np.ndarray, cols) -> np.ndarray:
+    """(len(X), width) keys: for each row x of X, the sum over k of
+    table[k*n + x[k], cols], cols a slice or an index array of columns."""
+    n = X.shape[1]
+    rows = X + np.arange(0, n * n, n)
+    if isinstance(cols, slice):
+        return table[rows, cols].sum(axis=1, dtype=table.dtype)
+    # Whole table rows are gathered as contiguous runs, several times faster
+    # per entry than scattered columns, so an index array picks its columns
+    # from the keys of all of them (and the table is never copied).
+    return table[rows].sum(axis=1, dtype=table.dtype)[:, cols]
 
 
-def _products(X: np.ndarray, YT: np.ndarray, n: int) -> np.ndarray:
-    """Keys of x * y (x first, then y) for x in the rows of X, y in the columns of YT."""
-    W = _rank_weights(n)
-    acc = np.zeros((len(X), YT.shape[1]), dtype=np.int64)
-    for k in range(n):
-        # YT[X[:, k]][i, j] is y_j at x_i's value at k, i.e. (x_i * y_j)[k].
-        acc += W[k][YT[X[:, k]]]
-    return acc
+def _sums(X: np.ndarray, s: "Subset", cols=slice(None)) -> np.ndarray:
+    """Keys of x + y for x in the rows of X and y in s.elements[cols]."""
+    return _table_keys(s.sum_table, X, cols)
+
+
+def _products(X: np.ndarray, s: "Subset", cols=slice(None)) -> np.ndarray:
+    """Keys of x * y (x first, then y) for x in the rows of X and y in s.elements[cols]."""
+    return _table_keys(s.product_table, X, cols)
 
 
 def _index(codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -197,12 +235,12 @@ def _cayley_tables(elements: Iterable[ChainEndo]) -> tuple[np.ndarray, np.ndarra
     checks on sets of bounded size build them whole.
     """
     s = Subset.of(elements)
-    V, VT, size = s.values, s.columns, len(s)
+    V, size = s.values, len(s)
     A = np.empty((size, size), dtype=np.intp)
     M = np.empty((size, size), dtype=np.intp)
     for rows in _blocks(size, size):
-        A[rows] = _index(s.keys, _sums(V[rows], VT, s.n))
-        M[rows] = _index(s.keys, _products(V[rows], VT, s.n))
+        A[rows] = _index(s.keys, _sums(V[rows], s))
+        M[rows] = _index(s.keys, _products(V[rows], s))
     return A, M
 
 
@@ -214,10 +252,9 @@ def _hom_mismatch(src: Subset, dst: Subset, p, op) -> tuple[int, int] | None:
     as a mismatch.  Returns None when p carries op over.
     """
     p = np.asarray(p, dtype=np.intp)
-    image, imageT, size = dst.values[p], dst.columns[:, p], len(src)
-    for rows in _blocks(size, size):
-        result = _index(src.keys, op(src.values[rows], src.columns, src.n))
-        bad = (result < 0) | (dst.keys[p[result]] != op(image[rows], imageT, dst.n))
+    for rows in _blocks(len(src), len(src)):
+        result = _index(src.keys, op(src.values[rows], src))
+        bad = (result < 0) | (dst.keys[p[result]] != op(dst.values[p[rows]], dst, p))
         if bad.any():
             i, j = np.unravel_index(int(bad.argmax()), bad.shape)
             return rows.start + int(i), int(j)
@@ -264,7 +301,7 @@ def _closure_scan(els, ops):
     are tried in the order given.  Returns None when closed.
     """
     s = Subset.of(els)
-    V, VT, n, size = s.values, s.columns, s.n, len(s)
+    V, n, size = s.values, s.n, len(s)
     member = np.zeros(comb(2 * n - 1, n), dtype=bool)  # pages map on first touch
     member[s.keys] = True
     max_rows = max(1, _PAIR_BUDGET // size)
@@ -277,12 +314,12 @@ def _closure_scan(els, ops):
                 # x + y = y + x: every pair (i, j) with j < start was
                 # scanned as (j, i) in an earlier block
                 first = start
-                escaped = ~member[_sums(V[start:stop], VT[:, start:], n)]
+                kept = np.take(member, _sums(V[start:stop], s, slice(start, None)))
             else:
                 first = 0
-                escaped = ~member[_products(V[start:stop], VT, n)]
-            if escaped.any():
-                i, j = np.unravel_index(int(escaped.argmax()), escaped.shape)
+                kept = np.take(member, _products(V[start:stop], s))
+            if not kept.all():
+                i, j = np.unravel_index(int(kept.argmin()), kept.shape)
                 hit = (start + int(i), first + int(j), op)
                 if best is None or hit[:2] < best[:2]:
                     best = hit
@@ -339,14 +376,14 @@ def is_ideal(
     if hit is not None:
         i, j, _, result = hit
         return False, IdealWitness("add", inner.elements[i], inner.elements[j], result)
-    n, VI, VO, codes = inner.n, inner.values, outer.values, inner.keys
+    VI, VO, codes = inner.values, outer.values, inner.keys
     for rows in _blocks(len(inner), len(outer)):
         # [i, j, 0]: outer[j] * x escapes; [i, j, 1]: x * outer[j] escapes,
         # so the flat order is the scan order x, r, left before right.
         out = np.stack(
             (
-                _index(codes, _products(VO, inner.columns[:, rows], n).T) < 0,
-                _index(codes, _products(VI[rows], outer.columns, n)) < 0,
+                _index(codes, _products(VO, inner, rows).T) < 0,
+                _index(codes, _products(VI[rows], outer)) < 0,
             ),
             axis=-1,
         )
@@ -391,10 +428,10 @@ def triviality(elements: Iterable[ChainEndo]) -> TrivialityVerdict:
     closed, witness = is_closed(s, "*")
     if not closed:
         raise NotClosed(f"not multiplicatively closed: {witness}")
-    V, VT = s.values, s.columns
-    first = _products(V[:1], VT[:, :1], s.n)[0, 0]
+    V = s.values
+    first = _products(V[:1], s, slice(0, 1))[0, 0]
     for rows in _blocks(len(s), len(s)):
-        if (_products(V[rows], VT, s.n) != first).any():
+        if (_products(V[rows], s) != first).any():
             return TrivialityVerdict(False, None, False, False)
     k = int(np.searchsorted(s.keys, first))  # a member: the set is closed
     is_min = bool((V[k] <= V).all())
@@ -420,7 +457,7 @@ def identities(elements: Iterable[ChainEndo]) -> Identities:
     left = np.empty(len(s), dtype=bool)
     right = np.ones(len(s), dtype=bool)
     for rows in _blocks(len(s), len(s)):
-        P = _products(V[rows], s.columns, s.n)  # P[i, j]: element i * element j
+        P = _products(V[rows], s)  # P[i, j]: element i * element j
         left[rows] = (P == codes).all(axis=1)
         right &= (P == codes[rows, None]).all(axis=0)
     return Identities(
@@ -441,16 +478,16 @@ def similar_pairs(
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     s = Subset.of(elements)
-    V, VT = s.values, s.columns
+    V = s.values
     # Refine a class label per element, one block of gammas at a time: two
     # elements keep sharing a label while their products with every gamma
     # seen so far agree.
     labels = np.zeros((len(s), 1), dtype=np.int64)
     for rows in _blocks(len(s), len(s)):
         if side == "left":
-            seen = _products(V[rows], VT, s.n).T  # [a, g]: gamma * alpha
+            seen = _products(V[rows], s).T  # [a, g]: gamma * alpha
         else:
-            seen = _products(V, VT[:, rows], s.n)  # [a, g]: alpha * gamma
+            seen = _products(V, s, rows)  # [a, g]: alpha * gamma
         keys = np.hstack((labels, seen))
         labels = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1, 1)
     classes: dict[int, list[int]] = {}
@@ -527,12 +564,12 @@ def iso_check(
 
     def combined(s, i, others):
         """Keys of x_i + x_k, x_i * x_k and x_k * x_i for k in others, x in s."""
-        row, columns = s.values[i : i + 1], s.columns[:, others]
+        row = s.values[i : i + 1]
         return np.concatenate(
             (
-                _sums(row, columns, s.n)[0],
-                _products(row, columns, s.n)[0],
-                _products(s.values[others], s.columns[:, i : i + 1], s.n)[:, 0],
+                _sums(row, s, others)[0],
+                _products(row, s, others)[0],
+                _products(s.values[others], s, slice(i, i + 1))[:, 0],
             )
         )
 
@@ -551,7 +588,7 @@ def iso_check(
         # results of x_i with each earlier x_j, as member indices (rebuilt on
         # each visit, so no level holds arrays): wherever one is already
         # assigned, its image must be the images' result
-        k = _index(src.keys, combined(src, i, np.arange(i)))
+        k = _index(src.keys, combined(src, i, slice(0, i)))
         known = k <= i
         for c in range(cursor[i], len(candidates[i])):
             t = candidates[i][c]

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 import reference_loops as ref
 from chainendo import analysis, claims, strings, triangle
 from chainendo.analysis import NotClosed, Subset, canonical
-from chainendo.core import all_endomorphisms, parse_compact
+from chainendo.core import ChainEndo, all_endomorphisms, parse_compact
+from chainendo.simplex import SimplexSpec, enumerate_simplex
 from chainendo.strings import StringSpec
 from chainendo.triangle import TriangleSpec
 
-MAPS = {n: tuple(all_endomorphisms(n)) for n in range(1, 6)}
+MAPS = {n: tuple(all_endomorphisms(n)) for n in range(1, 7)}
 
 
 def _closed_sets():
@@ -59,6 +60,7 @@ def test_subset_carries_its_values_and_sorted_keys(picks):
     # a Subset passed along is neither re-normalised nor re-packed
     assert Subset.of(s) is s
     assert s.values is s.values and s.keys is s.keys
+    assert s.sum_table is s.sum_table and s.product_table is s.product_table
 
 
 def _under_small_blocks(fn, *args):
@@ -84,6 +86,103 @@ def test_keys_are_lex_ranks():
     for n in range(1, 8):
         keys = Subset.of(all_endomorphisms(n)).keys
         assert np.array_equal(keys, np.arange(comb(2 * n - 1, n)))
+
+
+def _rank(e):
+    return int(analysis._pack(np.array(e.values), e.n))
+
+
+def _kernel_keys(X, s, cols):
+    return analysis._sums(X, s, cols), analysis._products(X, s, cols)
+
+
+def _assert_kernels_match_objects(xs, s, cols):
+    """_sums/_products keys of xs against s.elements[cols] are the ranks of
+    the object sums and products, in the set's key dtype."""
+    X = np.array([x.values for x in xs], dtype=np.int64).reshape(len(xs), s.n)
+    sums, products = _under_small_blocks(_kernel_keys, X, s, cols)
+    ys = np.array(s.elements, dtype=object)[cols].tolist()
+    assert sums.dtype == products.dtype == analysis._key_dtype(s.n)
+    assert sums.tolist() == [[_rank(x + y) for y in ys] for x in xs]
+    assert products.tolist() == [[_rank(x * y) for y in ys] for x in xs]
+
+
+@st.composite
+def column_selections(draw, size):
+    """All columns, a slice, or an index array (any order, with repeats)."""
+    kind = draw(st.sampled_from(["all", "slice", "array"]))
+    if kind == "all":
+        return slice(None)
+    if kind == "slice":
+        start = draw(st.integers(0, size))
+        return slice(start, draw(st.integers(start, size)))
+    return np.array(draw(st.lists(st.integers(0, size - 1), max_size=2 * size)), dtype=np.intp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_kernel_keys_are_ranks_of_object_results(n, data):
+    s = Subset.of(data.draw(st.lists(st.sampled_from(MAPS[n]), min_size=1, max_size=30)))
+    xs = data.draw(st.lists(st.sampled_from(MAPS[n]), max_size=8))
+    _assert_kernels_match_objects(xs, s, data.draw(column_selections(len(s))))
+
+
+def _fixed_maps(n):
+    """Constants at both ends (the top one has the largest rank), the
+    identity, shifts both ways and two steps."""
+    rows = [
+        [0] * n,
+        [n - 1] * n,
+        list(range(n)),
+        [min(k + 1, n - 1) for k in range(n)],
+        [max(k - 1, 0) for k in range(n)],
+        [k // 2 for k in range(n)],
+        [0] * (n // 2) + [n - 1] * (n - n // 2),
+    ]
+    return [ChainEndo(n, v) for v in rows]
+
+
+@pytest.mark.parametrize(
+    "n, dtype", [(9, np.int16), (10, np.int32), (15, np.int32)]
+)
+def test_kernel_keys_at_the_dtype_change(n, dtype):
+    # int16 holds every rank up to n = 9 (C(17, 9) - 1 = 24309), not at 10
+    maps = _fixed_maps(n)
+    s = Subset.of(maps)
+    assert s.sum_table.dtype == s.product_table.dtype == dtype
+    assert s.sum_table.shape == s.product_table.shape == (n * n, len(s))
+    for cols in (slice(None), slice(2, 5), np.array([6, 0, 3, 3], dtype=np.intp)):
+        _assert_kernels_match_objects(maps, s, cols)
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_rank_tables_cannot_overflow(n):
+    # the key dtype holds the largest rank, and W is nonnegative, so no
+    # partial sum of a key passes its rank; W's rows are nondecreasing, so
+    # W[k, max(c, v)] = max(W[k, c], W[k, v]), the form sum_table is built in
+    top = comb(2 * n - 1, n) - 1
+    assert np.iinfo(analysis._key_dtype(n)).max >= top
+    W = analysis._rank_weights(n)
+    assert (W >= 0).all()
+    assert (np.diff(W, axis=1) >= 0).all()
+    assert int(W[:, n - 1].sum()) == top  # the top constant has the top rank
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_closure_witness_at_the_dtype_change(n):
+    # a 3-vertex simplex is closed; maps with other values break it
+    els = (
+        *enumerate_simplex(SimplexSpec(n, (0, n // 2, n - 1))),
+        ChainEndo(n, [min(k, 2) for k in range(n)]),
+        ChainEndo(n, [max(k - 1, 0) for k in range(n)]),
+    )
+    s = Subset.of(els)
+    for ops, got in (
+        (("+", "*"), analysis.is_subsemiring(els)),
+        (("*",), analysis.is_closed(els, "*")),
+    ):
+        i, j, op, result = ref.closure_scan(els, ops)
+        assert got == (False, analysis.ClosureWitness(s.elements[i], s.elements[j], op, result))
 
 
 @st.composite
