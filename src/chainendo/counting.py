@@ -7,13 +7,21 @@ arbitrary-precision integers.  One entry (ri_order_variant) is a
 deliberately wrong variant kept to document that it disagrees with
 enumeration everywhere; its audit passes only when the disagreement shows
 up as expected.
+
+The oracles for maps of the whole chain (nilpotent, idempotent and simplex
+counts) read a census built by one brute-force enumeration of the n-chain
+per n per audit call.  The census records what each map is by definition,
+never what a formula says, so it stays independent of every formula it
+audits.  Nothing it holds outlives the audit call that built it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import all_endomorphisms, constant
 
@@ -155,46 +163,82 @@ def r_par_order(n: int, a: int, b: int, c: int) -> int:
 # iteration for nilpotency, literal fixed-point filters, and the index-range
 # constructions for the triangle regions.  Imports are local to keep this
 # module importable from the triangle module.
+#
+# The chain oracles (nilpotent, idempotent, simplex) read a census of the
+# n-chain, made by one brute-force pass over all of its monotone maps.  The
+# census tallies what each map is by definition (the constant its powers
+# reach, its fixed points when e * e == e, its top value) and never what a
+# formula predicts, so a lookup in it is the same count that a loop over all
+# maps per tuple makes, and stays independent of the formula it audits.
+#
+# Censuses, string classifications and triangle members are kept in _memo
+# only while one audit() call runs, so every audit enumerates each chain
+# once and none starts from an earlier call's results.  An oracle called
+# outside audit builds what it needs and drops it.  The store is module
+# state because oracles keep the signature oracle(*params).
+
+_memo: dict | None = None
 
 
-def _oracle_nilpotent(n, a):
-    target = constant(n, a)
-    count = 0
+def _per_audit(build):
+    """Keep build(*args) in _memo while an audit runs."""
+
+    @functools.wraps(build)
+    def memoized(*args):
+        memo = _memo
+        if memo is None:
+            return build(*args)
+        key = (build.__name__, *args)
+        if key not in memo:
+            memo[key] = build(*args)
+        return memo[key]
+
+    return memoized
+
+
+class _ChainCensus(NamedTuple):
+    nilpotent: Counter  # a -> maps with one of their first n powers constantly a
+    idempotent: Counter  # fixed-point set -> idempotents with that set
+    top: Counter  # largest value -> maps
+
+
+@_per_audit
+def _chain_census(n):
+    constants = [constant(n, a) for a in range(n)]
+    nilpotent, idempotent, top = Counter(), Counter(), Counter()
     for e in all_endomorphisms(n):
         power = e
         for _ in range(n):
-            if power == target:
-                count += 1
+            if power == constants[power.values[0]]:
+                nilpotent[power.values[0]] += 1
                 break
             power = power * e
-    return count
+        if e * e == e:
+            idempotent[e.fixed_points()] += 1
+        top[max(e.image())] += 1
+    return _ChainCensus(nilpotent, idempotent, top)
+
+
+def _oracle_nilpotent(n, a):
+    return _chain_census(n).nilpotent[a]
 
 
 def _oracle_idempotent(n, fixed):
-    fixed = tuple(sorted(fixed))
-    count = 0
-    for e in all_endomorphisms(n):
-        if e * e == e and e.fixed_points() == fixed:
-            count += 1
-    return count
+    return _chain_census(n).idempotent[tuple(sorted(fixed))]
 
 
 def _oracle_simplex(n, k):
-    # Counts for the lowest k vertices; the order depends only on k, which
-    # the per-subset claim in the registry checks separately.
-    vertices = set(range(k))
-    return sum(
-        1 for e in all_endomorphisms(n) if set(e.image()) <= vertices
-    )
+    # Counts for the lowest k vertices, whose maps are those with top value
+    # below k; the order depends only on k, which the per-subset claim in
+    # the registry checks separately.
+    return sum(count for top, count in _chain_census(n).top.items() if top < k)
 
 
 def _oracle_triangle(n):
-    from . import triangle
-
-    spec = triangle.TriangleSpec(n, 0, 1, 2)
-    return len(triangle.elements(spec))
+    return len(_triangle_members(n, 0, 1, 2))
 
 
+@_per_audit
 def _classify_string(n, a, b):
     # Right identities before nilpotency: the two constants are idempotent
     # in every string but belong to the blocks that collapse onto them.
@@ -228,10 +272,17 @@ def _oracle_string_nil_high(n, a, b):
     return _classify_string(n, a, b)[2]
 
 
+@_per_audit
 def _triangle_members(n, a, b, c):
     from . import triangle
 
     return triangle.elements(triangle.TriangleSpec(n, a, b, c))
+
+
+@_per_audit
+def _triangle_targets(n, a, b, c):
+    """Members of the triangle by the constant their powers reach (or None)."""
+    return Counter(e.nilpotency_target() for e in _triangle_members(n, a, b, c))
 
 
 def _oracle_ri(n, a, b, c):
@@ -279,11 +330,7 @@ def _oracle_r_tri(n, a, b, c):
 def _oracle_nil_to(value):
     def oracle(n, a, b, c):
         target = {"a": a, "b": b, "c": c}[value]
-        return sum(
-            1
-            for e in _triangle_members(n, a, b, c)
-            if e.is_nilpotent_to(target)
-        )
+        return _triangle_targets(n, a, b, c)[target]
 
     return oracle
 
@@ -500,24 +547,29 @@ def audit(n_max: int) -> AuditReport:
     """Compare every formula with its oracle on all tuples up to n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    results = []
-    for formula in FORMULAS.values():
-        checked = 0
-        mismatch = None
-        expected_equal = formula.expect_equal
-        ok = True
-        for params in formula.domain(n_max):
-            checked += 1
-            value = formula.evaluate(*params)
-            counted = formula.oracle(*params)
-            if expected_equal and value != counted:
-                ok = False
-                mismatch = (params, value, counted)
-                break
-            if not expected_equal and value == counted:
-                # The variant is documented to disagree everywhere.
-                ok = False
-                mismatch = (params, value, counted)
-                break
-        results.append(FormulaAudit(formula.id, checked, ok, mismatch))
-    return AuditReport(n_max, tuple(results))
+    global _memo
+    _memo = {}
+    try:
+        results = []
+        for formula in FORMULAS.values():
+            checked = 0
+            mismatch = None
+            expected_equal = formula.expect_equal
+            ok = True
+            for params in formula.domain(n_max):
+                checked += 1
+                value = formula.evaluate(*params)
+                counted = formula.oracle(*params)
+                if expected_equal and value != counted:
+                    ok = False
+                    mismatch = (params, value, counted)
+                    break
+                if not expected_equal and value == counted:
+                    # The variant is documented to disagree everywhere.
+                    ok = False
+                    mismatch = (params, value, counted)
+                    break
+            results.append(FormulaAudit(formula.id, checked, ok, mismatch))
+        return AuditReport(n_max, tuple(results))
+    finally:
+        _memo = None

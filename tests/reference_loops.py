@@ -1,9 +1,13 @@
-"""Pure-Python reference versions of the analysis pair loops.
+"""Pure-Python reference versions of loops the library replaced.
 
-These are the object loops that the numpy table kernel in
+The pair loops are the object loops that the numpy table kernel in
 ``chainendo.analysis`` replaced.  They stay here, unchanged in scan order,
 so that property tests can require the kernel to return the same verdicts
 and the same lex-first witnesses.
+
+The chain oracles are the per-tuple loops over every map of the chain that
+``chainendo.counting`` replaced with one census per chain size; tests
+require each census lookup to equal its loop.
 """
 
 from operator import add, mul
@@ -17,6 +21,7 @@ from chainendo.analysis import (
     canonical,
     is_closed,
 )
+from chainendo.core import all_endomorphisms, constant
 
 TRIPLE_LAWS = (
     "associative addition",
@@ -216,3 +221,33 @@ def iso_check(first, second):
     if backtrack(0):
         return True, dict(zip(S, assign))
     return False, None
+
+
+def nilpotent_oracle(n, a):
+    """Maps of the n-chain with one of their first n powers constantly a."""
+    target = constant(n, a)
+    count = 0
+    for e in all_endomorphisms(n):
+        power = e
+        for _ in range(n):
+            if power == target:
+                count += 1
+                break
+            power = power * e
+    return count
+
+
+def idempotent_oracle(n, fixed):
+    """Idempotents of the n-chain whose fixed-point set is ``fixed``."""
+    fixed = tuple(sorted(fixed))
+    count = 0
+    for e in all_endomorphisms(n):
+        if e * e == e and e.fixed_points() == fixed:
+            count += 1
+    return count
+
+
+def simplex_oracle(n, k):
+    """Maps of the n-chain with image inside the lowest k vertices."""
+    vertices = set(range(k))
+    return sum(1 for e in all_endomorphisms(n) if set(e.image()) <= vertices)

@@ -354,8 +354,14 @@ class TestIso:
         assert done.stdout.splitlines()[0] == "isomorphic"
 
 
+def test_counts_json_matches_the_golden_file(capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "counts_n8.json"
+    assert main(["counts", "--n-max", "8", "--json"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 @pytest.mark.parametrize(
-    "command", [["check", "--n-max", "4", "--json"], ["counts", "--n-max", "5", "--json"]]
+    "command", [["check", "--n-max", "4", "--json"], ["counts", "--n-max", "7", "--json"]]
 )
 def test_optimized_interpreter_gives_the_same_json(command):
     # the hot path carries no asserts, so python -O must not change a verdict

@@ -1,7 +1,11 @@
 """Closed-form counts and the formula-versus-enumeration audit."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
+import reference_loops as ref
 from chainendo import counting
 from chainendo.counting import (
     DomainError,
@@ -141,3 +145,79 @@ class TestAudit:
         checked = {r.id: r.checked for r in small.results}
         for result in large.results:
             assert result.checked >= checked[result.id]
+
+
+class TestChainCensus:
+    @pytest.mark.parametrize(
+        "formula_id, loop",
+        [
+            ("nilpotent_count", ref.nilpotent_oracle),
+            ("idempotent_count", ref.idempotent_oracle),
+            ("simplex_order", ref.simplex_oracle),
+        ],
+    )
+    def test_census_oracle_equals_the_per_tuple_loop(self, formula_id, loop):
+        formula = counting.FORMULAS[formula_id]
+        tuples = list(formula.domain(6))
+        assert tuples
+        for params in tuples:
+            assert formula.oracle(*params) == loop(*params), params
+
+    def test_audit_enumerates_each_chain_once(self, monkeypatch):
+        enumerated = Counter()
+        original = counting.all_endomorphisms
+
+        def counted(n):
+            enumerated[n] += 1
+            return original(n)
+
+        monkeypatch.setattr(counting, "all_endomorphisms", counted)
+        for _ in range(2):  # a second audit enumerates again: no warm cache
+            enumerated.clear()
+            audit(5)
+            assert enumerated == {n: 1 for n in range(1, 6)}
+
+
+class TestMemoScope:
+    def test_store_is_empty_after_audit(self):
+        audit(5)
+        assert counting._memo is None
+
+    def test_store_is_empty_after_an_oracle_raises(self, monkeypatch):
+        seen = []
+
+        def broken(*params):
+            seen.append(dict(counting._memo))
+            raise RuntimeError("oracle failed")
+
+        entry = counting.FORMULAS["simplex_order"]
+        monkeypatch.setitem(
+            counting.FORMULAS, entry.id, dataclasses.replace(entry, oracle=broken)
+        )
+        with pytest.raises(RuntimeError, match="oracle failed"):
+            audit(5)
+        assert counting._memo is None
+        # the earlier chain oracles had filled the store while audit ran
+        assert ("_chain_census", 5) in seen[0]
+
+    def test_direct_oracle_call_keeps_nothing(self):
+        assert counting.FORMULAS["idempotent_count"].oracle(5, (0, 4)) == 4
+        assert counting._memo is None
+
+    def test_consecutive_audits_agree(self):
+        assert audit(6) == audit(6)
+
+    def test_registry_order_does_not_change_the_report(self):
+        forward = audit(6)
+        saved = dict(counting.FORMULAS)
+        counting.FORMULAS.clear()
+        counting.FORMULAS.update(reversed(saved.items()))
+        try:
+            backward = audit(6)
+        finally:
+            counting.FORMULAS.clear()
+            counting.FORMULAS.update(saved)
+        assert [r.id for r in backward.results] == list(reversed(saved))
+        assert sorted(backward.results, key=lambda r: r.id) == sorted(
+            forward.results, key=lambda r: r.id
+        )
