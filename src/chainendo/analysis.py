@@ -509,12 +509,7 @@ class ElementClass:
 
 def classify_element(alpha: ChainEndo) -> ElementClass:
     """Idempotent, nilpotent onto a constant, or a root of an idempotent."""
-    limit = alpha.eventual_idempotent()
-    exponent = 1
-    power = alpha
-    while power != limit:
-        power = power * alpha
-        exponent += 1
+    limit, exponent = alpha._power_limit()
     if exponent == 1:
         return ElementClass("idempotent", limit, 1, None)
     if limit.is_constant():

@@ -56,15 +56,7 @@ def _pair(witness) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# parameter families
-
-
-def _chain_family(lo: int) -> Callable[[int], Iterator[tuple]]:
-    def gen(n_max: int) -> Iterator[tuple]:
-        for n in range(lo, n_max + 1):
-            yield (n,)
-
-    return gen
+# parameter families (chain and triangle families come from counting)
 
 
 def _simplex_family(n_max: int) -> Iterator[tuple]:
@@ -120,12 +112,6 @@ def _string_pair_family(n_max: int) -> Iterator[tuple]:
     for n in range(3, n_max + 1):
         for one, two in combinations(combinations(range(n), 2), 2):
             yield (n, *one, *two)
-
-
-def _triangle_family(n_max: int) -> Iterator[tuple]:
-    for n in range(3, n_max + 1):
-        for a, b, c in combinations(range(n), 3):
-            yield (n, a, b, c)
 
 
 def _triangle_pair_family(n_max: int) -> Iterator[tuple]:
@@ -194,11 +180,7 @@ def _chk_power_stabilization(params):
 
 def _chk_catalan_count(params):
     (n,) = params
-    found = dict.fromkeys(range(n), 0)
-    for e in all_endomorphisms(n):
-        target = e.nilpotency_target()
-        if target is not None:
-            found[target] += 1
+    found = counting._chain_census(n).nilpotent
     for a in range(n):
         want = counting.nilpotent_count(n, a)
         if found[a] != want:
@@ -208,13 +190,8 @@ def _chk_catalan_count(params):
 
 def _chk_idempotent_count(params):
     (n,) = params
-    tally: dict[tuple[int, ...], int] = {}
-    total = 0
-    for e in all_endomorphisms(n):
-        if e.is_idempotent():
-            fs = e.fixed_points()
-            tally[fs] = tally.get(fs, 0) + 1
-            total += 1
+    tally = counting._chain_census(n).idempotent
+    total = sum(tally.values())
     if tally.get(tuple(range(n)), 0) != 1:
         return False, {"note": "identity must be the only full-fix idempotent"}
     seen = 1
@@ -339,10 +316,12 @@ def _chk_top_layer(params):
     if not ok:
         return False, _pair(wit)
     members = set(lay)
+    nil = constant(n, low)
     for x in lay:
-        if x.nilpotency_target() == low:
+        limit = x.eventual_idempotent()
+        if limit == nil:
             return False, {"element": _fmt(x), "note": "nilpotent inside the layer"}
-        if x.eventual_idempotent() not in members:
+        if limit not in members:
             return False, {"element": _fmt(x), "note": "idempotent left the layer"}
     return True, None
 
@@ -594,8 +573,9 @@ def _chk_nilpotent_regions(params):
         b: set(regions[Region.NIL_B].elements),
         c: set(regions[Region.NIL_C].elements),
     }
+    targets = {e: e.nilpotency_target() for e in els}
     for value, members in fibers.items():
-        found = {e for e in els if e.is_nilpotent_to(value)}
+        found = {e for e, target in targets.items() if target == value}
         if found != members:
             return False, {"value": value, "note": "region misses the fiber"}
     va = analysis.triviality(fibers[a])
@@ -997,35 +977,35 @@ _CLAIMS = (
         "semiring-laws",
         "Pointwise join and composition make the monotone self-maps of a "
         "finite chain an additively idempotent semiring.",
-        _chain_family(1),
+        counting._chain_family(1),
         _chk_semiring_laws,
         max_n=4,
     ),
     Claim(
         "mul-noncommutative",
         "Composition is not commutative on any chain with two points or more.",
-        _chain_family(2),
+        counting._chain_family(2),
         _chk_mul_noncommutative,
     ),
     Claim(
         "power-stabilization",
         "The power sequence of any monotone self-map is constant from "
         "exponent n - 1 on, and the stable value is its unique idempotent power.",
-        _chain_family(1),
+        counting._chain_family(1),
         _chk_power_stabilization,
     ),
     Claim(
         "catalan-count",
         "The maps whose powers collapse onto the constant a number "
         "catalan(a) * catalan(n - 1 - a).",
-        _chain_family(2),
+        counting._chain_family(2),
         _chk_catalan_count,
     ),
     Claim(
         "idempotent-count",
         "Idempotents with a prescribed fixed-point set are counted by the "
         "product of the gaps between consecutive fixed points.",
-        _chain_family(3),
+        counting._chain_family(3),
         _chk_idempotent_count,
     ),
     Claim(
@@ -1055,7 +1035,7 @@ _CLAIMS = (
         "face-complement",
         "Dropping the face that omits an endpoint vertex leaves a "
         "subsemiring; dropping any inner face does not.",
-        _chain_family(3),
+        counting._chain_family(3),
         _chk_face_complement,
         max_n=6,
     ),
@@ -1123,7 +1103,7 @@ _CLAIMS = (
         "string-mul-cases",
         "The product of two string members follows the three-way index "
         "rule and never needs the composition itself.",
-        _chain_family(3),
+        counting._chain_family(3),
         _chk_string_mul_cases,
     ),
     Claim(
@@ -1168,27 +1148,27 @@ _CLAIMS = (
         "Two strings sharing their middle vertex unite into a subsemiring "
         "of order 2n + 1 where cross sums land in the upper string and the "
         "joint nilpotent block is trivial onto const b.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_consecutive_union,
     ),
     Claim(
         "three-string-union",
         "The union of all three strings on a vertex triple multiplies "
         "closed but fails addition: mixed sums use all three values.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_three_string_union,
     ),
     Claim(
         "triangle-order",
         "A triangle has binom(n + 2, 2) members regardless of its vertices.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_triangle_order,
     ),
     Claim(
         "eight-region-partition",
         "The vertex-image fibers cut a triangle into eight nonempty "
         "subsemirings whose orders match their closed formulas.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_eight_regions,
     ),
     Claim(
@@ -1196,7 +1176,7 @@ _CLAIMS = (
         "The three corner regions are exactly the nilpotency fibers of the "
         "three vertices; the middle one is always trivial, the outer two "
         "exactly when their far vertex hits the chain end.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_nilpotent_regions,
     ),
     Claim(
@@ -1204,14 +1184,14 @@ _CLAIMS = (
         "The members fixing the middle vertex are the middle corner, both "
         "parallelograms and the right identities; swapping in the low "
         "corner instead never works.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_b_fixpoint_union,
     ),
     Claim(
         "interior-sum",
         "Every member using both upper values splits uniquely as a sum of "
         "one a-b string member and one a-c string member, never a constant.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_interior_sum,
     ),
     Claim(
@@ -1219,13 +1199,13 @@ _CLAIMS = (
         "The boundary multiplies closed but does not add up; the interior "
         "adds up but leaks under multiplication beyond n = 3, with a "
         "pinned square witness.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_boundary_interior,
     ),
     Claim(
         "interior-idempotents",
         "The idempotent interior members are exactly the right identities.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_interior_idempotents,
     ),
     Claim(
@@ -1233,14 +1213,14 @@ _CLAIMS = (
         "Right identities of a triangle exist and are the members fixing "
         "all three vertices; left identities exist only on the smallest "
         "chain, where the identity map is two-sided.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_right_identity_existence,
     ),
     Claim(
         "no-right-similar",
         "No two distinct triangle members act identically as left factors; "
         "right identities separate them.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_no_right_similar,
     ),
     Claim(
@@ -1248,14 +1228,14 @@ _CLAIMS = (
         "Two members are indistinguishable as right factors exactly when "
         "they agree on the three vertices; beyond n = 3 such pairs always "
         "exist and one can be written down directly.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_left_similar,
     ),
     Claim(
         "idempotent-sum-escape",
         "Two boundary idempotents can sum to a member whose square is the "
         "top constant, so the idempotents of a triangle never add up.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_idempotent_sum_escape,
     ),
     Claim(
@@ -1264,14 +1244,14 @@ _CLAIMS = (
         "(c - a)(c - a + 1) / 2 cut into two closed corners and the right "
         "identities, with the a-c diagonal idempotents acting as left "
         "zeroes and the complement of the identities as an ideal.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_it_ideals,
     ),
     Claim(
         "ri-order-variant",
         "The right identities number (b - a)(c - b); the look-alike "
         "formula (b - a)(c - a) never agrees.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_ri_order_variant,
     ),
     Claim(
@@ -1279,7 +1259,7 @@ _CLAIMS = (
         "The outer-fixing block equals a neighborhood intersection and "
         "holds its three corner members; reading its fixed pair as a and b "
         "instead of a and c yields a different set.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_it_fixed_point_variant,
     ),
     Claim(
@@ -1287,14 +1267,14 @@ _CLAIMS = (
         "Multiplicity layers at the two outer corners are closed and cut "
         "into three runs landing in one parallelogram, the right "
         "identities, and one corner triangle.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_basic_layers,
     ),
     Claim(
         "layer-string-iso",
         "Dropping the corner run maps each basic layer isomorphically onto "
         "a string over a shorter chain, run onto run.",
-        _triangle_family,
+        counting._triangle_domain,
         _chk_layer_string_iso,
     ),
     Claim(

@@ -73,7 +73,11 @@ class ChainEndo:
         if len(values) != n:
             raise LengthMismatch(f"expected {n} values, got {len(values)}")
         for v in values:
-            if not isinstance(v, int) or not 0 <= v < n:
+            # exactly int: a bool passes isinstance(v, int) but prints as
+            # False/True, which parse_compact rejects
+            if type(v) is not int:
+                raise OutOfRange(f"value {v!r} has type {type(v).__name__}, not int")
+            if not 0 <= v < n:
                 raise OutOfRange(f"value {v!r} outside the chain 0..{n - 1}")
         for x, y in zip(values, values[1:]):
             if x > y:
@@ -167,19 +171,30 @@ class ChainEndo:
     def is_idempotent(self) -> bool:
         return self * self == self
 
-    def eventual_idempotent(self) -> "ChainEndo":
-        """The unique idempotent among the powers of this map.
+    def _power_limit(self) -> tuple["ChainEndo", int]:
+        """(alpha^k, k) for the least k with alpha^k == alpha^(k+1).
 
-        Each trajectory x, alpha(x), alpha(alpha(x)), ... is monotone, so the
-        power sequence stabilises after at most n - 1 steps; the cap below is
-        a hard error, not a tunable.
+        Each trajectory x, alpha(x), alpha(alpha(x)), ... is monotone on a
+        chain of n points, so it stops moving within n - 1 steps, and the
+        power sequence stops with it.  Once alpha^k == alpha^(k+1), every
+        later power equals alpha^k, so alpha^(2k) == alpha^k: the power
+        where the sequence stops is idempotent.  It is the only idempotent
+        power: an idempotent alpha^j equals every alpha^(mj), which is
+        alpha^k once mj >= k, so alpha^(j+1) == alpha^(k+1) == alpha^j and
+        j >= k.  The loop takes one product per step; its cap is a hard
+        error, not a tunable.
         """
         current = self
-        for _ in range(self.n + 1):
-            if current * current == current:
-                return current
-            current = current * self
+        for exponent in range(1, self.n + 1):
+            following = current * self
+            if following == current:
+                return current, exponent
+            current = following
         raise AssertionError(f"powers of {self!r} did not stabilise within n")
+
+    def eventual_idempotent(self) -> "ChainEndo":
+        """The unique idempotent among the powers of this map."""
+        return self._power_limit()[0]
 
     def nilpotency_target(self) -> int | None:
         """The value a with some power equal to the constant a, if any."""

@@ -21,9 +21,10 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterator, NamedTuple
 
-from .core import all_endomorphisms, constant
+from .core import all_endomorphisms
 
 
 class DomainError(ValueError):
@@ -159,17 +160,20 @@ def r_par_order(n: int, a: int, b: int, c: int) -> int:
 # --- enumeration oracles -------------------------------------------------
 #
 # Each oracle counts by brute force from definitions that do not reuse the
-# formula under audit: full enumeration of the chain's monotone maps, power
-# iteration for nilpotency, literal fixed-point filters, and the index-range
-# constructions for the triangle regions.  Imports are local to keep this
-# module importable from the triangle module.
+# formula under audit: full enumeration of the chain's monotone maps, the
+# power sequence for nilpotency and idempotency, literal fixed-point
+# filters, and the index-range constructions for the triangle regions.
+# Imports are local to keep this module importable from the triangle module.
 #
 # The chain oracles (nilpotent, idempotent, simplex) read a census of the
 # n-chain, made by one brute-force pass over all of its monotone maps.  The
-# census tallies what each map is by definition (the constant its powers
-# reach, its fixed points when e * e == e, its top value) and never what a
-# formula predicts, so a lookup in it is the same count that a loop over all
-# maps per tuple makes, and stays independent of the formula it audits.
+# census reads each map's limit and exponent from core's one power loop
+# (ChainEndo._power_limit), which walks the powers until they stop moving:
+# that is the definition of both facts, never a formula.  It tallies the
+# constant the powers reach, the fixed points of each map that is its own
+# limit (exponent 1), and each map's top value, so a lookup in it is the
+# same count that a loop over all maps per tuple makes, and stays
+# independent of the formula it audits.
 #
 # Censuses, string classifications and triangle members are kept in _memo
 # only while one audit() call runs, so every audit enumerates each chain
@@ -197,23 +201,19 @@ def _per_audit(build):
 
 
 class _ChainCensus(NamedTuple):
-    nilpotent: Counter  # a -> maps with one of their first n powers constantly a
+    nilpotent: Counter  # a -> maps whose powers reach the constant a
     idempotent: Counter  # fixed-point set -> idempotents with that set
     top: Counter  # largest value -> maps
 
 
 @_per_audit
 def _chain_census(n):
-    constants = [constant(n, a) for a in range(n)]
     nilpotent, idempotent, top = Counter(), Counter(), Counter()
     for e in all_endomorphisms(n):
-        power = e
-        for _ in range(n):
-            if power == constants[power.values[0]]:
-                nilpotent[power.values[0]] += 1
-                break
-            power = power * e
-        if e * e == e:
+        limit, exponent = e._power_limit()
+        if limit.is_constant():
+            nilpotent[limit.values[0]] += 1
+        if exponent == 1:
             idempotent[e.fixed_points()] += 1
         top[max(e.image())] += 1
     return _ChainCensus(nilpotent, idempotent, top)
@@ -251,9 +251,11 @@ def _classify_string(n, a, b):
     for e in els:
         if e in rids:
             idem += 1
-        elif e.is_nilpotent_to(a):
+            continue
+        target = e.nilpotency_target()
+        if target == a:
             low += 1
-        elif e.is_nilpotent_to(b):
+        elif target == b:
             high += 1
         else:
             raise AssertionError(f"unclassifiable string element {e}")
@@ -305,26 +307,23 @@ def _oracle_it_rest(n, a, b, c):
     return _oracle_it(n, a, b, c) - _oracle_ri(n, a, b, c)
 
 
+def _count_by_copies(n, a, b, c, inside):
+    """Triangle members with inside(copies of a, copies of c) true."""
+    return sum(
+        1
+        for e in _triangle_members(n, a, b, c)
+        if inside(e.values.count(a), e.values.count(c))
+    )
+
+
 def _oracle_l_tri(n, a, b, c):
     # Index-range construction: at least b + 1 copies of a and at least
     # n - c copies of c.
-    count = 0
-    for e in _triangle_members(n, a, b, c):
-        k = e.values.count(a)
-        i = e.values.count(c)
-        if k >= b + 1 and i >= n - c:
-            count += 1
-    return count
+    return _count_by_copies(n, a, b, c, lambda k, i: k >= b + 1 and i >= n - c)
 
 
 def _oracle_r_tri(n, a, b, c):
-    count = 0
-    for e in _triangle_members(n, a, b, c):
-        k = e.values.count(a)
-        i = e.values.count(c)
-        if k >= a + 1 and i >= n - b:
-            count += 1
-    return count
+    return _count_by_copies(n, a, b, c, lambda k, i: k >= a + 1 and i >= n - b)
 
 
 def _oracle_nil_to(value):
@@ -338,26 +337,26 @@ def _oracle_nil_to(value):
 def _oracle_l_par(n, a, b, c):
     # Left blocks of the basic layers at the a corner: a + 1 <= k <= b
     # copies of a, at most n - c - 1 copies of c.
-    count = 0
-    for e in _triangle_members(n, a, b, c):
-        k = e.values.count(a)
-        i = e.values.count(c)
-        if a + 1 <= k <= b and i <= n - c - 1:
-            count += 1
-    return count
+    return _count_by_copies(n, a, b, c, lambda k, i: a + 1 <= k <= b and i <= n - c - 1)
 
 
 def _oracle_r_par(n, a, b, c):
-    count = 0
-    for e in _triangle_members(n, a, b, c):
-        k = e.values.count(a)
-        i = e.values.count(c)
-        if k <= a and n - c <= i <= n - b - 1:
-            count += 1
-    return count
+    return _count_by_copies(n, a, b, c, lambda k, i: k <= a and n - c <= i <= n - b - 1)
 
 
 # --- admissible parameter domains ---------------------------------------
+#
+# The claims registry draws its chain and triangle families from here too.
+
+
+def _chain_family(lo):
+    """Chain sizes (n,) from lo up to the bound."""
+
+    def gen(n_max):
+        for n in range(lo, n_max + 1):
+            yield (n,)
+
+    return gen
 
 
 def _chain_domain(n_max):
@@ -367,8 +366,6 @@ def _chain_domain(n_max):
 
 
 def _fixed_set_domain(n_max):
-    from itertools import combinations
-
     for n in range(3, n_max + 1):
         for size in range(1, n):
             for fixed in combinations(range(n), size):
@@ -381,11 +378,6 @@ def _simplex_domain(n_max):
             yield (n, k)
 
 
-def _triangle_n_domain(n_max):
-    for n in range(3, n_max + 1):
-        yield (n,)
-
-
 def _string_domain(n_max):
     for n in range(2, n_max + 1):
         for a in range(n - 1):
@@ -395,10 +387,8 @@ def _string_domain(n_max):
 
 def _triangle_domain(n_max):
     for n in range(3, n_max + 1):
-        for a in range(n - 2):
-            for b in range(a + 1, n - 1):
-                for c in range(b + 1, n):
-                    yield (n, a, b, c)
+        for a, b, c in combinations(range(n), 3):
+            yield (n, a, b, c)
 
 
 @dataclass(frozen=True)
@@ -437,7 +427,7 @@ FORMULAS: dict[str, CountFormula] = {
             "triangle_order",
             triangle_order,
             _oracle_triangle,
-            _triangle_n_domain,
+            _chain_family(3),
         ),
         CountFormula(
             "string_nil_low_order",

@@ -8,11 +8,16 @@ and the same lex-first witnesses.
 The chain oracles are the per-tuple loops over every map of the chain that
 ``chainendo.counting`` replaced with one census per chain size; tests
 require each census lookup to equal its loop.
+
+The power loops are the square test of ``eventual_idempotent`` and the
+second walk of ``classify_element`` that ``ChainEndo._power_limit``
+replaced; tests require the one loop to give the same limit and exponent.
 """
 
 from operator import add, mul
 
 from chainendo.analysis import (
+    ElementClass,
     IdealWitness,
     Identities,
     NotClosed,
@@ -251,3 +256,28 @@ def simplex_oracle(n, k):
     """Maps of the n-chain with image inside the lowest k vertices."""
     vertices = set(range(k))
     return sum(1 for e in all_endomorphisms(n) if set(e.image()) <= vertices)
+
+
+def eventual_idempotent(e):
+    """The first power of e that squares to itself."""
+    current = e
+    for _ in range(e.n + 1):
+        if current * current == current:
+            return current
+        current = current * e
+    raise AssertionError(f"powers of {e!r} did not stabilise within n")
+
+
+def classify_element(alpha):
+    """Element class, with the exponent found by walking the powers again."""
+    limit = eventual_idempotent(alpha)
+    exponent = 1
+    power = alpha
+    while power != limit:
+        power = power * alpha
+        exponent += 1
+    if exponent == 1:
+        return ElementClass("idempotent", limit, 1, None)
+    if limit.is_constant():
+        return ElementClass("nilpotent", limit, exponent, limit.values[0])
+    return ElementClass("root_of_idempotent", limit, exponent, None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import reference_loops as ref
 from chainendo import analysis, simplex, strings, triangle
 from chainendo.analysis import (
     ChainTooLong,
@@ -215,6 +216,15 @@ class TestClassify:
         assert verdict.exponent == 2
         assert verdict.idempotent == verdict.idempotent * verdict.idempotent
         assert verdict.target is None
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_power_loop_matches_the_reference_loops(self, n):
+        for e in all_endomorphisms(n):
+            limit = ref.eventual_idempotent(e)
+            assert classify_element(e) == ref.classify_element(e), e
+            assert e.eventual_idempotent() == limit, e
+            want = limit.values[0] if limit.is_constant() else None
+            assert e.nilpotency_target() == want, e
 
 
 class TestIsoCheck:

@@ -360,6 +360,16 @@ def test_counts_json_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_check_json_matches_the_golden_file(capsys):
+    # every claim's checked count, verdict and witness; elapsed varies by run
+    golden = Path(__file__).resolve().parent / "golden" / "check_n6.json"
+    assert main(["check", "--n-max", "6", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    for row in rows:
+        del row["elapsed"]
+    assert json.dumps(rows, indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
 @pytest.mark.parametrize(
     "command", [["check", "--n-max", "4", "--json"], ["counts", "--n-max", "7", "--json"]]
 )

@@ -1,5 +1,6 @@
 """Chain endomorphism arithmetic, enumeration, and compact notation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +47,17 @@ class TestConstruction:
             ChainEndo(3, (0, 1, 3))
         with pytest.raises(OutOfRange):
             ChainEndo(3, (-1, 0, 1))
+
+    def test_bool_values_are_refused(self):
+        # False/True would print as text that parse_compact rejects
+        with pytest.raises(OutOfRange, match="has type bool, not int"):
+            ChainEndo(2, (False, True))
+
+    def test_non_int_values_get_a_type_message(self):
+        with pytest.raises(OutOfRange, match=r"value np\.int64\(0\) has type int64, not int"):
+            ChainEndo(2, (np.int64(0), 1))
+        with pytest.raises(OutOfRange, match="has type float, not int"):
+            ChainEndo(2, (0, 1.0))
 
     def test_values_must_be_monotone(self):
         with pytest.raises(NotMonotone):
