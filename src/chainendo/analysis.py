@@ -24,11 +24,10 @@ of the sum and of the product.  One pair budget, _PAIR_BUDGET, sizes every
 block: a block of rows combined with width columns each has
 _PAIR_BUDGET // width rows, or one row when a row alone is wider, so the
 scratch arrays of each numpy call stay near the budget whatever the set
-size.  The closure scan's blocks double from one row up to that same
-height, so an early escape costs one row; it tests membership in a dense
-table indexed by rank.  One scan, _hom_mismatch, checks whether a given
-bijection carries + or * over, for iso_check and the claims; whole (N, N)
-tables (_cayley_tables) back only semiring-laws, where n <= 4.
+size.  The closure scan tests membership in a dense table indexed by rank.
+One scan, _hom_mismatch, checks whether a given bijection carries + or *
+over, for iso_check and the claims; whole (N, N) tables (_cayley_tables)
+back only semiring-laws, where n <= 4.
 """
 
 from __future__ import annotations
@@ -304,20 +303,18 @@ def _closure_scan(els, ops):
     V, n, size = s.values, s.n, len(s)
     member = np.zeros(comb(2 * n - 1, n), dtype=bool)  # pages map on first touch
     member[s.keys] = True
-    max_rows = max(1, _PAIR_BUDGET // size)
-    start, height = 0, 1
-    while start < size:
-        stop = min(start + height, size)
+    for rows in _blocks(size, size):
+        start = rows.start
         best = None  # (i, j, op) of the block's first escape
         for op in ops:
             if op == "+":
                 # x + y = y + x: every pair (i, j) with j < start was
                 # scanned as (j, i) in an earlier block
                 first = start
-                kept = np.take(member, _sums(V[start:stop], s, slice(start, None)))
+                kept = np.take(member, _sums(V[rows], s, slice(start, None)))
             else:
                 first = 0
-                kept = np.take(member, _products(V[start:stop], s))
+                kept = np.take(member, _products(V[rows], s))
             if not kept.all():
                 i, j = np.unravel_index(int(kept.argmin()), kept.shape)
                 hit = (start + int(i), first + int(j), op)
@@ -328,7 +325,6 @@ def _closure_scan(els, ops):
             x, y = V[i], V[j]
             values = np.maximum(x, y) if op == "+" else y[x]
             return i, j, op, ChainEndo._wrap(n, tuple(values.tolist()))
-        start, height = stop, min(2 * height, max_rows)
     return None
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -94,30 +94,23 @@ def _layered_simplex_family(n_max: int) -> Iterator[tuple]:
             yield (n, verts)
 
 
-def _simplex_pair_family(n_max: int) -> Iterator[tuple]:
-    # one-vertex simplices are singletons, all isomorphic; start at two
-    for n in range(3, n_max + 1):
-        for k in range(2, n + 1):
-            for one, two in combinations(combinations(range(n), k), 2):
-                yield (n, one, two)
+def _vertex_pair_family(sizes: Callable[[int], Iterable[int]]):
+    """(n, one, two) for n >= 3: two different vertex sets on the chain of
+    n, both of a size in sizes(n), sizes in the order given."""
+
+    def gen(n_max: int) -> Iterator[tuple]:
+        for n in range(3, n_max + 1):
+            for k in sizes(n):
+                for one, two in combinations(combinations(range(n), k), 2):
+                    yield (n, one, two)
+
+    return gen
 
 
 def _string_family(n_max: int) -> Iterator[tuple]:
     for n in range(3, n_max + 1):
         for a, b in combinations(range(n), 2):
             yield (n, a, b)
-
-
-def _string_pair_family(n_max: int) -> Iterator[tuple]:
-    for n in range(3, n_max + 1):
-        for one, two in combinations(combinations(range(n), 2), 2):
-            yield (n, *one, *two)
-
-
-def _triangle_pair_family(n_max: int) -> Iterator[tuple]:
-    for n in range(3, n_max + 1):
-        for one, two in combinations(combinations(range(n), 3), 2):
-            yield (n, one, two)
 
 
 def _singleton_family(n_needed: int, params: tuple):
@@ -229,6 +222,7 @@ def _chk_simplex_closed(params):
 
 
 def _chk_simplex_noniso(params):
+    # strings and triangles are the simplices on two and three vertices
     n, one, two = params
     same, _ = analysis.iso_check(
         simplex.enumerate_simplex(SimplexSpec(n, one)),
@@ -469,17 +463,6 @@ def _chk_string_fixpoint_unions(params):
     ok, wit = analysis.is_subsemiring(upper)
     if not ok:
         return False, _pair(wit)
-    return True, None
-
-
-def _chk_string_noniso(params):
-    n, a1, b1, a2, b2 = params
-    same, _ = analysis.iso_check(
-        strings.elements(StringSpec(n, a1, b1)),
-        strings.elements(StringSpec(n, a2, b2)),
-    )
-    if same:
-        return False, {"first": (a1, b1), "second": (a2, b2)}
     return True, None
 
 
@@ -935,17 +918,6 @@ def _chk_triangle_add_iso(params):
     return False, {"note": "unexpected multiplicative isomorphism"}
 
 
-def _chk_triangle_noniso(params):
-    n, one, two = params
-    same, _ = analysis.iso_check(
-        triangle.elements(TriangleSpec(n, *one)),
-        triangle.elements(TriangleSpec(n, *two)),
-    )
-    if same:
-        return False, {"first": one, "second": two}
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # the registry
 
@@ -1027,7 +999,8 @@ _CLAIMS = (
         "simplex-noniso",
         "No two simplices on the same chain with different vertex sets are "
         "isomorphic as semirings.",
-        _simplex_pair_family,
+        # one-vertex simplices are singletons, all isomorphic; start at two
+        _vertex_pair_family(lambda n: range(2, n + 1)),
         _chk_simplex_noniso,
         max_n=4,
     ),
@@ -1140,8 +1113,8 @@ _CLAIMS = (
         "string-noniso",
         "No two strings on the same chain with different vertex pairs are "
         "isomorphic as semirings.",
-        _string_pair_family,
-        _chk_string_noniso,
+        _vertex_pair_family(lambda n: (2,)),
+        _chk_simplex_noniso,
     ),
     Claim(
         "consecutive-union",
@@ -1289,7 +1262,7 @@ _CLAIMS = (
         "Matching members by multiplicity vectors is an additive "
         "isomorphism between any two triangles on the same chain, but "
         "never multiplicative for different vertex triples.",
-        _triangle_pair_family,
+        _vertex_pair_family(lambda n: (3,)),
         _chk_triangle_add_iso,
         max_n=7,
     ),
@@ -1297,8 +1270,8 @@ _CLAIMS = (
         "triangle-noniso",
         "No two triangles on the same chain with different vertex triples "
         "are isomorphic as semirings.",
-        _triangle_pair_family,
-        _chk_triangle_noniso,
+        _vertex_pair_family(lambda n: (3,)),
+        _chk_simplex_noniso,
         max_n=5,
     ),
 )
@@ -1345,7 +1318,7 @@ def run_all(
     ids: list[str] | None = None,
 ) -> tuple[ClaimResult, ...]:
     """Run claims in the requested order (registry order when ids is None);
-    fan out over processes when jobs > 1."""
+    fan out over min(jobs, number of claims) processes when that is over one."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if jobs < 1:
@@ -1354,7 +1327,9 @@ def run_all(
     for claim_id in order:
         if claim_id not in REGISTRY:
             raise UnknownClaim(claim_id)
-    if jobs <= 1:
+    # the pool forks all its workers at the first submit
+    workers = min(jobs, len(order))
+    if workers <= 1:
         return tuple(run_claim(claim_id, n_max) for claim_id in order)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return tuple(pool.map(_run_remote, [(cid, n_max) for cid in order]))

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import analysis, claims, counting, diagram, simplex, strings, triangle
-from .core import ChainEndoError, format_compact, parse_compact
+from .core import ChainEndoError, _runs, format_compact, parse_compact
 from .simplex import SimplexSpec
 from .strings import StringSpec
 from .triangle import TriangleSpec
@@ -127,16 +127,12 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _derive_n(text: str) -> int:
-    total = 0
-    for token in text.split():
-        _, sep, mult = token.partition("_")
-        total += int(mult) if sep else 1
-    return total
-
-
 def _cmd_classify(args) -> int:
-    n = args.n if args.n is not None else _derive_n(args.element)
+    if args.n is None:  # the chain the runs fill
+        n = sum(mult for _, mult in _runs(args.element))
+    else:
+        _require_positive(args, "--n")
+        n = args.n
     endo = parse_compact(args.element, n)
     verdict = analysis.classify_element(endo)
     payload = {
@@ -230,7 +226,8 @@ def _decompose_string(spec: StringSpec, args) -> int:
 
 
 def _require_positive(args, *options: str) -> None:
-    """Refuse a sweep bound below 1, which would check nothing and pass."""
+    """Refuse a sweep bound below 1, which would check nothing and pass,
+    or a chain size below 1."""
     for option in options:
         value = getattr(args, option.lstrip("-").replace("-", "_"))
         if value < 1:

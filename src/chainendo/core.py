@@ -294,20 +294,25 @@ def format_compact(endo: ChainEndo) -> str:
     return CompactForm.from_endo(endo).render()
 
 
-def parse_compact(text: str, n: int) -> ChainEndo:
-    """Inverse of format_compact; accepts explicit _1 multiplicities."""
+def _runs(text: str) -> Iterator[tuple[int, int]]:
+    """(symbol, multiplicity) of each run of the text, in order."""
     tokens = text.split()
     if not tokens:
         raise ParseError("empty endomorphism text")
-    runs = []
     for token in tokens:
         match = _RUN_RE.fullmatch(token)
         if match is None:
             raise ParseError(f"bad run {token!r}")
-        symbol = int(match.group(1))
         mult = int(match.group(2)) if match.group(2) is not None else 1
         if mult < 1:
             raise ParseError(f"multiplicity 0 in run {token!r}")
+        yield int(match.group(1)), mult
+
+
+def parse_compact(text: str, n: int) -> ChainEndo:
+    """Inverse of format_compact; accepts explicit _1 multiplicities."""
+    runs = []
+    for symbol, mult in _runs(text):
         if not 0 <= symbol < n:
             raise OutOfRange(f"symbol {symbol} outside the chain 0..{n - 1}")
         runs.append((symbol, mult))

@@ -12,8 +12,14 @@ require each census lookup to equal its loop.
 The power loops are the square test of ``eventual_idempotent`` and the
 second walk of ``classify_element`` that ``ChainEndo._power_limit``
 replaced; tests require the one loop to give the same limit and exponent.
+
+The pair families are the three generators of vertex-set pairs that the
+non-isomorphism claims and ``triangle-add-iso`` read before
+``chainendo.claims`` gave them one family; tests require the claims'
+families to yield the same tuples in the same order.
 """
 
+from itertools import combinations
 from operator import add, mul
 
 from chainendo.analysis import (
@@ -281,3 +287,23 @@ def classify_element(alpha):
     if limit.is_constant():
         return ElementClass("nilpotent", limit, exponent, limit.values[0])
     return ElementClass("root_of_idempotent", limit, exponent, None)
+
+
+def simplex_pair_family(n_max):
+    # one-vertex simplices are singletons, all isomorphic; start at two
+    for n in range(3, n_max + 1):
+        for k in range(2, n + 1):
+            for one, two in combinations(combinations(range(n), k), 2):
+                yield (n, one, two)
+
+
+def string_pair_family(n_max):
+    for n in range(3, n_max + 1):
+        for one, two in combinations(combinations(range(n), 2), 2):
+            yield (n, *one, *two)
+
+
+def triangle_pair_family(n_max):
+    for n in range(3, n_max + 1):
+        for one, two in combinations(combinations(range(n), 3), 2):
+            yield (n, one, two)

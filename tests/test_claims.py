@@ -2,6 +2,7 @@
 
 import pytest
 
+import reference_loops as ref
 from chainendo import claims
 from chainendo.claims import (
     REGISTRY,
@@ -28,6 +29,37 @@ class TestRegistry:
     def test_every_family_yields_something_by_six(self):
         for claim in REGISTRY.values():
             assert any(True for _ in claim.params(6)), claim.id
+
+
+def _nested_string_pairs(n_max):
+    for n, a1, b1, a2, b2 in ref.string_pair_family(n_max):
+        yield (n, (a1, b1), (a2, b2))
+
+
+class TestPairFamilies:
+    @pytest.mark.parametrize("n_max", range(1, 10))
+    @pytest.mark.parametrize(
+        "claim_id, reference",
+        [
+            ("simplex-noniso", ref.simplex_pair_family),
+            ("string-noniso", _nested_string_pairs),
+            ("triangle-noniso", ref.triangle_pair_family),
+            ("triangle-add-iso", ref.triangle_pair_family),
+        ],
+    )
+    def test_one_family_yields_the_reference_tuples(self, claim_id, reference, n_max):
+        assert list(REGISTRY[claim_id].params(n_max)) == list(reference(n_max))
+
+    def test_the_noniso_claims_share_one_check(self):
+        for claim_id in ("simplex-noniso", "string-noniso", "triangle-noniso"):
+            assert REGISTRY[claim_id].check is claims._chk_simplex_noniso
+
+    @pytest.mark.parametrize("verts", [(0, 2), (1, 2, 3)])
+    def test_isomorphic_sets_fail_with_both_vertex_sets(self, verts):
+        assert claims._chk_simplex_noniso((4, verts, verts)) == (
+            False,
+            {"first": verts, "second": verts},
+        )
 
 
 class TestRunClaim:
@@ -100,6 +132,37 @@ class TestRunAll:
     def test_unknown_id_in_selection(self):
         with pytest.raises(UnknownClaim):
             run_all(3, ids=["simplex-order", "bogus"])
+
+    @pytest.mark.parametrize(
+        "jobs, ids, workers",
+        [
+            (64, ["mul-noncommutative", "simplex-order"], [2]),
+            (2, ["mul-noncommutative", "simplex-order", "triangle-order"], [2]),
+            (64, ["mul-noncommutative"], []),
+            (2, [], []),
+        ],
+    )
+    def test_pool_has_at_most_one_worker_per_claim(self, monkeypatch, jobs, ids, workers):
+        built = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(claims, "ProcessPoolExecutor", InProcessPool)
+        results = run_all(3, jobs=jobs, ids=ids)
+        assert built == workers
+        assert [r.claim_id for r in results] == ids
+        assert all(r.holds for r in results)
 
     def test_parallel_matches_sequential(self):
         ids = [

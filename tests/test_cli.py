@@ -131,6 +131,16 @@ class TestClassify:
         assert main(["classify", "1_99999999999999999999"]) == 2
         assert capsys.readouterr().err.startswith("error: chain size 99999999999999999999")
 
+    @pytest.mark.parametrize("size", [[], ["--n", "4"]])
+    def test_bad_run_gets_one_message_with_or_without_a_chain_size(self, size, capsys):
+        assert main(["classify", "1_x", *size]) == 2
+        assert capsys.readouterr().err == "error: bad run '1_x'\n"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_chain_size_below_one_is_refused(self, n, capsys):
+        assert main(["classify", "1_2 2 3", "--n", n]) == 2
+        assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+
 
 class TestDecompose:
     @pytest.mark.parametrize("n", [16, 20])

@@ -202,8 +202,8 @@ def test_closure_scan_matches_reference(els, ops):
     expected = ref.closure_scan(els, ops)
     assert analysis._closure_scan(els, ops) == expected
     # budgets 1 and 3 keep blocks one row tall on all but one-map sets, 40
-    # caps the doubling inside the set, and the default above lets it run to
-    # the end: block seams and doubling steps fall on different rows
+    # cuts most sets into a few blocks, and the default above scans most in
+    # one: block seams fall on different rows
     for budget in (1, 3, 40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_PAIR_BUDGET", budget)
