@@ -6,28 +6,26 @@ found is the witness reported.
 
 A set is a Subset: its elements, the (N, n) int64 matrix of their values,
 one exact int64 key per map (the map's lexicographic rank among all
-C(2n-1, n) monotone maps of its chain) and two (n*n, N) rank tables, one
-for sums and one for products, in the smallest integer type that holds
-every rank.  These are built on first use and kept on the Subset, so a
-check that passes its Subset on to another check does not rebuild them; no
-other state survives a call.  Building the matrix of a chain longer than
-MAX_CHAIN raises ChainTooLong.
+C(2n-1, n) monotone maps of its chain), two (n*n, N) rank tables, one for
+sums and one for products, in the smallest integer type that holds every
+rank, and one index table over every rank of the chain.  These are built on
+first use and kept on the Subset, so a check that passes its Subset on to
+another check does not rebuild them; no other state survives a call.
+Building the matrix of a chain longer than MAX_CHAIN raises ChainTooLong.
 
 The scans run on these arrays, not on ChainEndo objects.  The rank of a map
 is a sum of one weight per position, and row k*n + c of a table holds, for
 every right operand y, the weight at k of the result when the left operand
 holds c at k.  So the keys of x + y or x * y for a block of left operands
 and a selection of right operands take one gather of n table rows per x and
-one sum over them.  The checks read the set's Cayley tables: for each
-ordered pair, the key (or member index, -1 when the result leaves the set)
-of the sum and of the product.  One pair budget, _PAIR_BUDGET, sizes every
+one sum over them.  Subset.index_of turns keys into member indices (-1 when
+the result leaves the set) with one gather from the index table; it is the
+only way a key becomes a member.  One pair budget, _PAIR_BUDGET, sizes every
 block: a block of rows combined with width columns each has
 _PAIR_BUDGET // width rows, or one row when a row alone is wider, so the
 scratch arrays of each numpy call stay near the budget whatever the set
-size.  The closure scan tests membership in a dense table indexed by rank.
-One scan, _hom_mismatch, checks whether a given bijection carries + or *
-over, for iso_check and the claims; whole (N, N) tables (_cayley_tables)
-back only semiring-laws, where n <= 4.
+size.  One scan, _hom_mismatch, checks whether a given bijection carries
++ or * over, for iso_check and the claims.
 """
 
 from __future__ import annotations
@@ -44,9 +42,11 @@ import numpy as np
 from .core import ChainEndo, ChainEndoError, SizeMismatch
 
 # Largest chain the set checks accept.  Ranks stay exact in int64 up to
-# n = 33, but the closure scan's member table holds one byte per monotone
-# map, C(2n-1, n) of them: 74 MiB of address space at n = 15, 286 MiB at 16.
-# Each set's two rank tables add 2 * n**2 * N entries, for N maps.
+# n = 33, but each set's index table holds one entry per monotone map,
+# C(2n-1, n) of them, in the smallest signed type that holds N, for N maps:
+# one byte up to N = 127 (74 MiB of address space at n = 15, 286 MiB at 16),
+# two up to 32767 and four beyond.  Only the members' pages are touched.
+# Each set's two rank tables add 2 * n**2 * N entries.
 MAX_CHAIN = 15
 
 # Most pairs a scan combines in one numpy call.
@@ -67,8 +67,9 @@ class ChainTooLong(ChainEndoError):
 
 @dataclass(frozen=True)
 class Subset:
-    """Sorted, de-duplicated maps of one chain, with their values, keys and
-    rank tables (see the module docstring), each built on first use."""
+    """Sorted, de-duplicated maps of one chain, with their values, keys,
+    rank tables and index table (see the module docstring), each built on
+    first use."""
 
     n: int
     elements: tuple[ChainEndo, ...]
@@ -128,6 +129,21 @@ class Subset:
         at = np.take_along_axis(W, self.values.T, axis=1)  # [k, j]: W[k, y_j[k]]
         return np.maximum(W[:, :, None], at[:, None, :]).reshape(self.n**2, len(self))
 
+    @cached_property
+    def index_table(self) -> np.ndarray:
+        """Entry r holds 1 + the index of the member of rank r, or 0 when no
+        member has rank r; one entry per map of the chain, in the smallest
+        signed integer type that holds len(self) (pages map on first touch)."""
+        keys = self.keys  # beyond MAX_CHAIN this raises before the allocation
+        dtype = _index_dtype(len(self))
+        table = np.zeros(comb(2 * self.n - 1, self.n), dtype=dtype)
+        table[keys] = np.arange(1, len(self) + 1, dtype=dtype)
+        return table
+
+    def index_of(self, keys) -> np.ndarray:
+        """Member index of each key (a rank of the chain), -1 for a non-member."""
+        return np.take(self.index_table, keys) - 1
+
     def __iter__(self):
         return iter(self.elements)
 
@@ -181,6 +197,13 @@ def _key_dtype(n: int) -> np.dtype:
     return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= top)
 
 
+@cache
+def _index_dtype(size: int) -> np.dtype:
+    """Smallest of int8, int16, int32 and int64 that holds size."""
+    types = (np.int8, np.int16, np.int32, np.int64)
+    return next(np.dtype(t) for t in types if np.iinfo(t).max >= size)
+
+
 def _pack(matrix: np.ndarray, n: int) -> np.ndarray:
     """Lex rank of each row of a (..., n) value matrix."""
     W = _rank_weights(n)
@@ -218,31 +241,6 @@ def _products(X: np.ndarray, s: "Subset", cols=slice(None)) -> np.ndarray:
     return _table_keys(s.product_table, X, cols)
 
 
-def _index(codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Member index of each key in the sorted codes, -1 for non-members."""
-    pos = np.searchsorted(codes, keys)
-    pos[pos == len(codes)] = 0
-    return np.where(codes[pos] == keys, pos, -1)
-
-
-def _cayley_tables(elements: Iterable[ChainEndo]) -> tuple[np.ndarray, np.ndarray]:
-    """The + and * tables of a set, as (N, N) member indices.
-
-    A[i, j] is the index of x_i + x_j and M[i, j] that of x_i * x_j, x the
-    elements of Subset.of(elements), or -1 where the result is not in the
-    set.  Both tables together hold 2 * N**2 indices, so only private
-    checks on sets of bounded size build them whole.
-    """
-    s = Subset.of(elements)
-    V, size = s.values, len(s)
-    A = np.empty((size, size), dtype=np.intp)
-    M = np.empty((size, size), dtype=np.intp)
-    for rows in _blocks(size, size):
-        A[rows] = _index(s.keys, _sums(V[rows], s))
-        M[rows] = _index(s.keys, _products(V[rows], s))
-    return A, M
-
-
 def _hom_mismatch(src: Subset, dst: Subset, p, op) -> tuple[int, int] | None:
     """First (i, j), in lex order, where p(x_i op x_j) != p(x_i) op p(x_j).
 
@@ -252,7 +250,7 @@ def _hom_mismatch(src: Subset, dst: Subset, p, op) -> tuple[int, int] | None:
     """
     p = np.asarray(p, dtype=np.intp)
     for rows in _blocks(len(src), len(src)):
-        result = _index(src.keys, op(src.values[rows], src))
+        result = src.index_of(op(src.values[rows], src))
         bad = (result < 0) | (dst.keys[p[result]] != op(dst.values[p[rows]], dst, p))
         if bad.any():
             i, j = np.unravel_index(int(bad.argmax()), bad.shape)
@@ -301,8 +299,6 @@ def _closure_scan(els, ops):
     """
     s = Subset.of(els)
     V, n, size = s.values, s.n, len(s)
-    member = np.zeros(comb(2 * n - 1, n), dtype=bool)  # pages map on first touch
-    member[s.keys] = True
     for rows in _blocks(size, size):
         start = rows.start
         best = None  # (i, j, op) of the block's first escape
@@ -311,10 +307,10 @@ def _closure_scan(els, ops):
                 # x + y = y + x: every pair (i, j) with j < start was
                 # scanned as (j, i) in an earlier block
                 first = start
-                kept = np.take(member, _sums(V[rows], s, slice(start, None)))
+                kept = np.take(s.index_table, _sums(V[rows], s, slice(start, None)))
             else:
                 first = 0
-                kept = np.take(member, _products(V[rows], s))
+                kept = np.take(s.index_table, _products(V[rows], s))
             if not kept.all():
                 i, j = np.unravel_index(int(kept.argmin()), kept.shape)
                 hit = (start + int(i), first + int(j), op)
@@ -372,17 +368,12 @@ def is_ideal(
     if hit is not None:
         i, j, _, result = hit
         return False, IdealWitness("add", inner.elements[i], inner.elements[j], result)
-    VI, VO, codes = inner.values, outer.values, inner.keys
+    VI, VO = inner.values, outer.values
     for rows in _blocks(len(inner), len(outer)):
-        # [i, j, 0]: outer[j] * x escapes; [i, j, 1]: x * outer[j] escapes,
-        # so the flat order is the scan order x, r, left before right.
-        out = np.stack(
-            (
-                _index(codes, _products(VO, inner, rows).T) < 0,
-                _index(codes, _products(VI[rows], outer)) < 0,
-            ),
-            axis=-1,
-        )
+        # [i, j, 0]: outer[j] * x; [i, j, 1]: x * outer[j], so the flat order
+        # of the escapes is the scan order x, r, left before right.
+        products = np.stack((_products(VO, inner, rows).T, _products(VI[rows], outer)), axis=-1)
+        out = inner.index_of(products) < 0
         if out.any():
             i, j, side = np.unravel_index(int(out.argmax()), out.shape)
             x, r = inner.elements[rows.start + i], outer.elements[j]
@@ -429,7 +420,7 @@ def triviality(elements: Iterable[ChainEndo]) -> TrivialityVerdict:
     for rows in _blocks(len(s), len(s)):
         if (_products(V[rows], s) != first).any():
             return TrivialityVerdict(False, None, False, False)
-    k = int(np.searchsorted(s.keys, first))  # a member: the set is closed
+    k = int(s.index_of(first))  # a member: the set is closed
     is_min = bool((V[k] <= V).all())
     is_max = bool((V <= V[k]).all())
     return TrivialityVerdict(True, s.elements[k], is_min, is_max)
@@ -543,7 +534,7 @@ def iso_check(
             leq = (V[rows, None, :] <= V[None, :, :]).all(axis=2)
             up[rows] = leq.sum(axis=1)
             down += leq.sum(axis=0)
-        square = _index(s.keys, _pack(np.take_along_axis(V, V, axis=1), s.n))
+        square = s.index_of(_pack(np.take_along_axis(V, V, axis=1), s.n))
         idempotent = square == np.arange(size)
         return list(
             zip(down.tolist(), up.tolist(), idempotent.tolist(), down[square].tolist())
@@ -579,7 +570,7 @@ def iso_check(
         # results of x_i with each earlier x_j, as member indices (rebuilt on
         # each visit, so no level holds arrays): wherever one is already
         # assigned, its image must be the images' result
-        k = _index(src.keys, combined(src, i, slice(0, i)))
+        k = src.index_of(combined(src, i, slice(0, i)))
         known = k <= i
         for c in range(cursor[i], len(candidates[i])):
             t = candidates[i][c]

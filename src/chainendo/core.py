@@ -51,6 +51,14 @@ class SumMismatch(ParseError):
     """Run multiplicities do not sum to the chain size."""
 
 
+def _require_ints(values) -> None:
+    """Refuse a value that is not exactly an int: a bool passes
+    isinstance(v, int) but prints as False/True, which parse_compact rejects."""
+    for v in values:
+        if type(v) is not int:
+            raise OutOfRange(f"value {v!r} has type {type(v).__name__}, not int")
+
+
 class ChainEndo:
     """A join-preserving self-map of the chain {0, ..., n-1}.
 
@@ -72,11 +80,8 @@ class ChainEndo:
         values = tuple(values)
         if len(values) != n:
             raise LengthMismatch(f"expected {n} values, got {len(values)}")
+        _require_ints(values)
         for v in values:
-            # exactly int: a bool passes isinstance(v, int) but prints as
-            # False/True, which parse_compact rejects
-            if type(v) is not int:
-                raise OutOfRange(f"value {v!r} has type {type(v).__name__}, not int")
             if not 0 <= v < n:
                 raise OutOfRange(f"value {v!r} outside the chain 0..{n - 1}")
         for x, y in zip(values, values[1:]):

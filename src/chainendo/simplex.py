@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from . import analysis
-from .core import ChainEndo, OutOfRange, constant
+from .core import ChainEndo, OutOfRange, _require_ints, constant
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class SimplexSpec:
     vertices: tuple[int, ...]
 
     def __post_init__(self):
+        _require_ints((self.n, *self.vertices))
         vertices = tuple(sorted(set(self.vertices)))
         object.__setattr__(self, "vertices", vertices)
         if self.n < 1:

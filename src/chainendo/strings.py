@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import analysis
-from .core import ChainEndo, OutOfRange, SizeMismatch
+from .core import ChainEndo, OutOfRange, SizeMismatch, _require_ints
 from .simplex import SimplexSpec, enumerate_simplex
 
 
@@ -31,6 +31,7 @@ class StringSpec:
     b: int
 
     def __post_init__(self):
+        _require_ints((self.n, self.a, self.b))
         if self.n < 2:
             raise OutOfRange(f"strings need n >= 2, got {self.n}")
         if not 0 <= self.a < self.b <= self.n - 1:

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple
 
 from . import analysis, counting, simplex, strings
-from .core import ChainEndo, OutOfRange, constant
+from .core import ChainEndo, OutOfRange, _require_ints, constant
 from .simplex import SimplexSpec, enumerate_simplex
 
 
@@ -40,6 +40,7 @@ class TriangleSpec:
     c: int
 
     def __post_init__(self):
+        _require_ints((self.n, self.a, self.b, self.c))
         if self.n < 3:
             raise OutOfRange(f"triangles need n >= 3, got {self.n}")
         if not 0 <= self.a < self.b < self.c <= self.n - 1:

@@ -3,7 +3,7 @@
 import pytest
 
 import reference_loops as ref
-from chainendo import claims
+from chainendo import analysis, claims
 from chainendo.claims import (
     REGISTRY,
     Claim,
@@ -107,6 +107,12 @@ class TestRunClaim:
             assert "ZeroDivisionError" in result.witness["error"]
         finally:
             del REGISTRY[claim_id]
+
+    def test_chain_limit_is_raised_not_reported_as_a_failure(self, monkeypatch):
+        # a chain past the set checks' limit says nothing about the claim
+        monkeypatch.setattr(analysis, "MAX_CHAIN", 3)
+        with pytest.raises(analysis.ChainTooLong):
+            run_claim("simplex-closed", 4)
 
 
 class TestRunAll:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chainendo import claims, diagram
+from chainendo import analysis, claims, diagram
 from chainendo.cli import main, parse_spec
 from chainendo.core import ChainEndoError
 from chainendo.simplex import SimplexSpec
@@ -140,6 +140,14 @@ class TestClassify:
     def test_chain_size_below_one_is_refused(self, n, capsys):
         assert main(["classify", "1_2 2 3", "--n", n]) == 2
         assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+
+
+def test_check_past_the_chain_limit_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "MAX_CHAIN", 3)
+    assert main(["check", "simplex-closed", "--n-max", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: chain size 4 is beyond the limit n <= 3")
 
 
 class TestDecompose:
@@ -381,7 +389,12 @@ def test_check_json_matches_the_golden_file(capsys):
 
 
 @pytest.mark.parametrize(
-    "command", [["check", "--n-max", "4", "--json"], ["counts", "--n-max", "7", "--json"]]
+    "command",
+    [
+        ["check", "--n-max", "4", "--json"],
+        ["counts", "--n-max", "7", "--json"],
+        ["iso", "--json", "sim n=6 A=0,1,2,3,4,5", "sim n=6 A=0,1,2,3,4,5"],
+    ],
 )
 def test_optimized_interpreter_gives_the_same_json(command):
     # the hot path carries no asserts, so python -O must not change a verdict

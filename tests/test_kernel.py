@@ -88,6 +88,37 @@ def test_keys_are_lex_ranks():
         assert np.array_equal(keys, np.arange(comb(2 * n - 1, n)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_index_of_every_rank_matches_the_elements(n, data):
+    s = Subset.of(data.draw(st.lists(st.sampled_from(MAPS[n]), min_size=1, max_size=60)))
+    position = {_rank(e): k for k, e in enumerate(s.elements)}
+    got = s.index_of(np.arange(comb(2 * n - 1, n)))
+    assert got.tolist() == [position.get(r, -1) for r in range(len(got))]
+
+
+@pytest.fixture(scope="module")
+def maps_10():
+    return tuple(all_endomorphisms(10))  # in lex order, so position = rank
+
+
+@pytest.mark.parametrize(
+    "size, dtype",
+    [(126, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)],
+)
+def test_index_of_at_the_table_dtype_change(maps_10, size, dtype):
+    # entries hold 1 + the member index in the smallest type that holds the
+    # size; one type smaller wraps the last entry, which index_of's - 1
+    # happens to undo at 128 and 32768 maps, so the type is pinned as well.
+    # The members are every other map of C_10 and the top one.
+    ranks = [*range(0, 2 * (size - 1), 2), len(maps_10) - 1]
+    s = Subset.of(maps_10[r] for r in ranks)
+    assert s.index_table.dtype == dtype
+    expected = np.full(len(maps_10), -1)
+    expected[ranks] = np.arange(size)
+    assert np.array_equal(s.index_of(np.arange(len(maps_10))), expected)
+
+
 def _rank(e):
     return int(analysis._pack(np.array(e.values), e.n))
 
@@ -220,10 +251,15 @@ def test_closure_scan_tries_ops_in_the_given_order_within_a_pair():
         assert hit[:3] == (0, 1, ops[0])
 
 
+def _index_tables(s):
+    """(N, N) member indices of x_i + x_j and x_i * x_j, -1 outside the set."""
+    return s.index_of(analysis._sums(s.values, s)), s.index_of(analysis._products(s.values, s))
+
+
 @settings(max_examples=150, deadline=None)
 @given(map_sets)
 def test_table_entries_are_the_object_results(els):
-    A, M = _under_small_blocks(analysis._cayley_tables, els)
+    A, M = _index_tables(Subset.of(els))
     index = {e: k for k, e in enumerate(els)}
     for i, x in enumerate(els):
         for j, y in enumerate(els):
@@ -339,7 +375,7 @@ def test_iso_check_matches_reference(pair):
 def test_semiring_laws_hold_on_small_chains():
     for n in range(1, 4):
         els = MAPS[n]
-        assert analysis._triple_law_scan(*analysis._cayley_tables(els)) is None
+        assert analysis._triple_law_scan(*_index_tables(Subset.of(els))) is None
         assert ref.triple_law_scan(els) is None
         assert claims._chk_semiring_laws((n,)) == (True, None)
 

@@ -50,6 +50,14 @@ class TestSpec:
         with pytest.raises(OutOfRange):
             SimplexSpec(3, (-1,))
 
+    @pytest.mark.parametrize(
+        "n, vertices", [(3, (0, True)), (3, (0, 1.0)), (3.0, (0, 1)), (True, (0,))]
+    )
+    def test_rejects_values_that_are_not_ints(self, n, vertices):
+        # True and 1.0 equal 1, so a range check alone lets them through
+        with pytest.raises(OutOfRange, match="has type (bool|float), not int"):
+            SimplexSpec(n, vertices)
+
     def test_vertex_constants(self):
         assert SPEC.vertex_constants() == (
             constant(4, 1),

@@ -35,6 +35,11 @@ class TestSpec:
         with pytest.raises(OutOfRange):
             StringSpec(4, 1, 4)
 
+    @pytest.mark.parametrize("fields", [(3, False, 2), (3, 0, 2.0), (3.0, 0, 2)])
+    def test_rejects_values_that_are_not_ints(self, fields):
+        with pytest.raises(OutOfRange, match="has type (bool|float), not int"):
+            StringSpec(*fields)
+
     def test_simplex_view(self):
         assert SPEC.simplex().vertices == (1, 2)
 

@@ -53,6 +53,11 @@ class TestSpec:
         with pytest.raises(OutOfRange):
             TriangleSpec(4, 1, 2, 4)
 
+    @pytest.mark.parametrize("fields", [(4, False, 1, 3), (4, 0, 1, 3.0), (4.0, 0, 1, 3)])
+    def test_rejects_values_that_are_not_ints(self, fields):
+        with pytest.raises(OutOfRange, match="has type (bool|float), not int"):
+            TriangleSpec(*fields)
+
     def test_views(self):
         assert SPEC.simplex().vertices == (1, 2, 3)
         assert SPEC.string_ab() == StringSpec(4, 1, 2)
