@@ -4,14 +4,18 @@ Everything here is exhaustive and deterministic: sets are normalised to
 lexicographic order, pair scans run in that order, and the first violation
 found is the witness reported.
 
-A set is a Subset: its elements, the (N, n) int64 matrix of their values,
-one exact int64 key per map (the map's lexicographic rank among all
+A set is a Subset.  Its primary form is the (N, n) int64 matrix of its
+maps' values, rows in lexicographic order; the enumerations in simplex
+produce it directly, with no ChainEndo built.  Derived from it are one
+exact int64 key per map (the map's lexicographic rank among all
 C(2n-1, n) monotone maps of its chain), two (n*n, N) rank tables, one for
 sums and one for products, in the smallest integer type that holds every
-rank, and one index table over every rank of the chain.  These are built on
-first use and kept on the Subset, so a check that passes its Subset on to
-another check does not rebuild them; no other state survives a call.
-Building the matrix of a chain longer than MAX_CHAIN raises ChainTooLong.
+rank, one index table over every rank of the chain, and the ChainEndo
+objects themselves.  These are built on first use and kept on the Subset,
+so a check that passes its Subset on to another check does not rebuild
+them; no other state survives a call.  A matrix may hold a chain of any
+length; building the keys or a rank table of a chain longer than MAX_CHAIN
+raises ChainTooLong.
 
 The scans run on these arrays, not on ChainEndo objects.  The rank of a map
 is a sum of one weight per position, and row k*n + c of a table holds, for
@@ -41,12 +45,14 @@ import numpy as np
 
 from .core import ChainEndo, ChainEndoError, SizeMismatch
 
-# Largest chain the set checks accept.  Ranks stay exact in int64 up to
-# n = 33, but each set's index table holds one entry per monotone map,
-# C(2n-1, n) of them, in the smallest signed type that holds N, for N maps:
-# one byte up to N = 127 (74 MiB of address space at n = 15, 286 MiB at 16),
-# two up to 32767 and four beyond.  Only the members' pages are touched.
-# Each set's two rank tables add 2 * n**2 * N entries.
+# Largest chain the set checks accept.  A value matrix may hold any chain;
+# the limit is checked when a set's keys or rank tables are built.  Ranks
+# stay exact in int64 up to n = 33, but each set's index table holds one
+# entry per monotone map, C(2n-1, n) of them, in the smallest signed type
+# that holds N, for N maps: one byte up to N = 127 (74 MiB of address space
+# at n = 15, 286 MiB at 16), two up to 32767 and four beyond.  Only the
+# members' pages are touched.  Each set's two rank tables add 2 * n**2 * N
+# entries.
 MAX_CHAIN = 15
 
 # Most pairs a scan combines in one numpy call.
@@ -65,14 +71,26 @@ class ChainTooLong(ChainEndoError):
     """The chain is longer than the set kernels support (n <= MAX_CHAIN)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subset:
-    """Sorted, de-duplicated maps of one chain, with their values, keys,
-    rank tables and index table (see the module docstring), each built on
-    first use."""
+    """Distinct maps of one chain in lexicographic order: a read-only
+    sequence of ChainEndo backed by their (N, n) value matrix, with keys,
+    rank tables and index table (see the module docstring) and the
+    ChainEndo objects themselves, each built on first use."""
 
     n: int
-    elements: tuple[ChainEndo, ...]
+    values: np.ndarray  # row i holds the values of the i-th map
+
+    @classmethod
+    def from_values(cls, n: int, matrix) -> "Subset":
+        """The set whose rows are already strictly ascending in lex order."""
+        values = np.asarray(matrix, dtype=np.int64).view()
+        if values.ndim != 2 or values.shape[1] != n:
+            raise ValueError(f"expected an (N, {n}) value matrix, got shape {values.shape}")
+        if not len(values):
+            raise ValueError("empty set of endomorphisms")
+        values.flags.writeable = False  # keys and tables are derived from it
+        return cls(n, values)
 
     @classmethod
     def of(cls, elements: Iterable[ChainEndo]) -> "Subset":
@@ -85,7 +103,31 @@ class Subset:
         sizes = {e.n for e in normalised}
         if len(sizes) > 1:
             raise SizeMismatch(f"mixed chain sizes {sorted(sizes)}")
-        return cls(normalised[0].n, normalised)
+        s = cls.from_values(normalised[0].n, [e.values for e in normalised])
+        s.__dict__["elements"] = normalised  # the objects are at hand already
+        return s
+
+    @cached_property
+    def elements(self) -> tuple[ChainEndo, ...]:
+        wrap, n = ChainEndo._wrap, self.n
+        return tuple([wrap(n, row) for row in map(tuple, self.values.tolist())])
+
+    def __getitem__(self, i):
+        """The i-th map; while elements is unbuilt, only row i is wrapped."""
+        if "elements" in vars(self) or isinstance(i, slice):
+            return self.elements[i]
+        return ChainEndo._wrap(self.n, tuple(self.values[i].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subset):
+            raise TypeError(
+                f"a Subset compares only with a Subset, not {type(other).__name__}; "
+                "compare tuple(...) instead"
+            )
+        return self.n == other.n and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.values.tobytes()))
 
     def __contains__(self, item: object) -> bool:
         return item in self._members
@@ -94,18 +136,17 @@ class Subset:
     def _members(self) -> frozenset[ChainEndo]:
         return frozenset(self.elements)
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Row i holds elements[i].values; raises ChainTooLong beyond MAX_CHAIN."""
+    def _check_limit(self) -> None:
+        """Raise ChainTooLong beyond MAX_CHAIN: every key and rank table starts here."""
         if self.n > MAX_CHAIN:
             raise ChainTooLong(
                 f"chain size {self.n} is beyond the limit n <= {MAX_CHAIN} of the set checks"
             )
-        return np.array([e.values for e in self.elements], dtype=np.int64)
 
     @cached_property
     def keys(self) -> np.ndarray:
         """Lex rank of each element among all maps of the chain; strictly increasing."""
+        self._check_limit()
         return _pack(self.values, self.n)
 
     @cached_property
@@ -115,6 +156,7 @@ class Subset:
         W is _rank_weights(n) and y the elements, so the key of x * y_j is
         the sum over k of row k*n + x[k] at column j.
         """
+        self._check_limit()
         W = _rank_weights(self.n).astype(_key_dtype(self.n))
         return W[:, self.values.T].reshape(self.n**2, len(self))
 
@@ -125,6 +167,7 @@ class Subset:
         The key of x + y_j is the sum over k of row k*n + x[k] at column j.
         Rows of W are nondecreasing, so the entry is max(W[k, c], W[k, y_j[k]]).
         """
+        self._check_limit()
         W = _rank_weights(self.n).astype(_key_dtype(self.n))
         at = np.take_along_axis(W, self.values.T, axis=1)  # [k, j]: W[k, y_j[k]]
         return np.maximum(W[:, :, None], at[:, None, :]).reshape(self.n**2, len(self))
@@ -148,7 +191,7 @@ class Subset:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.values)
 
 
 def canonical(elements: Iterable[ChainEndo]) -> tuple[ChainEndo, ...]:
@@ -330,7 +373,7 @@ def _closure(elements: Iterable[ChainEndo], ops) -> tuple[bool, ClosureWitness |
     if hit is None:
         return True, None
     i, j, op, result = hit
-    return False, ClosureWitness(s.elements[i], s.elements[j], op, result)
+    return False, ClosureWitness(s[i], s[j], op, result)
 
 
 def is_closed(
@@ -367,7 +410,7 @@ def is_ideal(
     hit = _closure_scan(inner, ("+",))
     if hit is not None:
         i, j, _, result = hit
-        return False, IdealWitness("add", inner.elements[i], inner.elements[j], result)
+        return False, IdealWitness("add", inner[i], inner[j], result)
     VI, VO = inner.values, outer.values
     for rows in _blocks(len(inner), len(outer)):
         # [i, j, 0]: outer[j] * x; [i, j, 1]: x * outer[j], so the flat order
@@ -376,7 +419,7 @@ def is_ideal(
         out = inner.index_of(products) < 0
         if out.any():
             i, j, side = np.unravel_index(int(out.argmax()), out.shape)
-            x, r = inner.elements[rows.start + i], outer.elements[j]
+            x, r = inner[rows.start + i], outer[j]
             if side == 0:
                 return False, IdealWitness("left-absorb", x, r, r * x)
             return False, IdealWitness("right-absorb", x, r, x * r)
@@ -423,7 +466,7 @@ def triviality(elements: Iterable[ChainEndo]) -> TrivialityVerdict:
     k = int(s.index_of(first))  # a member: the set is closed
     is_min = bool((V[k] <= V).all())
     is_max = bool((V <= V[k]).all())
-    return TrivialityVerdict(True, s.elements[k], is_min, is_max)
+    return TrivialityVerdict(True, s[k], is_min, is_max)
 
 
 @dataclass(frozen=True)
@@ -448,8 +491,8 @@ def identities(elements: Iterable[ChainEndo]) -> Identities:
         left[rows] = (P == codes).all(axis=1)
         right &= (P == codes[rows, None]).all(axis=0)
     return Identities(
-        tuple(s.elements[i] for i in np.flatnonzero(left)),
-        tuple(s.elements[i] for i in np.flatnonzero(right)),
+        tuple(s[i] for i in np.flatnonzero(left)),
+        tuple(s[i] for i in np.flatnonzero(right)),
     )
 
 

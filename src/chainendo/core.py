@@ -75,6 +75,7 @@ class ChainEndo:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values: Sequence[int]):
+        _require_ints((n,))
         if n < 1:
             raise OutOfRange(f"chain size must be at least 1, got {n}")
         values = tuple(values)
@@ -217,12 +218,14 @@ class ChainEndo:
 
 def constant(n: int, a: int) -> ChainEndo:
     """The constant map onto the chain element a."""
+    _require_ints((n,))
     if not 0 <= a < n:
         raise OutOfRange(f"constant value {a} outside the chain 0..{n - 1}")
     return ChainEndo._wrap(n, (a,) * n)
 
 
 def identity(n: int) -> ChainEndo:
+    _require_ints((n,))
     if n < 1:
         raise OutOfRange(f"chain size must be >= 1, got {n}")
     return ChainEndo._wrap(n, tuple(range(n)))
@@ -230,6 +233,7 @@ def identity(n: int) -> ChainEndo:
 
 def all_endomorphisms(n: int) -> Iterator[ChainEndo]:
     """Every monotone self-map of C_n, in lexicographic order."""
+    _require_ints((n,))
     if n < 1:
         raise OutOfRange(f"chain size must be >= 1, got {n}")
     for values in combinations_with_replacement(range(n), n):

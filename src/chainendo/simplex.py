@@ -13,7 +13,10 @@ constant map in the layer metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
+from math import comb
+
+import numpy as np
 
 from . import analysis
 from .core import ChainEndo, OutOfRange, _require_ints, constant
@@ -48,24 +51,43 @@ class SimplexSpec:
         return tuple(constant(self.n, v) for v in self.vertices)
 
 
-def enumerate_simplex(spec: SimplexSpec) -> tuple[ChainEndo, ...]:
-    """All maps with image inside the vertex set, in lexicographic order."""
-    return tuple(
-        ChainEndo._wrap(spec.n, values)
-        for values in combinations_with_replacement(spec.vertices, spec.n)
+def enumerate_simplex(spec: SimplexSpec) -> analysis.Subset:
+    """All maps with image inside the vertex set, in lexicographic order.
+
+    combinations_with_replacement yields the value tuples already in lex
+    order, so they fill the value matrix directly; no ChainEndo is built
+    until the set is read as objects.
+    """
+    n = spec.n
+    flat = np.fromiter(
+        chain.from_iterable(combinations_with_replacement(spec.vertices, n)),
+        dtype=np.int64,
+        count=comb(n + spec.k - 1, n) * n,
     )
+    return analysis.Subset.from_values(n, flat.reshape(-1, n))
+
+
+def _members_where(spec: SimplexSpec, keep) -> tuple[ChainEndo, ...]:
+    """The members whose rows keep(V) selects from the simplex's value
+    matrix V, in lex order; only those are built as ChainEndo."""
+    V = enumerate_simplex(spec).values
+    rows = V[keep(V)]
+    return analysis.Subset.from_values(spec.n, rows).elements if len(rows) else ()
+
+
+def _image_sizes(V) -> np.ndarray:
+    """Number of distinct values in each row; rows are nondecreasing."""
+    return 1 + (np.diff(V, axis=1) > 0).sum(axis=1)
 
 
 def interior(spec: SimplexSpec) -> tuple[ChainEndo, ...]:
     """Elements whose image is the whole vertex set."""
-    want = spec.vertices
-    return tuple(e for e in enumerate_simplex(spec) if e.image() == want)
+    return _members_where(spec, lambda V: _image_sizes(V) == spec.k)
 
 
 def boundary(spec: SimplexSpec) -> tuple[ChainEndo, ...]:
     """Elements missing at least one vertex value."""
-    want = spec.vertices
-    return tuple(e for e in enumerate_simplex(spec) if e.image() != want)
+    return _members_where(spec, lambda V: _image_sizes(V) < spec.k)
 
 
 def face(spec: SimplexSpec, vertices) -> SimplexSpec:
@@ -114,11 +136,7 @@ class LayerId:
 def layer(layer_id: LayerId) -> tuple[ChainEndo, ...]:
     """Elements taking the chosen vertex value exactly s times."""
     value = layer_id.spec.vertices[layer_id.m]
-    return tuple(
-        e
-        for e in enumerate_simplex(layer_id.spec)
-        if e.values.count(value) == layer_id.s
-    )
+    return _members_where(layer_id.spec, lambda V: (V == value).sum(axis=1) == layer_id.s)
 
 
 def layers(spec: SimplexSpec, m: int) -> tuple[tuple[ChainEndo, ...], ...]:
@@ -130,14 +148,13 @@ def layers(spec: SimplexSpec, m: int) -> tuple[tuple[ChainEndo, ...], ...]:
     return tuple(map(tuple, buckets))
 
 
-def discrete_neighborhood(
-    spec: SimplexSpec, m: int, t: int
-) -> tuple[ChainEndo, ...]:
+def discrete_neighborhood(spec: SimplexSpec, m: int, t: int) -> analysis.Subset:
     """The vertex constant (layer n) plus the t layers n - t .. n - 1 below it."""
     if not 1 <= t <= spec.n:
         raise OutOfRange(f"radius {t} outside 1..{spec.n}")
     value = _vertex_value(spec, m)
-    return tuple(e for e in enumerate_simplex(spec) if e.values.count(value) >= spec.n - t)
+    V = enumerate_simplex(spec).values
+    return analysis.Subset.from_values(spec.n, V[(V == value).sum(axis=1) >= spec.n - t])
 
 
 @dataclass(frozen=True)

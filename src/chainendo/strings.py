@@ -59,7 +59,7 @@ def index_of(spec: StringSpec, endo: ChainEndo) -> int:
     return endo.values.count(spec.a)
 
 
-def elements(spec: StringSpec) -> tuple[ChainEndo, ...]:
+def elements(spec: StringSpec) -> analysis.Subset:
     """The whole chain in ascending (lexicographic) order."""
     return enumerate_simplex(spec.simplex())
 

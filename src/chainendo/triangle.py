@@ -93,7 +93,7 @@ def elem(spec: TriangleSpec, k: int, ell: int) -> ChainEndo:
     return to_endo(spec, TriElem(k, ell, spec.n - k - ell))
 
 
-def elements(spec: TriangleSpec) -> tuple[ChainEndo, ...]:
+def elements(spec: TriangleSpec) -> analysis.Subset:
     return enumerate_simplex(spec.simplex())
 
 

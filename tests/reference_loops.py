@@ -17,9 +17,14 @@ The pair families are the three generators of vertex-set pairs that the
 non-isomorphism claims and ``triangle-add-iso`` read before
 ``chainendo.claims`` gave them one family; tests require the claims'
 families to yield the same tuples in the same order.
+
+The simplex loops are the object enumeration of a simplex and the object
+filters of its discrete neighborhoods, layers, interior and boundary that
+``chainendo.simplex`` replaced with one value matrix per set; tests require
+the matrix-backed sets to hold the same maps in the same order.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import add, mul
 
 from chainendo.analysis import (
@@ -32,7 +37,7 @@ from chainendo.analysis import (
     canonical,
     is_closed,
 )
-from chainendo.core import all_endomorphisms, constant
+from chainendo.core import ChainEndo, all_endomorphisms, constant
 
 TRIPLE_LAWS = (
     "associative addition",
@@ -307,3 +312,28 @@ def triangle_pair_family(n_max):
     for n in range(3, n_max + 1):
         for one, two in combinations(combinations(range(n), 3), 2):
             yield (n, one, two)
+
+
+def enumerate_simplex(spec):
+    return tuple(
+        ChainEndo._wrap(spec.n, values)
+        for values in combinations_with_replacement(spec.vertices, spec.n)
+    )
+
+
+def discrete_neighborhood(spec, m, t):
+    value = spec.vertices[m]
+    return tuple(e for e in enumerate_simplex(spec) if e.values.count(value) >= spec.n - t)
+
+
+def layer(spec, m, s):
+    value = spec.vertices[m]
+    return tuple(e for e in enumerate_simplex(spec) if e.values.count(value) == s)
+
+
+def interior(spec):
+    return tuple(e for e in enumerate_simplex(spec) if e.image() == spec.vertices)
+
+
+def boundary(spec):
+    return tuple(e for e in enumerate_simplex(spec) if e.image() != spec.vertices)

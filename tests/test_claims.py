@@ -3,7 +3,7 @@
 import pytest
 
 import reference_loops as ref
-from chainendo import analysis, claims
+from chainendo import analysis, claims, simplex, triangle
 from chainendo.claims import (
     REGISTRY,
     Claim,
@@ -113,6 +113,46 @@ class TestRunClaim:
         monkeypatch.setattr(analysis, "MAX_CHAIN", 3)
         with pytest.raises(analysis.ChainTooLong):
             run_claim("simplex-closed", 4)
+
+
+class TestOrderClaims:
+    """simplex-order and triangle-order test strict ascent on the value rows."""
+
+    CASES = [
+        ("simplex-order", simplex, "enumerate_simplex"),
+        ("triangle-order", triangle, "elements"),
+    ]
+
+    @staticmethod
+    def _swap_last_two(size):
+        order = list(range(size))
+        order[-2:] = order[-2:][::-1]
+        return order
+
+    @staticmethod
+    def _repeat_next_to_last(size):
+        order = list(range(size))
+        order[-1] = order[max(size - 2, 0)]
+        return order
+
+    @pytest.mark.parametrize("claim_id", [case[0] for case in CASES])
+    def test_hold_on_the_real_enumeration(self, claim_id):
+        assert run_claim(claim_id, 6).holds
+
+    @pytest.mark.parametrize("rows", ["_swap_last_two", "_repeat_next_to_last"])
+    @pytest.mark.parametrize("claim_id, module, name", CASES)
+    def test_fail_when_rows_do_not_ascend(self, monkeypatch, claim_id, module, name, rows):
+        # a one-map set is unchanged; the first set of two maps or more fails
+        real, order = getattr(module, name), getattr(self, rows)
+
+        def broken(spec):
+            s = real(spec)
+            return analysis.Subset.from_values(s.n, s.values[order(len(s))])
+
+        monkeypatch.setattr(module, name, broken)
+        result = run_claim(claim_id, 4)
+        assert not result.holds
+        assert result.witness == {"note": "enumeration must be strictly ascending"}
 
 
 class TestRunAll:

@@ -67,6 +67,22 @@ class TestConstruction:
         with pytest.raises(OutOfRange):
             ChainEndo(0, ())
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: ChainEndo(n, (0,) * 3),
+            lambda n: constant(n, 0),
+            lambda n: identity(n),
+            lambda n: list(all_endomorphisms(n)),
+        ],
+        ids=["ChainEndo", "constant", "identity", "all_endomorphisms"],
+    )
+    @pytest.mark.parametrize("n", [3.0, True])
+    def test_chain_size_must_be_an_int(self, make, n):
+        # True and 3.0 equal 1 and 3, so a range check alone lets them through
+        with pytest.raises(OutOfRange, match="has type (bool|float), not int"):
+            make(n)
+
     def test_call_evaluates(self):
         e = ChainEndo(4, (1, 1, 2, 3))
         assert [e(i) for i in range(4)] == [1, 1, 2, 3]

@@ -63,6 +63,52 @@ def test_subset_carries_its_values_and_sorted_keys(picks):
     assert s.sum_table is s.sum_table and s.product_table is s.product_table
 
 
+@st.composite
+def simplex_specs(draw, n_max=6):
+    n = draw(st.integers(1, n_max))
+    vertices = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return SimplexSpec(n, tuple(vertices))
+
+
+@settings(max_examples=100, deadline=None)
+@given(simplex_specs(), st.data())
+def test_from_values_carries_rows_in_key_order(spec, data):
+    s = enumerate_simplex(spec)
+    assert (np.diff(s.keys) > 0).all()
+    assert "elements" not in vars(s)
+    i = data.draw(st.integers(-len(s), len(s) - 1))
+    assert s[i] == ChainEndo(s.n, s.values[i].tolist())  # wraps row i alone
+    assert all(type(v) is int for v in s[i].values)
+    assert "elements" not in vars(s)
+    assert s.values.tolist() == [list(e.values) for e in s.elements]
+    assert s[i] is s.elements[i]
+    again = Subset.from_values(s.n, s.values)
+    assert again == s == Subset.of(tuple(s)) and hash(again) == hash(s)
+    assert enumerate_simplex(spec)[1:] == ref.enumerate_simplex(spec)[1:]  # a slice is a tuple
+
+
+def test_subsets_differ_by_chain_or_rows():
+    s = Subset.of(MAPS[3])
+    assert s != Subset.from_values(3, s.values[1:])
+    assert Subset.from_values(1, [[0]]) != Subset.from_values(2, [[0, 0]])
+    with pytest.raises(ValueError):
+        Subset.from_values(3, s.values[:0])
+    with pytest.raises(ValueError):
+        Subset.from_values(2, s.values)
+
+
+@pytest.mark.parametrize("other", [(), [], MAPS[3], list(MAPS[3]), MAPS[3][0], None])
+def test_subset_compares_only_with_a_subset(other):
+    # an equality with a tuple would read False, silently, on equal maps
+    s = Subset.of(MAPS[3])
+    with pytest.raises(TypeError, match="tuple"):
+        s == other
+    with pytest.raises(TypeError):
+        other == s
+    with pytest.raises(TypeError):
+        s != other
+
+
 def _under_small_blocks(fn, *args):
     """fn(*args), required to be the same under small pair budgets.
 

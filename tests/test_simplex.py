@@ -1,10 +1,11 @@
 """Simplices: enumeration, faces, layers, discrete neighborhoods."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
 
+import reference_loops as ref
 from chainendo import analysis, simplex
 from chainendo.core import ChainEndo, OutOfRange, constant, parse_compact
 from chainendo.simplex import (
@@ -169,7 +170,7 @@ class TestNeighborhoods:
             discrete_neighborhood(SPEC, 0, 5)
 
     def test_radius_one_around_greatest_vertex(self):
-        got = discrete_neighborhood(SPEC, 2, 1)
+        got = tuple(discrete_neighborhood(SPEC, 2, 1))
         assert got == (endo("1 3_3"), endo("2 3_3"), endo("3_4"))
 
     def test_neighborhood_is_constant_plus_top_layers(self):
@@ -179,7 +180,7 @@ class TestNeighborhoods:
                     members = {constant(spec.n, spec.vertices[m])}
                     for s in range(spec.n - t, spec.n):
                         members.update(layer(LayerId(spec, m, s)))
-                    assert discrete_neighborhood(spec, m, t) == tuple(sorted(members))
+                    assert tuple(discrete_neighborhood(spec, m, t)) == tuple(sorted(members))
 
     def test_full_radius_recovers_the_simplex(self):
         assert discrete_neighborhood(SPEC, 0, 4) == enumerate_simplex(SPEC)
@@ -240,3 +241,56 @@ class TestNilpotencyTest:
     def test_single_vertex_simplex(self):
         spec = SimplexSpec(4, (2,))
         assert nilpotent_in_neighborhood(spec, constant(4, 2))
+
+
+def _vertex_sets(n_max):
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            for vertices in combinations(range(n), k):
+                yield SimplexSpec(n, vertices)
+
+
+class TestArrayBacked:
+    """The value-matrix sets against the object loops they replaced."""
+
+    def test_enumeration_matches_the_object_loop(self):
+        for spec in _vertex_sets(7):
+            got = enumerate_simplex(spec)
+            assert tuple(got) == ref.enumerate_simplex(spec), spec
+            assert all(type(v) is int for e in got for v in e.values)
+
+    def test_neighborhoods_match_the_object_loop_and_scan_alike(self):
+        # the same maps in the same order, and the matrix-backed set gives
+        # the closure verdict and witness its tuple gives
+        for spec in _vertex_sets(7):
+            for m in range(spec.k):
+                for t in range(1, spec.n + 1):
+                    hood = discrete_neighborhood(spec, m, t)
+                    assert tuple(hood) == ref.discrete_neighborhood(spec, m, t), (spec, m, t)
+                    got = analysis.is_subsemiring(hood)
+                    assert got == analysis.is_subsemiring(tuple(hood)), (spec, m, t)
+
+    def test_layers_interior_and_boundary_match_the_object_loops(self):
+        for spec in _vertex_sets(6):
+            assert interior(spec) == ref.interior(spec), spec
+            assert boundary(spec) == ref.boundary(spec), spec
+            for m in range(spec.k):
+                for s in range(spec.n + 1):
+                    assert layer(LayerId(spec, m, s)) == ref.layer(spec, m, s), (spec, m, s)
+
+    def test_length_and_an_escape_build_no_objects(self):
+        hood = discrete_neighborhood(SPEC, 0, 3)
+        assert len(hood) == 10
+        ok, witness = analysis.is_subsemiring(hood)
+        assert not ok
+        # the witness wraps only its own rows
+        assert "elements" not in vars(hood)
+        assert (ok, witness) == analysis.is_subsemiring(ref.discrete_neighborhood(SPEC, 0, 3))
+
+    def test_long_chain_enumerates(self):
+        # a value matrix holds any chain; only the set checks stop at MAX_CHAIN
+        els = enumerate_simplex(SimplexSpec(16, (0, 15)))
+        assert len(els) == 17
+        assert els[0] == constant(16, 0) and els[-1] == constant(16, 15)
+        with pytest.raises(analysis.ChainTooLong, match="n <= 15"):
+            analysis.is_subsemiring(els)
