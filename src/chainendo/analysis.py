@@ -6,7 +6,10 @@ found is the witness reported.
 
 A set is a Subset.  Its primary form is the (N, n) int64 matrix of its
 maps' values, rows in lexicographic order; the enumerations in simplex
-produce it directly, with no ChainEndo built.  Derived from it are one
+produce it directly, with no ChainEndo built, and every set derived from
+an enumeration is a slice of step 1 or a boolean row mask of it, so the
+rows stay in order.  A Subset may be empty; Subset.of, where every check
+starts, refuses an empty set.  Derived from the matrix are one
 exact int64 key per map (the map's lexicographic rank among all
 C(2n-1, n) monotone maps of its chain), two (n*n, N) rank tables, one for
 sums and one for products, in the smallest integer type that holds every
@@ -71,6 +74,11 @@ class ChainTooLong(ChainEndoError):
     """The chain is longer than the set kernels support (n <= MAX_CHAIN)."""
 
 
+class SetTooLarge(ChainEndoError):
+    """The set has more maps than the full simplex at MAX_CHAIN, the largest
+    set a check can index."""
+
+
 @dataclass(frozen=True, eq=False)
 class Subset:
     """Distinct maps of one chain in lexicographic order: a read-only
@@ -83,19 +91,21 @@ class Subset:
 
     @classmethod
     def from_values(cls, n: int, matrix) -> "Subset":
-        """The set whose rows are already strictly ascending in lex order."""
+        """The set whose rows are already strictly ascending in lex order;
+        an (0, n) matrix gives the empty set of the chain."""
         values = np.asarray(matrix, dtype=np.int64).view()
         if values.ndim != 2 or values.shape[1] != n:
             raise ValueError(f"expected an (N, {n}) value matrix, got shape {values.shape}")
-        if not len(values):
-            raise ValueError("empty set of endomorphisms")
         values.flags.writeable = False  # keys and tables are derived from it
         return cls(n, values)
 
     @classmethod
     def of(cls, elements: Iterable[ChainEndo]) -> "Subset":
-        """Normalise elements; a Subset is returned as it is."""
+        """Normalise elements; a Subset is returned as it is.  Every check
+        starts here, so an empty set, Subset or not, is refused."""
         if isinstance(elements, Subset):
+            if not len(elements):
+                raise ValueError("empty set of endomorphisms")
             return elements
         normalised = tuple(sorted(set(elements), key=attrgetter("n", "values")))
         if not normalised:
@@ -113,8 +123,19 @@ class Subset:
         return tuple([wrap(n, row) for row in map(tuple, self.values.tolist())])
 
     def __getitem__(self, i):
-        """The i-th map; while elements is unbuilt, only row i is wrapped."""
-        if "elements" in vars(self) or isinstance(i, slice):
+        """The i-th map, or the Subset of the rows that a slice of step 1 or a
+        boolean row mask selects; while elements is unbuilt, an index wraps
+        only row i."""
+        if isinstance(i, slice) and i.step not in (None, 1):
+            raise ValueError(f"a Subset slice needs step 1, got {i.step}: rows stay ascending")
+        if isinstance(i, slice) or (isinstance(i, np.ndarray) and i.dtype == bool):
+            return Subset.from_values(self.n, self.values[i])
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+            raise TypeError(
+                "a Subset takes an integer, a slice of step 1 or a boolean row mask, "
+                f"not {type(i).__name__}"
+            )
+        if "elements" in vars(self):
             return self.elements[i]
         return ChainEndo._wrap(self.n, tuple(self.values[i].tolist()))
 
@@ -192,11 +213,6 @@ class Subset:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def canonical(elements: Iterable[ChainEndo]) -> tuple[ChainEndo, ...]:
-    """Sorted, de-duplicated tuple; rejects mixed chain sizes."""
-    return Subset.of(elements).elements
 
 
 @dataclass(frozen=True)
@@ -471,13 +487,12 @@ def triviality(elements: Iterable[ChainEndo]) -> TrivialityVerdict:
 
 @dataclass(frozen=True)
 class Identities:
-    left: tuple[ChainEndo, ...]
-    right: tuple[ChainEndo, ...]
+    left: Subset
+    right: Subset
 
     @property
-    def two_sided(self) -> tuple[ChainEndo, ...]:
-        right = set(self.right)
-        return tuple(e for e in self.left if e in right)
+    def two_sided(self) -> Subset:
+        return self.left[np.isin(self.left.keys, self.right.keys)]
 
 
 def identities(elements: Iterable[ChainEndo]) -> Identities:
@@ -490,10 +505,7 @@ def identities(elements: Iterable[ChainEndo]) -> Identities:
         P = _products(V[rows], s)  # P[i, j]: element i * element j
         left[rows] = (P == codes).all(axis=1)
         right &= (P == codes[rows, None]).all(axis=0)
-    return Identities(
-        tuple(s[i] for i in np.flatnonzero(left)),
-        tuple(s[i] for i in np.flatnonzero(right)),
-    )
+    return Identities(s[left], s[right])
 
 
 def similar_pairs(

@@ -420,10 +420,9 @@ def _chk_string_right_identities(params):
     n, a, b = params
     spec = StringSpec(n, a, b)
     ids = analysis.identities(strings.elements(spec))
-    idem = strings.partition_string(spec).idem
-    if set(ids.right) != set(idem):
+    if ids.right != strings.partition_string(spec).idem:
         return False, {"right": [_fmt(e) for e in ids.right]}
-    if ids.left != ():
+    if len(ids.left):
         return False, {"left": [_fmt(e) for e in ids.left]}
     return True, None
 
@@ -503,7 +502,7 @@ def _chk_consecutive_union(params):
 
 def _chk_three_string_union(params):
     n, a, b, c = params
-    union = analysis.Subset.of(strings.three_string_union(n, a, b, c))
+    union = strings.three_string_union(n, a, b, c)
     if len(union) != 3 * n:
         return False, {"size": len(union)}
     add_ok, _ = analysis.is_closed(union, "+")
@@ -636,8 +635,8 @@ def _chk_boundary_interior(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
     boundary = triangle.boundary(spec)
-    inner = analysis.Subset.of(triangle.interior(spec))
-    if set(boundary) != set(strings.three_string_union(n, a, b, c)):
+    inner = triangle.interior(spec)
+    if boundary != strings.three_string_union(n, a, b, c):
         return False, {"note": "boundary must be the three strings"}
     if len(boundary) + len(inner) != counting.triangle_order(n):
         return False, {"boundary": len(boundary), "interior": len(inner)}
@@ -676,15 +675,15 @@ def _chk_right_identity_existence(params):
     ids = analysis.identities(triangle.elements(spec))
     rid = triangle.right_identities(spec)
     region = triangle.decompose(spec).regions[Region.RIGHT_IDENTITIES].elements
-    if set(ids.right) != set(rid) or set(rid) != set(region):
+    if ids.right != rid or rid != region:
         return False, {"right": [_fmt(e) for e in ids.right]}
     for e in rid:
         if not e.is_idempotent():
             return False, {"element": _fmt(e)}
     if n == 3:
-        if ids.left != (identity(3),) or ids.two_sided != (identity(3),):
+        if tuple(ids.left) != (identity(3),) or tuple(ids.two_sided) != (identity(3),):
             return False, {"left": [_fmt(e) for e in ids.left]}
-    elif ids.left != ():
+    elif len(ids.left):
         return False, {"left": [_fmt(e) for e in ids.left]}
     return True, None
 
@@ -706,7 +705,7 @@ def _chk_left_similar(params):
     expected = tuple(
         (x, y)
         for i, x in enumerate(els)
-        for y in els[i + 1 :]
+        for y in els.elements[i + 1 :]
         if types[x] == types[y]
     )
     pairs = triangle.find_similar_pairs(spec, "left")
@@ -749,11 +748,11 @@ def _chk_it_ideals(params):
     if len(rep.rest) != counting.it_rest_order(n, a, b, c):
         return False, {"rest": len(rep.rest)}
     regions = triangle.decompose(spec).regions
-    if set(rep.ri) != set(regions[Region.RIGHT_IDENTITIES].elements):
+    if rep.ri != regions[Region.RIGHT_IDENTITIES].elements:
         return False, {"note": "identity block mismatch"}
-    if set(rep.corner_left) != set(regions[Region.L_TRI].elements):
+    if rep.corner_left != regions[Region.L_TRI].elements:
         return False, {"note": "left corner mismatch"}
-    if set(rep.corner_right) != set(regions[Region.R_TRI].elements):
+    if rep.corner_right != regions[Region.R_TRI].elements:
         return False, {"note": "right corner mismatch"}
     total = set(rep.ri) | set(rep.corner_left) | set(rep.corner_right)
     if total != set(rep.it):
@@ -777,12 +776,12 @@ def _chk_it_ideals(params):
         for y in rep.corner_right:
             if not x.pointwise_le(y) or x == y:
                 return False, {"left": _fmt(x), "right": _fmt(y)}
-    if set(rep.diagonal) != set(strings.partition_string(spec.string_ac()).idem):
+    if rep.diagonal != strings.partition_string(spec.string_ac()).idem:
         return False, {"note": "diagonal mismatch"}
     for x in rep.diagonal:
         k = x.values.count(a)
         home = rep.corner_right if k <= b else rep.corner_left
-        if x not in set(home):
+        if x not in home:
             return False, {"element": _fmt(x)}
     return True, None
 
@@ -890,7 +889,7 @@ def _chk_layer_string_iso(params):
                 (bl.right, part.nil_high),
             )
             for source, target in blocks:
-                if tuple(phi[e] for e in source) != target:
+                if tuple(phi[e] for e in source) != tuple(target):
                     return False, {"vertex": vertex, "k": bl.k, "note": "block drift"}
     return True, None
 
@@ -913,8 +912,7 @@ def _chk_triangle_add_iso(params):
     n, one, two = params
     src, dst = TriangleSpec(n, *one), TriangleSpec(n, *two)
     phi = triangle.component_map(src, dst)
-    els = analysis.Subset.of(triangle.elements(src))
-    targets = analysis.Subset.of(triangle.elements(dst))
+    els, targets = triangle.elements(src), triangle.elements(dst)
     if set(phi.values()) != set(targets):
         return False, {"note": "component map must be a bijection"}
     position = {e: k for k, e in enumerate(targets)}
@@ -1305,7 +1303,7 @@ def run_claim(claim_id: str, n_max: int) -> ClaimResult:
         # the whole sweep
         try:
             holds, witness = claim.check(params)
-        except analysis.ChainTooLong:
+        except (analysis.ChainTooLong, analysis.SetTooLarge):
             raise  # a limit of the checker says nothing about the claim
         except Exception as err:
             holds, witness = False, {"error": repr(err)}

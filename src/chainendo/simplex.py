@@ -47,8 +47,8 @@ class SimplexSpec:
         """Number of vertices; the simplex has order C(n + k - 1, k - 1)."""
         return len(self.vertices)
 
-    def vertex_constants(self) -> tuple[ChainEndo, ...]:
-        return tuple(constant(self.n, v) for v in self.vertices)
+    def vertex_constants(self) -> analysis.Subset:
+        return analysis.Subset.from_values(self.n, [[v] * self.n for v in self.vertices])
 
 
 def enumerate_simplex(spec: SimplexSpec) -> analysis.Subset:
@@ -56,23 +56,24 @@ def enumerate_simplex(spec: SimplexSpec) -> analysis.Subset:
 
     combinations_with_replacement yields the value tuples already in lex
     order, so they fill the value matrix directly; no ChainEndo is built
-    until the set is read as objects.
+    until the set is read as objects.  A set larger than the full simplex
+    at MAX_CHAIN, which no check could index, is refused before anything
+    is allocated.
     """
-    n = spec.n
+    n, size = spec.n, comb(spec.n + spec.k - 1, spec.n)
+    top = analysis.MAX_CHAIN
+    if size > comb(2 * top - 1, top):
+        raise analysis.SetTooLarge(
+            f"a simplex on {spec.k} vertices over a chain of {n} has {size} maps, beyond "
+            f"the {comb(2 * top - 1, top)} of the full simplex at n = {top}, the largest set "
+            "the checks index"
+        )
     flat = np.fromiter(
         chain.from_iterable(combinations_with_replacement(spec.vertices, n)),
         dtype=np.int64,
-        count=comb(n + spec.k - 1, n) * n,
+        count=size * n,
     )
     return analysis.Subset.from_values(n, flat.reshape(-1, n))
-
-
-def _members_where(spec: SimplexSpec, keep) -> tuple[ChainEndo, ...]:
-    """The members whose rows keep(V) selects from the simplex's value
-    matrix V, in lex order; only those are built as ChainEndo."""
-    V = enumerate_simplex(spec).values
-    rows = V[keep(V)]
-    return analysis.Subset.from_values(spec.n, rows).elements if len(rows) else ()
 
 
 def _image_sizes(V) -> np.ndarray:
@@ -80,14 +81,16 @@ def _image_sizes(V) -> np.ndarray:
     return 1 + (np.diff(V, axis=1) > 0).sum(axis=1)
 
 
-def interior(spec: SimplexSpec) -> tuple[ChainEndo, ...]:
+def interior(spec: SimplexSpec) -> analysis.Subset:
     """Elements whose image is the whole vertex set."""
-    return _members_where(spec, lambda V: _image_sizes(V) == spec.k)
+    els = enumerate_simplex(spec)
+    return els[_image_sizes(els.values) == spec.k]
 
 
-def boundary(spec: SimplexSpec) -> tuple[ChainEndo, ...]:
+def boundary(spec: SimplexSpec) -> analysis.Subset:
     """Elements missing at least one vertex value."""
-    return _members_where(spec, lambda V: _image_sizes(V) < spec.k)
+    els = enumerate_simplex(spec)
+    return els[_image_sizes(els.values) < spec.k]
 
 
 def face(spec: SimplexSpec, vertices) -> SimplexSpec:
@@ -133,28 +136,31 @@ class LayerId:
             raise OutOfRange(f"layer index {self.s} outside 0..{self.spec.n}")
 
 
-def layer(layer_id: LayerId) -> tuple[ChainEndo, ...]:
-    """Elements taking the chosen vertex value exactly s times."""
-    value = layer_id.spec.vertices[layer_id.m]
-    return _members_where(layer_id.spec, lambda V: (V == value).sum(axis=1) == layer_id.s)
-
-
-def layers(spec: SimplexSpec, m: int) -> tuple[tuple[ChainEndo, ...], ...]:
-    """All layers of one vertex, s = 0 first; they partition the simplex."""
+def _multiplicities(spec: SimplexSpec, m: int) -> tuple[analysis.Subset, np.ndarray]:
+    """The simplex and, per member, how often it takes vertex m's value."""
     value = _vertex_value(spec, m)
-    buckets = [[] for _ in range(spec.n + 1)]
-    for e in enumerate_simplex(spec):
-        buckets[e.values.count(value)].append(e)
-    return tuple(map(tuple, buckets))
+    els = enumerate_simplex(spec)
+    return els, (els.values == value).sum(axis=1)
+
+
+def layer(layer_id: LayerId) -> analysis.Subset:
+    """Elements taking the chosen vertex value exactly s times."""
+    els, counts = _multiplicities(layer_id.spec, layer_id.m)
+    return els[counts == layer_id.s]
+
+
+def layers(spec: SimplexSpec, m: int) -> tuple[analysis.Subset, ...]:
+    """All layers of one vertex, s = 0 first; they partition the simplex."""
+    els, counts = _multiplicities(spec, m)
+    return tuple(els[counts == s] for s in range(spec.n + 1))
 
 
 def discrete_neighborhood(spec: SimplexSpec, m: int, t: int) -> analysis.Subset:
     """The vertex constant (layer n) plus the t layers n - t .. n - 1 below it."""
     if not 1 <= t <= spec.n:
         raise OutOfRange(f"radius {t} outside 1..{spec.n}")
-    value = _vertex_value(spec, m)
-    V = enumerate_simplex(spec).values
-    return analysis.Subset.from_values(spec.n, V[(V == value).sum(axis=1) >= spec.n - t])
+    els, counts = _multiplicities(spec, m)
+    return els[counts >= spec.n - t]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ rule on the index of the right factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import analysis
 from .core import ChainEndo, OutOfRange, SizeMismatch, _require_ints
@@ -75,22 +76,19 @@ class StringPartition:
     """
 
     spec: StringSpec
-    nil_low: tuple[ChainEndo, ...]
-    idem: tuple[ChainEndo, ...]
-    nil_high: tuple[ChainEndo, ...]
+    nil_low: analysis.Subset
+    idem: analysis.Subset
+    nil_high: analysis.Subset
 
 
 def partition_string(spec: StringSpec) -> StringPartition:
-    """Split the string by index; all classification is index arithmetic."""
-    def block(lo, hi):
-        # index descending = elements ascending
-        return tuple(elem(spec, ell) for ell in range(hi, lo - 1, -1))
-
+    """Split the string by index; row i of elements has index n - i."""
+    els, n = elements(spec), spec.n
     return StringPartition(
         spec,
-        nil_low=block(spec.b + 1, spec.n),
-        idem=block(spec.a + 1, spec.b),
-        nil_high=block(0, spec.a),
+        nil_low=els[: n - spec.b],
+        idem=els[n - spec.b : n - spec.a],
+        nil_high=els[n - spec.a :],
     )
 
 
@@ -122,18 +120,18 @@ def string_mul_cases(
     return elem(other, 0)
 
 
-def family_top(spec: StringSpec, r: int) -> tuple[ChainEndo, ...]:
+def family_top(spec: StringSpec, r: int) -> analysis.Subset:
     """The top segment: elements of index r..n (const a downwards)."""
     if not 1 <= r <= spec.n:
         raise OutOfRange(f"cut {r} outside 1..{spec.n}")
-    return tuple(elem(spec, ell) for ell in range(spec.n, r - 1, -1))
+    return elements(spec)[: spec.n - r + 1]
 
 
-def family_bottom(spec: StringSpec, s: int) -> tuple[ChainEndo, ...]:
+def family_bottom(spec: StringSpec, s: int) -> analysis.Subset:
     """The bottom segment: elements of index 0..s (const b upwards)."""
     if not 0 <= s <= spec.n - 1:
         raise OutOfRange(f"cut {s} outside 0..{spec.n - 1}")
-    return tuple(elem(spec, ell) for ell in range(s, -1, -1))
+    return elements(spec)[spec.n - s :]
 
 
 def family_top_is_semiring(spec: StringSpec, r: int) -> bool:
@@ -148,24 +146,16 @@ def family_bottom_is_semiring(spec: StringSpec, s: int) -> bool:
     return ok
 
 
-def consecutive_union(
-    n: int, a: int, b: int, c: int
-) -> tuple[ChainEndo, ...]:
+def consecutive_union(n: int, a: int, b: int, c: int) -> analysis.Subset:
     """Union of the strings on {a, b} and {b, c}; shares only const b."""
     if not 0 <= a < b < c <= n - 1:
         raise OutOfRange(f"need 0 <= a < b < c <= {n - 1}")
-    first = set(elements(StringSpec(n, a, b)))
-    second = set(elements(StringSpec(n, b, c)))
-    return tuple(sorted(first | second))
+    return analysis.Subset.of([*elements(StringSpec(n, a, b)), *elements(StringSpec(n, b, c))])
 
 
-def three_string_union(
-    n: int, a: int, b: int, c: int
-) -> tuple[ChainEndo, ...]:
+def three_string_union(n: int, a: int, b: int, c: int) -> analysis.Subset:
     """Union of all three strings on {a, b, c}; not additively closed."""
     if not 0 <= a < b < c <= n - 1:
         raise OutOfRange(f"need 0 <= a < b < c <= {n - 1}")
-    members = set(elements(StringSpec(n, a, b)))
-    members |= set(elements(StringSpec(n, a, c)))
-    members |= set(elements(StringSpec(n, b, c)))
-    return tuple(sorted(members))
+    strands = (StringSpec(n, a, b), StringSpec(n, a, c), StringSpec(n, b, c))
+    return analysis.Subset.of(chain.from_iterable(map(elements, strands)))

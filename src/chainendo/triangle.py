@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 from . import analysis, counting, simplex, strings
 from .core import ChainEndo, OutOfRange, _require_ints, constant
 from .simplex import SimplexSpec, enumerate_simplex
@@ -97,12 +99,12 @@ def elements(spec: TriangleSpec) -> analysis.Subset:
     return enumerate_simplex(spec.simplex())
 
 
-def interior(spec: TriangleSpec) -> tuple[ChainEndo, ...]:
+def interior(spec: TriangleSpec) -> analysis.Subset:
     """Members using all three values: k, ell, m >= 1."""
     return simplex.interior(spec.simplex())
 
 
-def boundary(spec: TriangleSpec) -> tuple[ChainEndo, ...]:
+def boundary(spec: TriangleSpec) -> analysis.Subset:
     """The three strings glued at the corner constants."""
     return simplex.boundary(spec.simplex())
 
@@ -177,7 +179,7 @@ _REGION_FORMULAS = {
 @dataclass(frozen=True)
 class RegionSummary:
     region: Region
-    elements: tuple[ChainEndo, ...]
+    elements: analysis.Subset
     closed: bool
     witness: analysis.ClosureWitness | None
     formula_order: int
@@ -218,35 +220,32 @@ def decompose(spec: TriangleSpec) -> RegionReport:
     covering, and the closed-form orders are all checked here and reported,
     never assumed.
     """
-    table = region_types(spec)
     members = elements(spec)
-    buckets: dict[Region, list[ChainEndo]] = {region: [] for region in Region}
-    for e in members:
-        buckets[table[elem_type(spec, e)]].append(e)
+    types = members.values[:, [spec.a, spec.b, spec.c]]  # row i: type triple of member i
+    masks = {region: np.zeros(len(members), dtype=bool) for region in Region}
+    for triple, region in region_types(spec).items():
+        masks[region] |= (types == triple).all(axis=1)
     summaries = {}
     args = (spec.n, spec.a, spec.b, spec.c)
-    for region in Region:
-        els = tuple(buckets[region])
+    for region, mask in masks.items():
+        els = members[mask]
         closed, witness = analysis.is_subsemiring(els)
         summaries[region] = RegionSummary(
             region, els, closed, witness, _REGION_FORMULAS[region](*args)
         )
-    sets = [set(s.elements) for s in summaries.values()]
-    union = set().union(*sets)
-    disjoint = sum(len(s) for s in sets) == len(union)
-    cover = union == set(members)
-    return RegionReport(spec, summaries, disjoint, cover)
+    hits = np.count_nonzero(list(masks.values()), axis=0)  # regions per member
+    return RegionReport(spec, summaries, bool((hits <= 1).all()), bool((hits >= 1).all()))
 
 
-def right_identities(spec: TriangleSpec) -> tuple[ChainEndo, ...]:
+def _fixes(V: np.ndarray, *vertices: int) -> np.ndarray:
+    """Row mask of the maps in V fixing every given vertex."""
+    return np.logical_and.reduce([V[:, v] == v for v in vertices])
+
+
+def right_identities(spec: TriangleSpec) -> analysis.Subset:
     """Members fixing all three vertices; the (b-a)(c-b) neutral block."""
-    return tuple(
-        e
-        for e in elements(spec)
-        if e.values[spec.a] == spec.a
-        and e.values[spec.b] == spec.b
-        and e.values[spec.c] == spec.c
-    )
+    els = elements(spec)
+    return els[_fixes(els.values, spec.a, spec.b, spec.c)]
 
 
 def interior_decompose(
@@ -303,10 +302,10 @@ class BasicLayer:
     spec: TriangleSpec
     vertex: int
     k: int
-    elements: tuple[ChainEndo, ...]
-    left: tuple[ChainEndo, ...]
-    middle: tuple[ChainEndo, ...]
-    right: tuple[ChainEndo, ...]
+    elements: analysis.Subset
+    left: analysis.Subset
+    middle: analysis.Subset
+    right: analysis.Subset
 
 
 def basic_layer(spec: TriangleSpec, vertex: int, k: int) -> BasicLayer:
@@ -317,8 +316,7 @@ def basic_layer(spec: TriangleSpec, vertex: int, k: int) -> BasicLayer:
             raise OutOfRange(
                 f"a-corner layers have {spec.a + 1} <= k <= {spec.b}"
             )
-        # ascending in the count i of copies of c
-        layer = tuple(elem(spec, k, n - k - i) for i in range(n - k + 1))
+        # rows ascend in the count i of copies of c
         cut1 = n - spec.c  # i < cut1: left block
         cut2 = n - spec.b  # i >= cut2: right block
     elif vertex == spec.c:
@@ -326,10 +324,7 @@ def basic_layer(spec: TriangleSpec, vertex: int, k: int) -> BasicLayer:
             raise OutOfRange(
                 f"c-corner layers have {n - spec.c} <= k <= {n - spec.b - 1}"
             )
-        # ascending means the count i of copies of a descending
-        layer = tuple(
-            elem(spec, i, n - k - i) for i in range(n - k, -1, -1)
-        )
+        # rows ascend as the count i of copies of a descends
         cut1 = n - k - spec.b  # first n-k-b elements: left block
         cut2 = n - k - spec.a  # beyond: the a+1 right-block elements
     else:
@@ -337,6 +332,8 @@ def basic_layer(spec: TriangleSpec, vertex: int, k: int) -> BasicLayer:
             f"vertex must be {spec.a} or {spec.c}; layers at {vertex} are "
             "not closed in general"
         )
+    els = elements(spec)
+    layer = els[(els.values == vertex).sum(axis=1) == k]
     return BasicLayer(
         spec,
         vertex,
@@ -399,7 +396,7 @@ def layer_string_iso(
 
     pairs = tuple((e, image(e)) for e in layer.elements)
     phi = dict(pairs)
-    src, dst = analysis.Subset.of(phi), analysis.Subset.of(phi.values())
+    src, dst = layer.elements, analysis.Subset.of(phi.values())
     position = {e: t for t, e in enumerate(dst)}
     p = [position[phi[e]] for e in src]  # phi as an index map
     holds = all(
@@ -422,12 +419,12 @@ class ITReport:
     """
 
     spec: TriangleSpec
-    it: tuple[ChainEndo, ...]
-    ri: tuple[ChainEndo, ...]
-    rest: tuple[ChainEndo, ...]
-    corner_left: tuple[ChainEndo, ...]
-    corner_right: tuple[ChainEndo, ...]
-    diagonal: tuple[ChainEndo, ...]
+    it: analysis.Subset
+    ri: analysis.Subset
+    rest: analysis.Subset
+    corner_left: analysis.Subset
+    corner_right: analysis.Subset
+    diagonal: analysis.Subset
     ri_closed: bool
     rest_closed: bool
     diagonal_ideal: bool
@@ -436,24 +433,17 @@ class ITReport:
 
 
 def idempotent_triangle(spec: TriangleSpec) -> ITReport:
-    """Collect and verify the block of members fixing both a and c."""
-    members = tuple(
-        e
-        for e in elements(spec)
-        if e.values[spec.a] == spec.a and e.values[spec.c] == spec.c
-    )
-    ri = right_identities(spec)
-    ri_set = set(ri)
-    rest = tuple(e for e in members if e not in ri_set)
-    table = region_types(spec)
-    corner_left = tuple(
-        e for e in members if table[elem_type(spec, e)] is Region.L_TRI
-    )
-    corner_right = tuple(
-        e for e in members if table[elem_type(spec, e)] is Region.R_TRI
-    )
-    part = strings.partition_string(spec.string_ac())
-    diagonal = tuple(sorted(part.idem))
+    """Collect and verify the block of members fixing both a and c; there
+    alpha(b) = b, a or c picks the right identities or a corner triangle."""
+    els = elements(spec)
+    block = _fixes(els.values, spec.a, spec.c)
+    at_b = els.values[:, spec.b]
+    members = els[block]
+    ri = els[block & (at_b == spec.b)]
+    rest = els[block & (at_b != spec.b)]
+    corner_left = els[block & (at_b == spec.a)]
+    corner_right = els[block & (at_b == spec.c)]
+    diagonal = strings.partition_string(spec.string_ac()).idem
     ri_closed, _ = analysis.is_subsemiring(ri)
     rest_closed, _ = analysis.is_subsemiring(rest)
     diagonal_ideal, _ = analysis.is_ideal(diagonal, members)

@@ -22,22 +22,31 @@ The simplex loops are the object enumeration of a simplex and the object
 filters of its discrete neighborhoods, layers, interior and boundary that
 ``chainendo.simplex`` replaced with one value matrix per set; tests require
 the matrix-backed sets to hold the same maps in the same order.
+
+The set loops are the object constructions of the string blocks and
+segments, the unions of strings, the triangle regions, right identities,
+fixing block and basic layers that ``chainendo.strings`` and
+``chainendo.triangle`` replaced with slices and row masks of one
+enumeration; tests require each ``Subset`` to hold the same maps in the
+same order, and to be empty where the loop's tuple is (``assert_cut``).
 """
 
 from itertools import combinations, combinations_with_replacement
 from operator import add, mul
 
+from chainendo import strings, triangle
 from chainendo.analysis import (
     ElementClass,
     IdealWitness,
     Identities,
     NotClosed,
     NotSubset,
+    Subset,
     TrivialityVerdict,
-    canonical,
     is_closed,
 )
 from chainendo.core import ChainEndo, all_endomorphisms, constant
+from chainendo.strings import StringSpec
 
 TRIPLE_LAWS = (
     "associative addition",
@@ -52,7 +61,7 @@ def closure_scan(elements, ops):
 
     Within one pair the ops are tried in the order given.
     """
-    els = canonical(elements)
+    els = Subset.of(elements).elements
     members = set(els)
     for i, x in enumerate(els):
         for j, y in enumerate(els):
@@ -64,8 +73,8 @@ def closure_scan(elements, ops):
 
 
 def is_ideal(ideal, ambient):
-    inner = canonical(ideal)
-    outer = canonical(ambient)
+    inner = Subset.of(ideal).elements
+    outer = Subset.of(ambient).elements
     inner_set = set(inner)
     if not inner_set <= set(outer):
         raise NotSubset("candidate ideal is not inside the ambient set")
@@ -86,7 +95,7 @@ def is_ideal(ideal, ambient):
 
 
 def triviality(elements):
-    els = canonical(elements)
+    els = Subset.of(elements).elements
     closed, witness = is_closed(els, "*")
     if not closed:
         raise NotClosed(f"not multiplicatively closed: {witness}")
@@ -100,14 +109,14 @@ def triviality(elements):
 
 
 def identities(elements):
-    els = canonical(elements)
+    els = Subset.of(elements).elements
     left = tuple(e for e in els if all(e * x == x for x in els))
     right = tuple(e for e in els if all(x * e == x for x in els))
     return Identities(left, right)
 
 
 def similar_pairs(elements, side):
-    els = canonical(elements)
+    els = Subset.of(elements).elements
     pairs = []
     for i, alpha in enumerate(els):
         for beta in els[i + 1 :]:
@@ -185,7 +194,7 @@ def iso_check(first, second):
     Candidates for S[i] are the members of T with S[i]'s profile, in
     ascending order; both chains take the order-matching bijection at once.
     """
-    S, T = canonical(first), canonical(second)
+    S, T = Subset.of(first).elements, Subset.of(second).elements
     for name, els in (("first", S), ("second", T)):
         if closure_scan(els, ("+", "*")) is not None:
             raise NotClosed(f"{name} set is not a subsemiring")
@@ -337,3 +346,108 @@ def interior(spec):
 
 def boundary(spec):
     return tuple(e for e in enumerate_simplex(spec) if e.image() != spec.vertices)
+
+
+def layers(spec, m):
+    value = spec.vertices[m]
+    buckets = [[] for _ in range(spec.n + 1)]
+    for e in enumerate_simplex(spec):
+        buckets[e.values.count(value)].append(e)
+    return tuple(map(tuple, buckets))
+
+
+def partition_string(spec):
+    def block(lo, hi):
+        # index descending = elements ascending
+        return tuple(strings.elem(spec, ell) for ell in range(hi, lo - 1, -1))
+
+    return block(spec.b + 1, spec.n), block(spec.a + 1, spec.b), block(0, spec.a)
+
+
+def family_top(spec, r):
+    return tuple(strings.elem(spec, ell) for ell in range(spec.n, r - 1, -1))
+
+
+def family_bottom(spec, s):
+    return tuple(strings.elem(spec, ell) for ell in range(s, -1, -1))
+
+
+def consecutive_union(n, a, b, c):
+    first = set(enumerate_simplex(StringSpec(n, a, b).simplex()))
+    second = set(enumerate_simplex(StringSpec(n, b, c).simplex()))
+    return tuple(sorted(first | second))
+
+
+def three_string_union(n, a, b, c):
+    members = set()
+    for x, y in ((a, b), (a, c), (b, c)):
+        members |= set(enumerate_simplex(StringSpec(n, x, y).simplex()))
+    return tuple(sorted(members))
+
+
+def decompose(spec):
+    """Members of each region, bucketed by type triple, in Region order."""
+    table = triangle.region_types(spec)
+    buckets = {region: [] for region in triangle.Region}
+    for e in enumerate_simplex(spec.simplex()):
+        buckets[table[triangle.elem_type(spec, e)]].append(e)
+    return {region: tuple(members) for region, members in buckets.items()}
+
+
+def right_identities(spec):
+    return tuple(
+        e
+        for e in enumerate_simplex(spec.simplex())
+        if e.values[spec.a] == spec.a
+        and e.values[spec.b] == spec.b
+        and e.values[spec.c] == spec.c
+    )
+
+
+def idempotent_triangle(spec):
+    """The set fields of the fixing-block report, by name."""
+    members = tuple(
+        e
+        for e in enumerate_simplex(spec.simplex())
+        if e.values[spec.a] == spec.a and e.values[spec.c] == spec.c
+    )
+    ri = right_identities(spec)
+    ri_set = set(ri)
+    table = triangle.region_types(spec)
+    return {
+        "it": members,
+        "ri": ri,
+        "rest": tuple(e for e in members if e not in ri_set),
+        "corner_left": tuple(
+            e for e in members if table[triangle.elem_type(spec, e)] is triangle.Region.L_TRI
+        ),
+        "corner_right": tuple(
+            e for e in members if table[triangle.elem_type(spec, e)] is triangle.Region.R_TRI
+        ),
+        "diagonal": tuple(sorted(partition_string(spec.string_ac())[1])),
+    }
+
+
+def basic_layer(spec, vertex, k):
+    """The whole layer and its left, middle and right runs."""
+    n = spec.n
+    if vertex == spec.a:
+        # ascending in the count i of copies of c
+        layer = tuple(triangle.elem(spec, k, n - k - i) for i in range(n - k + 1))
+        cut1, cut2 = n - spec.c, n - spec.b
+    else:
+        # ascending means the count i of copies of a descending
+        layer = tuple(triangle.elem(spec, i, n - k - i) for i in range(n - k, -1, -1))
+        cut1, cut2 = n - k - spec.b, n - k - spec.a
+    return layer, layer[:cut1], layer[cut1:cut2], layer[cut2:]
+
+
+def assert_cut(got, want, where=None):
+    """got is a Subset of the maps of the tuple want, in want's order, and
+    empty exactly where want is."""
+    assert isinstance(got, Subset), where
+    if want:
+        assert got == Subset.of(want), where
+    else:
+        assert len(got) == 0, where
+    assert tuple(got) == want, where

@@ -253,7 +253,7 @@ def test_criterion_11_similarity_and_identities():
             assert triangle.left_similar_witness(spec) is None
             continue
         assert len(triangle.right_identities(spec)) >= 1, spec
-        assert ids.left == (), spec
+        assert len(ids.left) == 0, spec
         first, second = triangle.left_similar_witness(spec)
         assert first != second, spec
         rids = set(triangle.right_identities(spec))

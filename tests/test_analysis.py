@@ -1,5 +1,10 @@
 """Set-level machinery: closure scans, ideals, triviality, isomorphism."""
 
+import dataclasses
+import inspect
+import typing
+
+import numpy as np
 import pytest
 
 import reference_loops as ref
@@ -10,7 +15,6 @@ from chainendo.analysis import (
     NotClosed,
     NotSubset,
     Subset,
-    canonical,
     classify_element,
     identities,
     is_closed,
@@ -33,15 +37,15 @@ def endo(text, n):
 class TestCanonical:
     def test_sorts_and_deduplicates(self):
         a, b = constant(3, 0), constant(3, 1)
-        assert canonical([b, a, b]) == (a, b)
+        assert Subset.of([b, a, b]).elements == (a, b)
 
     def test_rejects_mixed_sizes(self):
         with pytest.raises(ValueError):
-            canonical([constant(3, 0), constant(4, 0)])
+            Subset.of([constant(3, 0), constant(4, 0)])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            canonical([])
+            Subset.of([])
 
     def test_subset_helper(self):
         sub = Subset.of([constant(3, 1), constant(3, 0)])
@@ -54,6 +58,93 @@ class TestCanonical:
         assert constant(3, 0) in sub
         assert sub._members is members == {constant(3, 0), constant(3, 1)}
         assert sub == Subset.of([constant(3, 0), constant(3, 1)])
+
+
+class TestEmptySets:
+    """A Subset may be empty; every check refuses it before any scan, where
+    _blocks(0, 0) would divide by zero."""
+
+    EMPTY = Subset.from_values(3, np.zeros((0, 3), dtype=np.int64))
+    FULL = Subset.of(all_endomorphisms(3))
+
+    def test_empty_subset_is_a_set_of_its_chain(self):
+        assert len(self.EMPTY) == 0 and not self.EMPTY
+        assert list(self.EMPTY) == [] and tuple(self.EMPTY) == ()
+        assert self.EMPTY == self.FULL[:0] == self.FULL[np.zeros(len(self.FULL), dtype=bool)]
+        assert hash(self.EMPTY) == hash(self.FULL[:0])
+        assert self.EMPTY != Subset.from_values(4, np.zeros((0, 4), dtype=np.int64))
+        assert identity(3) not in self.EMPTY
+
+    @pytest.mark.parametrize("empty", [EMPTY, []], ids=["subset", "list"])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda e, s: is_closed(e, "+"),
+            lambda e, s: is_closed(e, "*"),
+            lambda e, s: is_subsemiring(e),
+            lambda e, s: is_ideal(e, s),
+            lambda e, s: is_ideal(s, e),
+            lambda e, s: triviality(e),
+            lambda e, s: identities(e),
+            lambda e, s: similar_pairs(e, "left"),
+            lambda e, s: similar_pairs(e, "right"),
+            lambda e, s: iso_check(e, s),
+            lambda e, s: iso_check(s, e),
+        ],
+        ids=[
+            "is_closed+", "is_closed*", "is_subsemiring", "is_ideal-inner", "is_ideal-outer",
+            "triviality", "identities", "similar_left", "similar_right", "iso-first", "iso-second",
+        ],
+    )
+    def test_every_check_refuses_an_empty_set(self, check, empty, monkeypatch):
+        def no_scan(size, width):
+            raise AssertionError("an empty set reached a scan")
+
+        monkeypatch.setattr(analysis, "_blocks", no_scan)
+        with pytest.raises(ValueError, match="empty set of endomorphisms"):
+            check(empty, self.FULL)
+
+
+class TestIndexing:
+    S = Subset.of(all_endomorphisms(3))
+
+    def test_an_integer_gives_a_map(self):
+        assert self.S[0] == constant(3, 0) and self.S[-1] == constant(3, 2)
+        assert self.S[np.int64(1)] == self.S.elements[1]
+
+    def test_slices_and_masks_give_subsets_in_order(self):
+        mask = np.array([e.is_idempotent() for e in self.S])
+        for cut, want in (
+            (self.S[2:5], self.S.elements[2:5]),
+            (self.S[-3:], self.S.elements[-3:]),
+            (self.S[::1], self.S.elements),
+            (self.S[mask], tuple(e for e in self.S.elements if e.is_idempotent())),
+        ):
+            assert isinstance(cut, Subset) and cut.n == 3
+            assert tuple(cut) == want and cut == Subset.of(want)
+            assert (np.diff(cut.keys) > 0).all()
+        whole = simplex.enumerate_simplex(SimplexSpec(3, (0, 1, 2)))
+        cuts = (whole[1:], whole[np.arange(len(whole)) % 2 == 0])
+        assert all("elements" not in vars(s) for s in (whole, *cuts))  # no map built
+
+    @pytest.mark.parametrize("step", [2, -1])
+    def test_a_step_other_than_one_is_refused(self, step):
+        # a reversed slice would break the strict ascent the set relies on
+        with pytest.raises(ValueError, match="step 1"):
+            self.S[::step]
+
+    @pytest.mark.parametrize(
+        "index",
+        [np.array([0, 1]), np.array([0.0]), [0, 1], [True] * 10, 1.0, True, None, "0"],
+        ids=["int-array", "float-array", "int-list", "bool-list", "float", "bool", "none", "str"],
+    )
+    def test_other_indexes_are_refused(self, index):
+        with pytest.raises(TypeError, match="slice of step 1 or a boolean row mask"):
+            self.S[index]
+
+    def test_a_mask_of_the_wrong_length_is_refused(self):
+        with pytest.raises(IndexError):
+            self.S[np.ones(3, dtype=bool)]
 
 
 class TestClosure:
@@ -169,14 +260,14 @@ class TestTriviality:
 class TestIdentities:
     def test_identity_map_is_two_sided(self):
         ids = identities(all_endomorphisms(3))
-        assert ids.left == (identity(3),)
-        assert ids.right == (identity(3),)
-        assert ids.two_sided == (identity(3),)
+        assert tuple(ids.left) == (identity(3),)
+        assert tuple(ids.right) == (identity(3),)
+        assert tuple(ids.two_sided) == (identity(3),)
 
     def test_string_right_identities(self):
         ids = identities(strings.elements(StringSpec(4, 1, 2)))
-        assert ids.left == ()
-        assert ids.right == tuple(strings.partition_string(StringSpec(4, 1, 2)).idem)
+        assert len(ids.left) == 0
+        assert tuple(ids.right) == tuple(strings.partition_string(StringSpec(4, 1, 2)).idem)
 
 
 class TestSimilarPairs:
@@ -315,3 +406,51 @@ class TestIsoCheck:
             triangle.elements(TriangleSpec(4, 1, 2, 3)),
         )
         assert not same
+
+
+class TestOneSetType:
+    """Every set of maps the library returns is a Subset.  Pairs of maps,
+    such as similar_pairs or interior_decompose give, are not sets."""
+
+    TUPLE_SET = tuple[ChainEndo, ...]
+
+    @staticmethod
+    def _hints():
+        """(where, type) for the return types of the public functions and the
+        fields and public members of the public classes of the set-returning
+        modules; Subset itself is left out, its elements being the one tuple
+        view of a set."""
+        for module in (analysis, simplex, strings, triangle):
+            for name, obj in vars(module).items():
+                if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                where = f"{module.__name__}.{name}"
+                if inspect.isfunction(obj):
+                    yield where, typing.get_type_hints(obj).get("return")
+                elif inspect.isclass(obj) and obj is not Subset:
+                    if dataclasses.is_dataclass(obj):
+                        for field, hint in typing.get_type_hints(obj).items():
+                            yield f"{where}.{field}", hint
+                    for attr, member in vars(obj).items():
+                        fn = member.fget if isinstance(member, property) else member
+                        if inspect.isfunction(fn) and not attr.startswith("_"):
+                            yield f"{where}.{attr}", typing.get_type_hints(fn).get("return")
+
+    @classmethod
+    def _is_tuple_set(cls, hint) -> bool:
+        return hint == cls.TUPLE_SET or any(map(cls._is_tuple_set, typing.get_args(hint)))
+
+    def test_no_set_of_maps_is_a_tuple(self):
+        hints = dict(self._hints())
+        assert hints["chainendo.triangle.BasicLayer.left"] is Subset
+        assert hints["chainendo.simplex.layers"] == tuple[Subset, ...]
+        assert not self._is_tuple_set(hints["chainendo.analysis.similar_pairs"])  # pairs
+        assert [where for where, hint in hints.items() if self._is_tuple_set(hint)] == []
+
+    def test_the_guard_sees_a_tuple_set(self, monkeypatch):
+        def layer_tuple(layer_id) -> tuple[tuple[ChainEndo, ...], ...]:
+            return ()
+
+        layer_tuple.__module__ = simplex.__name__
+        monkeypatch.setattr(simplex, "layer_tuple", layer_tuple, raising=False)
+        assert self._is_tuple_set(dict(self._hints())["chainendo.simplex.layer_tuple"])

@@ -114,6 +114,13 @@ class TestRunClaim:
         with pytest.raises(analysis.ChainTooLong):
             run_claim("simplex-closed", 4)
 
+    def test_set_limit_is_raised_not_reported_as_a_failure(self, monkeypatch):
+        # simplex-order reads no keys, so at n = 4 only the size of the full
+        # simplex, 35 maps against C(5, 3) = 10, passes the limit
+        monkeypatch.setattr(analysis, "MAX_CHAIN", 3)
+        with pytest.raises(analysis.SetTooLarge):
+            run_claim("simplex-order", 4)
+
 
 class TestOrderClaims:
     """simplex-order and triangle-order test strict ascent on the value rows."""

@@ -150,6 +150,37 @@ def test_check_past_the_chain_limit_exits_two(monkeypatch, capsys):
     assert err.startswith("error: chain size 4 is beyond the limit n <= 3")
 
 
+class TestSetLimit:
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_a_set_too_large_to_enumerate_exits_two(self, n, capsys):
+        spec = f"sim n={n} A=" + ",".join(map(str, range(n)))
+        assert main(["elements", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "77558760" in err
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]])
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_a_set_too_large_exits_two_in_a_fresh_interpreter(self, n, optimize):
+        # once an OverflowError (n = 40) and a 10 TiB allocation (n = 20)
+        spec = f"sim n={n} A=" + ",".join(map(str, range(n)))
+        done = subprocess.run(
+            [sys.executable, *optimize, "-m", "chainendo", "elements", spec],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "77558760" in done.stderr and "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+    def test_a_long_string_still_lists_its_maps(self, capsys):
+        assert main(["elements", "str n=40 a=0 b=39"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 41
+        assert lines[0] == "0_40" and lines[-1] == "39_40"
+
+
 class TestDecompose:
     @pytest.mark.parametrize("n", [16, 20])
     def test_long_chain_exits_two(self, n, capsys):

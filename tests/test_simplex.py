@@ -1,13 +1,18 @@
 """Simplices: enumeration, faces, layers, discrete neighborhoods."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 
 import reference_loops as ref
 from chainendo import analysis, simplex
-from chainendo.core import ChainEndo, OutOfRange, constant, parse_compact
+from chainendo.core import ChainEndo, ChainEndoError, OutOfRange, constant, parse_compact
 from chainendo.simplex import (
     LayerId,
     SimplexSpec,
@@ -25,6 +30,7 @@ from chainendo.simplex import (
 )
 
 SPEC = SimplexSpec(4, (1, 2, 3))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def endo(text, n=4):
@@ -60,7 +66,7 @@ class TestSpec:
             SimplexSpec(n, vertices)
 
     def test_vertex_constants(self):
-        assert SPEC.vertex_constants() == (
+        assert tuple(SPEC.vertex_constants()) == (
             constant(4, 1),
             constant(4, 2),
             constant(4, 3),
@@ -96,7 +102,7 @@ class TestInteriorBoundary:
         assert inner | outer == els and not inner & outer
 
     def test_interior_members(self):
-        assert interior(SPEC) == (
+        assert tuple(interior(SPEC)) == (
             endo("1_2 2 3"),
             endo("1 2_2 3"),
             endo("1 2 3_2"),
@@ -146,7 +152,7 @@ class TestLayers:
         assert sorted(flat) == list(enumerate_simplex(SPEC))
 
     def test_full_multiplicity_layer_is_the_constant(self):
-        assert layer(LayerId(SPEC, 2, 4)) == (constant(4, 3),)
+        assert tuple(layer(LayerId(SPEC, 2, 4))) == (constant(4, 3),)
 
     def test_layers_are_the_single_layers(self):
         for spec in (SPEC, SimplexSpec(5, (0, 2, 4)), SimplexSpec(6, (2, 3))):
@@ -271,12 +277,19 @@ class TestArrayBacked:
                     assert got == analysis.is_subsemiring(tuple(hood)), (spec, m, t)
 
     def test_layers_interior_and_boundary_match_the_object_loops(self):
-        for spec in _vertex_sets(6):
-            assert interior(spec) == ref.interior(spec), spec
-            assert boundary(spec) == ref.boundary(spec), spec
+        # every cut is a Subset of the same maps in the same order, empty
+        # where the loop's tuple is
+        for spec in _vertex_sets(7):
+            ref.assert_cut(interior(spec), ref.interior(spec), spec)
+            ref.assert_cut(boundary(spec), ref.boundary(spec), spec)
+            constants = tuple(constant(spec.n, v) for v in spec.vertices)
+            ref.assert_cut(spec.vertex_constants(), constants, spec)
             for m in range(spec.k):
-                for s in range(spec.n + 1):
-                    assert layer(LayerId(spec, m, s)) == ref.layer(spec, m, s), (spec, m, s)
+                buckets = ref.layers(spec, m)
+                assert len(layers(spec, m)) == len(buckets) == spec.n + 1
+                for s, got in enumerate(layers(spec, m)):
+                    ref.assert_cut(got, buckets[s], (spec, m, s))
+                    ref.assert_cut(layer(LayerId(spec, m, s)), ref.layer(spec, m, s), (spec, m, s))
 
     def test_length_and_an_escape_build_no_objects(self):
         hood = discrete_neighborhood(SPEC, 0, 3)
@@ -286,6 +299,57 @@ class TestArrayBacked:
         # the witness wraps only its own rows
         assert "elements" not in vars(hood)
         assert (ok, witness) == analysis.is_subsemiring(ref.discrete_neighborhood(SPEC, 0, 3))
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_a_set_no_check_could_index_is_refused_before_allocating(self, n):
+        # the full simplex at n = 20 would need 10 TiB, at n = 40 more maps
+        # than an array index holds
+        spec = SimplexSpec(n, tuple(range(n)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(analysis.SetTooLarge, match="77558760 of the full simplex at n = 15"):
+                enumerate_simplex(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert issubclass(analysis.SetTooLarge, ChainEndoError)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_the_refusal_allocates_nothing_under_optimize(self, n):
+        code = (
+            "import tracemalloc\n"
+            "from chainendo import analysis, simplex\n"
+            f"spec = simplex.SimplexSpec({n}, tuple(range({n})))\n"
+            "tracemalloc.start()\n"
+            "try:\n"
+            "    simplex.enumerate_simplex(spec)\n"
+            "except analysis.SetTooLarge:\n"
+            "    print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 2**20
+
+    def test_the_size_bound_follows_max_chain(self, monkeypatch):
+        # the bound is the full simplex at MAX_CHAIN, C(2 * 3 - 1, 3) = 10 here
+        monkeypatch.setattr(analysis, "MAX_CHAIN", 3)
+        assert len(enumerate_simplex(SimplexSpec(3, (0, 1, 2)))) == 10
+        for spec in (SimplexSpec(4, (0, 1, 2)), SimplexSpec(40, (0, 39))):
+            with pytest.raises(analysis.SetTooLarge):
+                enumerate_simplex(spec)
+        with pytest.raises(analysis.SetTooLarge):
+            layers(SimplexSpec(4, (0, 1, 2)), 0)
+
+    def test_long_string_enumerates(self):
+        els = enumerate_simplex(SimplexSpec(40, (0, 39)))
+        assert len(els) == 41 and els[-1] == constant(40, 39)
 
     def test_long_chain_enumerates(self):
         # a value matrix holds any chain; only the set checks stop at MAX_CHAIN

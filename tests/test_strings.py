@@ -1,7 +1,10 @@
 """Two-vertex chains: index arithmetic, partition, families, unions."""
 
+from itertools import combinations
+
 import pytest
 
+import reference_loops as ref
 from chainendo import analysis, strings
 from chainendo.core import OutOfRange, SizeMismatch, constant, parse_compact
 from chainendo.strings import (
@@ -79,9 +82,9 @@ class TestElem:
 class TestPartition:
     def test_frozen_blocks(self):
         part = partition_string(SPEC)
-        assert part.nil_low == (endo("1_4"), endo("1_3 2"))
-        assert part.idem == (endo("1_2 2_2"),)
-        assert part.nil_high == (endo("1 2_3"), endo("2_4"))
+        assert tuple(part.nil_low) == (endo("1_4"), endo("1_3 2"))
+        assert tuple(part.idem) == (endo("1_2 2_2"),)
+        assert tuple(part.nil_high) == (endo("1 2_3"), endo("2_4"))
 
     def test_block_sizes(self):
         spec = StringSpec(7, 2, 5)
@@ -102,7 +105,7 @@ class TestPartition:
     def test_idempotents_are_right_identities(self):
         ids = analysis.identities(elements(StringSpec(6, 1, 4)))
         assert set(ids.right) == set(partition_string(StringSpec(6, 1, 4)).idem)
-        assert ids.left == ()
+        assert len(ids.left) == 0
 
 
 class TestMulCases:
@@ -140,13 +143,13 @@ class TestMulCases:
 class TestFamilies:
     def test_top_membership(self):
         spec = StringSpec(5, 1, 3)
-        assert family_top(spec, 4) == (elem(spec, 5), elem(spec, 4))
+        assert tuple(family_top(spec, 4)) == (elem(spec, 5), elem(spec, 4))
         with pytest.raises(OutOfRange):
             family_top(spec, 0)
 
     def test_bottom_membership(self):
         spec = StringSpec(5, 1, 3)
-        assert family_bottom(spec, 1) == (elem(spec, 1), elem(spec, 0))
+        assert tuple(family_bottom(spec, 1)) == (elem(spec, 1), elem(spec, 0))
         with pytest.raises(OutOfRange):
             family_bottom(spec, 5)
 
@@ -197,3 +200,32 @@ class TestUnions:
             consecutive_union(4, 0, 2, 4)
         with pytest.raises(OutOfRange):
             three_string_union(4, 2, 2, 3)
+
+
+class TestCuts:
+    """Every set of a string is a Subset cut from one enumeration; each
+    must hold the maps of the object loop it replaced, in the same order."""
+
+    def test_blocks_segments_and_identities_match_the_object_loops(self):
+        for n in range(2, 8):
+            for a, b in combinations(range(n), 2):
+                spec = StringSpec(n, a, b)
+                part = partition_string(spec)
+                blocks = (part.nil_low, part.idem, part.nil_high)
+                for got, want in zip(blocks, ref.partition_string(spec)):
+                    ref.assert_cut(got, want, spec)
+                for r in range(1, n + 1):
+                    ref.assert_cut(family_top(spec, r), ref.family_top(spec, r), (spec, r))
+                for s in range(n):
+                    ref.assert_cut(family_bottom(spec, s), ref.family_bottom(spec, s), (spec, s))
+                ids, want = analysis.identities(elements(spec)), ref.identities(elements(spec))
+                ref.assert_cut(ids.left, want.left, spec)  # always empty
+                ref.assert_cut(ids.right, want.right, spec)
+
+    def test_unions_match_the_sorted_unions(self):
+        for n in range(3, 8):
+            for a, b, c in combinations(range(n), 3):
+                got = consecutive_union(n, a, b, c)
+                ref.assert_cut(got, ref.consecutive_union(n, a, b, c), (n, a, b, c))
+                got = three_string_union(n, a, b, c)
+                ref.assert_cut(got, ref.three_string_union(n, a, b, c), (n, a, b, c))

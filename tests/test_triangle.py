@@ -1,7 +1,10 @@
 """Three-vertex simplices: regions, layers, the fixing block, witnesses."""
 
+from itertools import combinations
+
 import pytest
 
+import reference_loops as ref
 from chainendo import analysis, strings, triangle
 from chainendo.core import OutOfRange, constant, parse_compact
 from chainendo.strings import StringSpec
@@ -98,7 +101,7 @@ class TestEnumeration:
     def test_interior_boundary_partition(self):
         inner, outer = set(interior(SPEC)), set(boundary(SPEC))
         assert inner | outer == set(elements(SPEC)) and not inner & outer
-        assert interior(SPEC) == frozen(["1_2 2 3", "1 2_2 3", "1 2 3_2"])
+        assert tuple(interior(SPEC)) == frozen(["1_2 2 3", "1 2_2 3", "1 2 3_2"])
 
     def test_boundary_is_the_three_strings(self):
         glued = set()
@@ -172,7 +175,7 @@ class TestRegions:
 
 class TestRightIdentities:
     def test_frozen(self):
-        assert right_identities(SPEC) == (endo("1_2 2 3"),)
+        assert tuple(right_identities(SPEC)) == (endo("1_2 2 3"),)
 
     def test_they_are_neutral_on_the_right(self):
         for e in right_identities(BIG):
@@ -231,11 +234,11 @@ class TestIdempotentSum:
 class TestFixingBlock:
     def test_frozen_small_report(self):
         report = idempotent_triangle(SPEC)
-        assert report.it == frozen(["1_3 3", "1_2 2 3", "1_2 3_2"])
-        assert report.ri == (endo("1_2 2 3"),)
+        assert tuple(report.it) == frozen(["1_3 3", "1_2 2 3", "1_2 3_2"])
+        assert tuple(report.ri) == (endo("1_2 2 3"),)
         assert set(report.rest) == set(frozen(["1_3 3", "1_2 3_2"]))
-        assert report.corner_left == (endo("1_3 3"),)
-        assert report.corner_right == (endo("1_2 3_2"),)
+        assert tuple(report.corner_left) == (endo("1_3 3"),)
+        assert tuple(report.corner_right) == (endo("1_2 3_2"),)
         assert set(report.diagonal) == set(frozen(["1_3 3", "1_2 3_2"]))
         assert report.ri_closed and report.rest_closed
         assert report.diagonal_ideal and report.rest_ideal
@@ -299,17 +302,17 @@ class TestSimilarity:
 class TestBasicLayers:
     def test_a_corner_layer_blocks(self):
         layer = basic_layer(SPEC, 1, 2)
-        assert layer.elements == frozen(["1_2 2_2", "1_2 2 3", "1_2 3_2"])
-        assert layer.left == (endo("1_2 2_2"),)
-        assert layer.middle == (endo("1_2 2 3"),)
-        assert layer.right == (endo("1_2 3_2"),)
+        assert tuple(layer.elements) == frozen(["1_2 2_2", "1_2 2 3", "1_2 3_2"])
+        assert tuple(layer.left) == (endo("1_2 2_2"),)
+        assert tuple(layer.middle) == (endo("1_2 2 3"),)
+        assert tuple(layer.right) == (endo("1_2 3_2"),)
 
     def test_c_corner_layer_blocks(self):
         layer = basic_layer(SPEC, 3, 1)
-        assert layer.elements == frozen(["1_3 3", "1_2 2 3", "1 2_2 3", "2_3 3"])
-        assert layer.left == (endo("1_3 3"),)
-        assert layer.middle == (endo("1_2 2 3"),)
-        assert layer.right == (endo("1 2_2 3"), endo("2_3 3"))
+        assert tuple(layer.elements) == frozen(["1_3 3", "1_2 2 3", "1 2_2 3", "2_3 3"])
+        assert tuple(layer.left) == (endo("1_3 3"),)
+        assert tuple(layer.middle) == (endo("1_2 2 3"),)
+        assert tuple(layer.right) == (endo("1 2_2 3"), endo("2_3 3"))
 
     def test_blocks_land_in_the_advertised_regions(self):
         for layer in basic_layers(BIG, BIG.a):
@@ -403,3 +406,33 @@ class TestComponentMap:
     def test_size_mismatch(self):
         with pytest.raises(OutOfRange):
             component_map(SPEC, TriangleSpec(5, 1, 2, 3))
+
+
+class TestCuts:
+    """Every set of a triangle is a Subset cut from one enumeration by a
+    slice or a row mask; each must hold the maps of the object loop it
+    replaced, in the same order."""
+
+    def test_cuts_match_the_object_loops(self):
+        for n in range(3, 8):
+            for a, b, c in combinations(range(n), 3):
+                spec = TriangleSpec(n, a, b, c)
+                ref.assert_cut(interior(spec), ref.interior(spec.simplex()), spec)
+                ref.assert_cut(boundary(spec), ref.boundary(spec.simplex()), spec)
+                ref.assert_cut(right_identities(spec), ref.right_identities(spec), spec)
+                regions = decompose(spec).regions
+                for region, want in ref.decompose(spec).items():
+                    ref.assert_cut(regions[region].elements, want, (spec, region))
+                report = idempotent_triangle(spec)
+                for name, want in ref.idempotent_triangle(spec).items():
+                    ref.assert_cut(getattr(report, name), want, (spec, name))
+                for vertex in (a, c):
+                    for bl in basic_layers(spec, vertex):
+                        runs = (bl.elements, bl.left, bl.middle, bl.right)
+                        for got, want in zip(runs, ref.basic_layer(spec, vertex, bl.k)):
+                            ref.assert_cut(got, want, (spec, vertex, bl.k))
+                ids, want = analysis.identities(elements(spec)), ref.identities(elements(spec))
+                ref.assert_cut(ids.left, want.left, spec)
+                ref.assert_cut(ids.right, want.right, spec)
+                both = tuple(e for e in want.left if e in set(want.right))
+                ref.assert_cut(ids.two_sided, both, spec)
