@@ -9,12 +9,14 @@ maps' values, rows in lexicographic order; the enumerations in simplex
 produce it directly, with no ChainEndo built, and every set derived from
 an enumeration is a slice of step 1 or a boolean row mask of it, so the
 rows stay in order.  A Subset may be empty; Subset.of, where every check
-starts, refuses an empty set.  Derived from the matrix are one
-exact int64 key per map (the map's lexicographic rank among all
-C(2n-1, n) monotone maps of its chain), two (n*n, N) rank tables, one for
-sums and one for products, in the smallest integer type that holds every
-rank, one index table over every rank of the chain, and the ChainEndo
-objects themselves.  These are built on first use and kept on the Subset,
+starts, refuses an empty set.  Subset.of lexsorts the maps' value rows and
+drops repeats, the union s | t shares that step, and x in s compares x's
+row with the matrix; none of them reads keys, so they work at any n.
+Derived from the matrix are one exact int64 key per map (the map's
+lexicographic rank among all C(2n-1, n) monotone maps of its chain), two
+(n*n, N) rank tables, one for sums and one for products, in the smallest
+integer type that holds every rank, one index table over every rank of the
+chain, and the ChainEndo objects themselves.  These are built on first use and kept on the Subset,
 so a check that passes its Subset on to another check does not rebuild
 them; no other state survives a call.  A matrix may hold a chain of any
 length; building the keys or a rank table of a chain longer than MAX_CHAIN
@@ -27,8 +29,9 @@ holds c at k.  So the keys of x + y or x * y for a block of left operands
 and a selection of right operands take one gather of n table rows per x and
 one sum over them.  Subset.index_of turns keys into member indices (-1 when
 the result leaves the set) with one gather from the index table; it is the
-only way a key becomes a member.  One pair budget, _PAIR_BUDGET, sizes every
-block: a block of rows combined with width columns each has
+only way a key becomes a member, and s.find(rows), the member index of each
+row of a value matrix, goes through it.  One pair budget, _PAIR_BUDGET,
+sizes every block: a block of rows combined with width columns each has
 _PAIR_BUDGET // width rows, or one row when a row alone is wider, so the
 scratch arrays of each numpy call stay near the budget whatever the set
 size.  One scan, _hom_mismatch, checks whether a given bijection carries
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import comb
-from operator import attrgetter
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -103,19 +105,25 @@ class Subset:
     def of(cls, elements: Iterable[ChainEndo]) -> "Subset":
         """Normalise elements; a Subset is returned as it is.  Every check
         starts here, so an empty set, Subset or not, is refused."""
-        if isinstance(elements, Subset):
-            if not len(elements):
-                raise ValueError("empty set of endomorphisms")
-            return elements
-        normalised = tuple(sorted(set(elements), key=attrgetter("n", "values")))
-        if not normalised:
+        if not isinstance(elements, Subset):
+            els = list(elements)
+            sizes = sorted(dict.fromkeys(e.n for e in els))
+            if len(sizes) > 1:
+                raise SizeMismatch(f"mixed chain sizes {sizes}")
+            elements = cls._normalised(sizes[0], [e.values for e in els]) if els else ()
+        if not len(elements):
             raise ValueError("empty set of endomorphisms")
-        sizes = {e.n for e in normalised}
-        if len(sizes) > 1:
-            raise SizeMismatch(f"mixed chain sizes {sorted(sizes)}")
-        s = cls.from_values(normalised[0].n, [e.values for e in normalised])
-        s.__dict__["elements"] = normalised  # the objects are at hand already
-        return s
+        return elements
+
+    @classmethod
+    def _normalised(cls, n: int, rows) -> "Subset":
+        """The set of the rows of an (N, n) value matrix in any order:
+        lexsorted, repeats dropped.  Reads no keys, so any n."""
+        V = np.asarray(rows, dtype=np.int64)
+        V = V[np.lexsort(V.T[::-1])]
+        fresh = np.ones(len(V), dtype=bool)
+        fresh[1:] = (V[1:] != V[:-1]).any(axis=1)
+        return cls.from_values(n, V[fresh])
 
     @cached_property
     def elements(self) -> tuple[ChainEndo, ...]:
@@ -150,12 +158,19 @@ class Subset:
     def __hash__(self) -> int:
         return hash((self.n, self.values.tobytes()))
 
-    def __contains__(self, item: object) -> bool:
-        return item in self._members
+    def __or__(self, other: "Subset") -> "Subset":
+        """The union of two sets of one chain."""
+        if not isinstance(other, Subset):
+            return NotImplemented
+        if other.n != self.n:
+            raise SizeMismatch(f"chain sizes differ: {self.n} vs {other.n}")
+        return Subset._normalised(self.n, np.vstack((self.values, other.values)))
 
-    @cached_property
-    def _members(self) -> frozenset[ChainEndo]:
-        return frozenset(self.elements)
+    def __contains__(self, item: object) -> bool:
+        """Whether item's row is a row of the value matrix; reads no keys, so any n."""
+        if not isinstance(item, ChainEndo) or item.n != self.n:
+            return False
+        return bool((self.values == item.values).all(axis=1).any())
 
     def _check_limit(self) -> None:
         """Raise ChainTooLong beyond MAX_CHAIN: every key and rank table starts here."""
@@ -207,6 +222,17 @@ class Subset:
     def index_of(self, keys) -> np.ndarray:
         """Member index of each key (a rank of the chain), -1 for a non-member."""
         return np.take(self.index_table, keys) - 1
+
+    def find(self, rows) -> np.ndarray:
+        """Member index of each row of a (..., n) value matrix, -1 for a row
+        that is no member, a map of the chain or not; another width is refused."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[-1:] != (self.n,):
+            raise SizeMismatch(f"rows of shape {rows.shape} are not maps of the chain of {self.n}")
+        self._check_limit()
+        ascending = (rows[..., 1:] >= rows[..., :-1]).all(axis=-1)
+        maps = (rows[..., 0] >= 0) & (rows[..., -1] < self.n) & ascending
+        return np.where(maps, self.index_of(_pack(rows * maps[..., None], self.n)), -1)
 
     def __iter__(self):
         return iter(self.elements)
@@ -421,7 +447,7 @@ def is_ideal(
 ) -> tuple[bool, IdealWitness | None]:
     """Additively closed and absorbing on both sides inside ambient."""
     inner, outer = Subset.of(ideal), Subset.of(ambient)
-    if not inner._members <= outer._members:
+    if inner.n != outer.n or (outer.find(inner.values) < 0).any():
         raise NotSubset("candidate ideal is not inside the ambient set")
     hit = _closure_scan(inner, ("+",))
     if hit is not None:
@@ -492,7 +518,7 @@ class Identities:
 
     @property
     def two_sided(self) -> Subset:
-        return self.left[np.isin(self.left.keys, self.right.keys)]
+        return self.left[self.right.find(self.left.values) >= 0]
 
 
 def identities(elements: Iterable[ChainEndo]) -> Identities:

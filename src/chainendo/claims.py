@@ -245,15 +245,13 @@ def _chk_simplex_noniso(params):
 
 def _chk_face_complement(params):
     (n,) = params
-    full = list(all_endomorphisms(n))
+    full = analysis.Subset.of(all_endomorphisms(n))
     for v in (0, n - 1):
-        rest = [e for e in full if v in e.image()]
-        ok, wit = analysis.is_subsemiring(rest)
+        ok, wit = analysis.is_subsemiring(full[(full.values == v).any(axis=1)])
         if not ok:
             return False, {"kept_vertex": v, **_pair(wit)}
     for v in range(1, n - 1):
-        rest = [e for e in full if v in e.image()]
-        ok, _ = analysis.is_subsemiring(rest)
+        ok, _ = analysis.is_subsemiring(full[(full.values == v).any(axis=1)])
         if ok:
             return False, {"kept_vertex": v, "note": "unexpectedly closed"}
         probe = ChainEndo(n, (0,) * (n - 1) + (v,))
@@ -296,18 +294,12 @@ def _chk_dn_fixpoint_equality(params):
     n, verts = params
     spec = SimplexSpec(n, verts)
     els = simplex.enumerate_simplex(spec)
-    low = verts[0]
-    if n - low - 1 >= 1:
-        hood = set(simplex.discrete_neighborhood(spec, 0, n - low - 1))
-        fix = {e for e in els if e.values[low] == low}
-        if hood != fix:
-            return False, {"vertex": low, "radius": n - low - 1}
-    top = verts[-1]
-    if top >= 1:
-        hood = set(simplex.discrete_neighborhood(spec, spec.k - 1, top))
-        fix = {e for e in els if e.values[top] == top}
-        if hood != fix:
-            return False, {"vertex": top, "radius": top}
+    low, top = verts[0], verts[-1]
+    for m, vertex, radius in ((0, low, n - low - 1), (spec.k - 1, top, top)):
+        if radius < 1:
+            continue
+        if simplex.discrete_neighborhood(spec, m, radius) != els[els.values[:, vertex] == vertex]:
+            return False, {"vertex": vertex, "radius": radius}
     return True, None
 
 
@@ -319,13 +311,13 @@ def _chk_top_layer(params):
     ok, wit = analysis.is_subsemiring(lay)
     if not ok:
         return False, _pair(wit)
-    members = set(lay)
+    limits = [x.eventual_idempotent() for x in lay]
+    inside = lay.find([limit.values for limit in limits]) >= 0
     nil = constant(n, low)
-    for x in lay:
-        limit = x.eventual_idempotent()
+    for x, limit, kept in zip(lay, limits, inside):
         if limit == nil:
             return False, {"element": _fmt(x), "note": "nilpotent inside the layer"}
-        if limit not in members:
+        if not kept:
             return False, {"element": _fmt(x), "note": "idempotent left the layer"}
     return True, None
 
@@ -355,7 +347,7 @@ def _chk_min_radius_middle(params):
     if scan.least != 1 or scan.semiring_prefix != 2:
         return False, {"least": scan.least, "prefix": scan.semiring_prefix}
     probe = ChainEndo(n, (1, 1, 1) + (2,) * (n - 3))
-    if probe not in set(simplex.discrete_neighborhood(spec, 1, 3)):
+    if probe not in simplex.discrete_neighborhood(spec, 1, 3):
         return False, {"probe": _fmt(probe), "note": "probe missing at radius 3"}
     if probe * probe != constant(n, 1):
         return False, {"probe": _fmt(probe)}
@@ -370,7 +362,7 @@ def _chk_string_partition(params):
     n, a, b = params
     spec = StringSpec(n, a, b)
     els = strings.elements(spec)
-    if len(els) != n + 1 or list(els) != sorted(set(els)):
+    if len(els) != n + 1 or not _strictly_ascending(els):
         return False, {"note": "a string must be a chain of n + 1 members"}
     part = strings.partition_string(spec)
     sizes = (len(part.nil_low), len(part.idem), len(part.nil_high))
@@ -381,9 +373,8 @@ def _chk_string_partition(params):
     )
     if sizes != want:
         return False, {"sizes": sizes, "formulas": want}
-    if part.nil_low != els[: n - b] or part.idem != els[n - b : n - a]:
-        return False, {"note": "blocks must be consecutive runs"}
-    if part.nil_high != els[n - a :]:
+    runs = (els[: n - b], els[n - b : n - a], els[n - a :])
+    if (part.nil_low, part.idem, part.nil_high) != runs:
         return False, {"note": "blocks must be consecutive runs"}
     low, high = constant(n, a), constant(n, b)
     for x in part.nil_low:
@@ -460,18 +451,15 @@ def _chk_string_fixpoint_unions(params):
     spec = StringSpec(n, a, b)
     els = strings.elements(spec)
     part = strings.partition_string(spec)
-    lower = set(part.nil_low) | set(part.idem)
-    if lower != {e for e in els if e.values[a] == a}:
-        return False, {"union": "nil_low + idem", "vertex": a}
-    ok, wit = analysis.is_subsemiring(lower)
-    if not ok:
-        return False, _pair(wit)
-    upper = set(part.nil_high) | set(part.idem)
-    if upper != {e for e in els if e.values[b] == b}:
-        return False, {"union": "nil_high + idem", "vertex": b}
-    ok, wit = analysis.is_subsemiring(upper)
-    if not ok:
-        return False, _pair(wit)
+    for name, union, vertex in (
+        ("nil_low + idem", part.nil_low | part.idem, a),
+        ("nil_high + idem", part.nil_high | part.idem, b),
+    ):
+        if union != els[els.values[:, vertex] == vertex]:
+            return False, {"union": name, "vertex": vertex}
+        ok, wit = analysis.is_subsemiring(union)
+        if not ok:
+            return False, _pair(wit)
     return True, None
 
 
@@ -490,8 +478,7 @@ def _chk_consecutive_union(params):
             y = strings.elem(upper, ell)
             if x + y != y:
                 return False, {"left": _fmt(x), "right": _fmt(y)}
-    nil = set(strings.partition_string(lower).nil_high)
-    nil |= set(strings.partition_string(upper).nil_low)
+    nil = strings.partition_string(lower).nil_high | strings.partition_string(upper).nil_low
     v = analysis.triviality(nil)
     if not v.is_trivial or v.iota != constant(n, b):
         return False, {"note": "joint nil block must collapse onto const b"}
@@ -560,15 +547,11 @@ def _chk_nilpotent_regions(params):
     spec = TriangleSpec(n, a, b, c)
     regions = triangle.decompose(spec).regions
     els = triangle.elements(spec)
-    fibers = {
-        a: set(regions[Region.NIL_A].elements),
-        b: set(regions[Region.NIL_B].elements),
-        c: set(regions[Region.NIL_C].elements),
-    }
-    targets = {e: e.nilpotency_target() for e in els}
+    corners = zip((a, b, c), (Region.NIL_A, Region.NIL_B, Region.NIL_C))
+    fibers = {value: regions[region].elements for value, region in corners}
+    targets = [e.nilpotency_target() for e in els]
     for value, members in fibers.items():
-        found = {e for e, target in targets.items() if target == value}
-        if found != members:
+        if els[np.array([t == value for t in targets])] != members:
             return False, {"value": value, "note": "region misses the fiber"}
     va = analysis.triviality(fibers[a])
     if va.is_trivial != (c == n - 1) or (va.is_trivial and va.iota != constant(n, a)):
@@ -588,18 +571,16 @@ def _chk_b_fixpoint_union(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
     regions = triangle.decompose(spec).regions
-    fix = {e for e in triangle.elements(spec) if e.values[b] == b}
-    union: set[ChainEndo] = set()
-    for region in (Region.NIL_B, Region.L_PAR, Region.R_PAR, Region.RIGHT_IDENTITIES):
-        union |= set(regions[region].elements)
-    if fix != union:
+    els = triangle.elements(spec)
+    fix = els[els.values[:, b] == b]
+    parts = (Region.NIL_A, Region.NIL_B, Region.L_PAR, Region.R_PAR, Region.RIGHT_IDENTITIES)
+    nil_a, nil_b, l_par, r_par, ri = (regions[region].elements for region in parts)
+    if fix != nil_b | l_par | r_par | ri:
         return False, {"note": "fixing the middle vertex must match the four regions"}
     ok, wit = analysis.is_subsemiring(fix)
     if not ok:
         return False, _pair(wit)
-    variant = (union - set(regions[Region.NIL_B].elements)) | set(
-        regions[Region.NIL_A].elements
-    )
+    variant = nil_a | l_par | r_par | ri
     if variant == fix or constant(n, a) in fix:
         return False, {"note": "low-corner variant should not match"}
     return True, None
@@ -663,9 +644,10 @@ def _chk_boundary_interior(params):
 def _chk_interior_idempotents(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
-    inner = {e for e in triangle.interior(spec) if e.is_idempotent()}
-    if inner != set(triangle.right_identities(spec)):
-        return False, {"found": sorted(_fmt(e) for e in inner)}
+    inner = triangle.interior(spec)
+    idem = inner[np.array([e.is_idempotent() for e in inner], dtype=bool)]
+    if idem != triangle.right_identities(spec):
+        return False, {"found": sorted(_fmt(e) for e in idem)}
     return True, None
 
 
@@ -700,14 +682,10 @@ def _chk_no_right_similar(params):
 def _chk_left_similar(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
-    els = triangle.elements(spec)
-    types = {e: triangle.elem_type(spec, e) for e in els}
-    expected = tuple(
-        (x, y)
-        for i, x in enumerate(els)
-        for y in els.elements[i + 1 :]
-        if types[x] == types[y]
-    )
+    els = triangle.elements(spec).elements
+    types = [triangle.elem_type(spec, e) for e in els]
+    both = combinations(range(len(els)), 2)
+    expected = tuple((els[i], els[j]) for i, j in both if types[i] == types[j])
     pairs = triangle.find_similar_pairs(spec, "left")
     if pairs != expected:
         return False, {"note": "left similarity must match vertex agreement"}
@@ -716,7 +694,7 @@ def _chk_left_similar(params):
         if pairs or witness is not None:
             return False, {"note": "no pairs expected on the smallest chain"}
         return True, None
-    if not pairs or witness is None or witness not in set(pairs):
+    if not pairs or witness is None or witness not in pairs:
         return False, {"witness": witness and tuple(map(_fmt, witness))}
     return True, None
 
@@ -754,8 +732,7 @@ def _chk_it_ideals(params):
         return False, {"note": "left corner mismatch"}
     if rep.corner_right != regions[Region.R_TRI].elements:
         return False, {"note": "right corner mismatch"}
-    total = set(rep.ri) | set(rep.corner_left) | set(rep.corner_right)
-    if total != set(rep.it):
+    if rep.ri | rep.corner_left | rep.corner_right != rep.it:
         return False, {"note": "corners and identities must partition the block"}
     if len(rep.ri) + len(rep.corner_left) + len(rep.corner_right) != len(rep.it):
         return False, {"note": "corner overlap"}
@@ -776,7 +753,8 @@ def _chk_it_ideals(params):
         for y in rep.corner_right:
             if not x.pointwise_le(y) or x == y:
                 return False, {"left": _fmt(x), "right": _fmt(y)}
-    if rep.diagonal != strings.partition_string(spec.string_ac()).idem:
+    ac = strings.elements(spec.string_ac())
+    if rep.diagonal != ac[np.array([e * e == e and not e.is_constant() for e in ac])]:
         return False, {"note": "diagonal mismatch"}
     for x in rep.diagonal:
         k = x.values.count(a)
@@ -800,13 +778,14 @@ def _chk_it_fixed_point_variant(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
     els = triangle.elements(spec)
-    fix_ac = {e for e in els if e.values[a] == a and e.values[c] == c}
-    if fix_ac != set(triangle.idempotent_triangle(spec).it):
+    V = els.values
+    fix_ac = els[(V[:, a] == a) & (V[:, c] == c)]
+    if fix_ac != triangle.idempotent_triangle(spec).it:
         return False, {"note": "block must fix the two outer vertices"}
     sx = spec.simplex()
-    hood = set(simplex.discrete_neighborhood(sx, 0, n - a - 1))
-    hood &= set(simplex.discrete_neighborhood(sx, 2, c))
-    if hood != fix_ac:
+    low = simplex.discrete_neighborhood(sx, 0, n - a - 1)
+    high = simplex.discrete_neighborhood(sx, 2, c)
+    if low[high.find(low.values) >= 0] != fix_ac:
         return False, {"note": "neighborhood intersection mismatch"}
     corners = (
         strings.elem(spec.string_ac(), a + 1),
@@ -816,7 +795,7 @@ def _chk_it_fixed_point_variant(params):
     for corner in corners:
         if corner not in fix_ac:
             return False, {"corner": _fmt(corner)}
-    fix_ab = {e for e in els if e.values[a] == a and e.values[b] == b}
+    fix_ab = els[(V[:, a] == a) & (V[:, b] == b)]
     separator = strings.elem(spec.string_ac(), c)
     if fix_ab == fix_ac or separator in fix_ab:
         return False, {"note": "misread block must differ", "separator": _fmt(separator)}
@@ -839,7 +818,7 @@ def _chk_basic_layers(params):
         for bl in layers:
             if len(bl.elements) != n - bl.k + 1:
                 return False, {"vertex": vertex, "k": bl.k}
-            if list(bl.elements) != sorted(bl.elements):
+            if not _strictly_ascending(bl.elements):
                 return False, {"vertex": vertex, "k": bl.k, "note": "not ascending"}
             if any(e.values.count(vertex) != bl.k for e in bl.elements):
                 return False, {"vertex": vertex, "k": bl.k, "note": "bad multiplicity"}
@@ -882,14 +861,10 @@ def _chk_layer_string_iso(params):
             if images != tuple(strings.elements(want)):
                 return False, {"vertex": vertex, "k": bl.k, "note": "not onto"}
             part = strings.partition_string(want)
-            phi = dict(iso.pairs)
-            blocks = (
-                (bl.left, part.nil_low),
-                (bl.middle, part.idem),
-                (bl.right, part.nil_high),
-            )
-            for source, target in blocks:
-                if tuple(phi[e] for e in source) != tuple(target):
+            runs = zip((bl.left, bl.middle, bl.right), (part.nil_low, part.idem, part.nil_high))
+            for source, target in runs:
+                at = iso.layer.elements.find(source.values)  # pairs follow the layer
+                if (at < 0).any() or tuple(images[i] for i in at) != tuple(target):
                     return False, {"vertex": vertex, "k": bl.k, "note": "block drift"}
     return True, None
 
@@ -897,7 +872,8 @@ def _chk_layer_string_iso(params):
 def _chk_middle_layer_counterexample(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
-    layer = analysis.Subset.of(e for e in triangle.elements(spec) if e.values.count(b) == 2)
+    els = triangle.elements(spec)
+    layer = els[(els.values == b).sum(axis=1) == 2]
     add_ok, _ = analysis.is_closed(layer, "+")
     mul_ok, wit = analysis.is_closed(layer, "*")
     if not add_ok or mul_ok:
@@ -913,10 +889,10 @@ def _chk_triangle_add_iso(params):
     src, dst = TriangleSpec(n, *one), TriangleSpec(n, *two)
     phi = triangle.component_map(src, dst)
     els, targets = triangle.elements(src), triangle.elements(dst)
-    if set(phi.values()) != set(targets):
+    p = targets.find([phi[x].values for x in els])  # phi as an index map
+    # a bijection: no -1, and every index of targets exactly once
+    if (p < 0).any() or (np.bincount(p, minlength=len(targets)) != 1).any():
         return False, {"note": "component map must be a bijection"}
-    position = {e: k for k, e in enumerate(targets)}
-    p = [position[phi[x]] for x in els]  # phi as an index map
     hit = analysis._hom_mismatch(els, targets, p, analysis._sums)
     if hit is not None:
         x, y = hit

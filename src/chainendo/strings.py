@@ -16,7 +16,6 @@ rule on the index of the right factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from . import analysis
 from .core import ChainEndo, OutOfRange, SizeMismatch, _require_ints
@@ -150,12 +149,12 @@ def consecutive_union(n: int, a: int, b: int, c: int) -> analysis.Subset:
     """Union of the strings on {a, b} and {b, c}; shares only const b."""
     if not 0 <= a < b < c <= n - 1:
         raise OutOfRange(f"need 0 <= a < b < c <= {n - 1}")
-    return analysis.Subset.of([*elements(StringSpec(n, a, b)), *elements(StringSpec(n, b, c))])
+    return elements(StringSpec(n, a, b)) | elements(StringSpec(n, b, c))
 
 
 def three_string_union(n: int, a: int, b: int, c: int) -> analysis.Subset:
     """Union of all three strings on {a, b, c}; not additively closed."""
     if not 0 <= a < b < c <= n - 1:
         raise OutOfRange(f"need 0 <= a < b < c <= {n - 1}")
-    strands = (StringSpec(n, a, b), StringSpec(n, a, c), StringSpec(n, b, c))
-    return analysis.Subset.of(chain.from_iterable(map(elements, strands)))
+    ab, ac, bc = (elements(StringSpec(n, x, y)) for x, y in ((a, b), (a, c), (b, c)))
+    return ab | ac | bc

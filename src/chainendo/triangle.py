@@ -394,16 +394,15 @@ def layer_string_iso(
         def image(e: ChainEndo) -> ChainEndo:
             return strings.elem(target, e.values.count(spec.a))
 
-    pairs = tuple((e, image(e)) for e in layer.elements)
-    phi = dict(pairs)
-    src, dst = layer.elements, analysis.Subset.of(phi.values())
-    position = {e: t for t, e in enumerate(dst)}
-    p = [position[phi[e]] for e in src]  # phi as an index map
+    src = layer.elements
+    images = [image(e) for e in src]
+    dst = analysis.Subset.of(images)
+    p = dst.find([e.values for e in images])  # phi as an index map
     holds = all(
         analysis._hom_mismatch(src, dst, p, op) is None
         for op in (analysis._sums, analysis._products)
     )
-    return LayerStringIso(layer, target, pairs, holds)
+    return LayerStringIso(layer, target, tuple(zip(src, images)), holds)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,11 @@ fixing block and basic layers that ``chainendo.strings`` and
 ``chainendo.triangle`` replaced with slices and row masks of one
 enumeration; tests require each ``Subset`` to hold the same maps in the
 same order, and to be empty where the loop's tuple is (``assert_cut``).
+
+The set algebra loops are plain Python set and dict versions of what
+``Subset`` answers from its value rows: normalising a collection, the
+union, the member index of each row, membership, and the two-sided
+identities; tests require the row versions to agree with them.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -451,3 +456,27 @@ def assert_cut(got, want, where=None):
     else:
         assert len(got) == 0, where
     assert tuple(got) == want, where
+
+
+def normalised(elements):
+    """Distinct maps in lex order."""
+    return tuple(sorted(set(elements)))
+
+
+def union(first, second):
+    return tuple(sorted(set(first) | set(second)))
+
+
+def find(members, rows):
+    """Index in members of the map with each row of values, -1 when absent."""
+    position = {e.values: i for i, e in enumerate(members)}
+    return [position.get(tuple(row), -1) for row in rows]
+
+
+def contains(members, item):
+    return item in set(members)
+
+
+def two_sided(left, right):
+    kept = set(right)
+    return tuple(e for e in left if e in kept)

@@ -1,14 +1,17 @@
 """Set-level machinery: closure scans, ideals, triviality, isomorphism."""
 
+import ast
 import dataclasses
 import inspect
+import random
 import typing
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import reference_loops as ref
-from chainendo import analysis, simplex, strings, triangle
+from chainendo import analysis, claims, simplex, strings, triangle
 from chainendo.analysis import (
     ChainTooLong,
     ClosureWitness,
@@ -24,7 +27,15 @@ from chainendo.analysis import (
     similar_pairs,
     triviality,
 )
-from chainendo.core import ChainEndo, ChainEndoError, all_endomorphisms, constant, identity, parse_compact
+from chainendo.core import (
+    ChainEndo,
+    ChainEndoError,
+    SizeMismatch,
+    all_endomorphisms,
+    constant,
+    identity,
+    parse_compact,
+)
 from chainendo.simplex import SimplexSpec
 from chainendo.strings import StringSpec
 from chainendo.triangle import TriangleSpec
@@ -40,8 +51,8 @@ class TestCanonical:
         assert Subset.of([b, a, b]).elements == (a, b)
 
     def test_rejects_mixed_sizes(self):
-        with pytest.raises(ValueError):
-            Subset.of([constant(3, 0), constant(4, 0)])
+        with pytest.raises(SizeMismatch, match=r"mixed chain sizes \[3, 4\]"):
+            Subset.of([constant(4, 0), constant(3, 0), constant(4, 1)])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -50,14 +61,6 @@ class TestCanonical:
     def test_subset_helper(self):
         sub = Subset.of([constant(3, 1), constant(3, 0)])
         assert sub.elements == (constant(3, 0), constant(3, 1))
-
-    def test_subset_membership_set_is_built_once(self):
-        sub = Subset.of([constant(3, 1), constant(3, 0)])
-        assert constant(3, 1) in sub and identity(3) not in sub
-        members = sub._members
-        assert constant(3, 0) in sub
-        assert sub._members is members == {constant(3, 0), constant(3, 1)}
-        assert sub == Subset.of([constant(3, 0), constant(3, 1)])
 
 
 class TestEmptySets:
@@ -145,6 +148,130 @@ class TestIndexing:
     def test_a_mask_of_the_wrong_length_is_refused(self):
         with pytest.raises(IndexError):
             self.S[np.ones(3, dtype=bool)]
+
+
+class TestSetAlgebra:
+    """Union, member lookup and membership answer from the value rows."""
+
+    SUB = Subset.of([constant(3, 1), constant(3, 0)])
+    LONG = StringSpec(40, 0, 39)
+
+    def test_membership(self):
+        assert constant(3, 1) in self.SUB and constant(3, 0) in self.SUB
+        assert identity(3) not in self.SUB
+        assert self.SUB == Subset.of([constant(3, 0), constant(3, 1)])
+
+    @pytest.mark.parametrize(
+        "item",
+        [constant(4, 1), constant(2, 1), 1, (1, 1, 1), [1, 1, 1], np.array([1, 1, 1]), "1_3", None],
+        ids=["longer-chain", "shorter-chain", "int", "tuple", "list", "array", "text", "none"],
+    )
+    def test_membership_is_false_for_other_chains_and_non_maps(self, item):
+        assert item not in self.SUB
+
+    def test_membership_on_an_empty_set(self):
+        empty = self.SUB[:0]
+        assert len(empty) == 0 and constant(3, 1) not in empty and identity(3) not in empty
+
+    def test_membership_beyond_the_chain_limit(self):
+        els = strings.elements(self.LONG)
+        assert strings.elem(self.LONG, 7) in els and constant(40, 39) in els
+        assert identity(40) not in els and constant(40, 1) not in els
+        assert "keys" not in vars(els)  # answered without ranks
+
+    def test_ideal_of_another_chain_is_not_a_subset(self):
+        with pytest.raises(NotSubset):
+            is_ideal([constant(3, 0)], all_endomorphisms(4))
+        with pytest.raises(NotSubset):
+            is_ideal(Subset.of(all_endomorphisms(4))[:1], Subset.of(all_endomorphisms(3)))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2), (6,), (3, 3, 1), ()])
+    def test_find_refuses_rows_of_another_width(self, shape):
+        full = Subset.of(all_endomorphisms(3))
+        with pytest.raises(SizeMismatch, match="not maps of the chain of 3"):
+            full.find(np.zeros(shape, dtype=np.int64))
+
+    def test_find_takes_one_row_or_a_stack_of_them(self):
+        full = Subset.of(all_endomorphisms(3))
+        assert full.find(identity(3).values) == full.elements.index(identity(3))
+        rows = np.array([[[0, 0, 0], [0, 1, 1]], [[2, 2, 2], [0, 1, 2]]])
+        assert self.SUB.find(rows).tolist() == [[0, -1], [-1, -1]]
+
+    def test_find_gives_minus_one_for_rows_that_are_no_maps(self):
+        full = Subset.of(all_endomorphisms(3))
+        rows = [[1, 0, 2], [2, 1, 0], [0, 2, 1], [-1, 0, 0], [0, 0, -1], [0, 0, 3], [3, 3, 3]]
+        assert full.find(rows).tolist() == [-1] * len(rows)
+        assert full.find([[0, 1, 2], [0, 2, 1]]).tolist() == [full.elements.index(identity(3)), -1]
+
+    def test_find_beyond_the_chain_limit_is_refused(self):
+        els = strings.elements(self.LONG)
+        with pytest.raises(ChainTooLong):
+            els.find(els.values[:1])
+
+    def test_union_of_two_chains_is_refused(self):
+        with pytest.raises(SizeMismatch):
+            self.SUB | Subset.of([constant(4, 0)])
+        with pytest.raises(TypeError):
+            self.SUB | [constant(3, 2)]
+
+    def test_union_with_an_empty_set(self):
+        assert (self.SUB | self.SUB[:0]) == self.SUB == (self.SUB[:0] | self.SUB)
+        assert len(self.SUB[:0] | self.SUB[:0]) == 0
+
+
+def _shuffled_with_repeats(els, seed):
+    """The maps of els in a random order, every third one twice."""
+    rng = random.Random(seed)
+    items = list(els) + list(els)[::3]
+    rng.shuffle(items)
+    return items
+
+
+def _layer_cases(n):
+    """(simplex, its layers) for every vertex of every simplex on the chain of n."""
+    for k in range(1, n + 1):
+        for verts in combinations(range(n), k):
+            spec = SimplexSpec(n, verts)
+            for m in range(k):
+                yield simplex.enumerate_simplex(spec), simplex.layers(spec, m)
+
+
+class TestSetAlgebraMatchesLoops:
+    """Subset.of, |, find, in and Identities.two_sided against plain Python
+    set and dict loops, on the layers of every simplex with n <= 6."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_of_union_find_and_membership(self, n):
+        for full, layers in _layer_cases(n):
+            for s, layer in enumerate(layers):
+                nxt = layers[(s + 1) % len(layers)]
+                if len(layer):
+                    items = _shuffled_with_repeats(layer, seed=s)
+                    assert tuple(Subset.of(items)) == ref.normalised(items) == tuple(layer)
+                assert tuple(layer | nxt) == ref.union(layer, nxt)
+                assert full.find(layer.values).tolist() == ref.find(full, layer.values.tolist())
+                assert layer.find(full.values).tolist() == ref.find(layer, full.values.tolist())
+                for e in (*layer, *nxt):  # members, then maps of another layer
+                    assert (e in layer) == ref.contains(layer, e)
+            whole = layers[0]
+            for layer in layers[1:]:
+                whole |= layer
+            assert whole == full
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_two_sided_identities(self, n):
+        for _, layers in _layer_cases(n):
+            for layer in layers:
+                if len(layer):
+                    want = ref.identities(layer)
+                    assert tuple(identities(layer).two_sided) == ref.two_sided(want.left, want.right)
+
+    def test_of_and_union_beyond_the_chain_limit(self):
+        low, high = StringSpec(40, 0, 39), StringSpec(40, 1, 39)
+        first, second = strings.elements(low), strings.elements(high)
+        assert tuple(first | second) == ref.union(first, second)
+        items = _shuffled_with_repeats(first, seed=40)
+        assert tuple(Subset.of(items)) == ref.normalised(items) == tuple(first)
 
 
 class TestClosure:
@@ -446,6 +573,33 @@ class TestOneSetType:
         assert hints["chainendo.simplex.layers"] == tuple[Subset, ...]
         assert not self._is_tuple_set(hints["chainendo.analysis.similar_pairs"])  # pairs
         assert [where for where, hint in hints.items() if self._is_tuple_set(hint)] == []
+
+    @staticmethod
+    def _set_builders(source: str):
+        """(line, what) for every set(...) or frozenset(...) call and every
+        set comprehension in the source."""
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.SetComp):
+                yield node.lineno, "set comprehension"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("set", "frozenset")
+            ):
+                yield node.lineno, f"{node.func.id}(...)"
+
+    @pytest.mark.parametrize("module", [claims, analysis], ids=["claims", "analysis"])
+    def test_no_python_set_of_maps_is_built(self, module):
+        # set questions go to Subset: |, find, in, masks and slices
+        assert list(self._set_builders(inspect.getsource(module))) == []
+
+    def test_the_guard_sees_a_python_set(self):
+        source = "a = set(x)\nb = frozenset(y)\nc = {e for e in z}\nd = {1, 2}\ne: set[int] = {}\n"
+        assert sorted(self._set_builders(source)) == [
+            (1, "set(...)"),
+            (2, "frozenset(...)"),
+            (3, "set comprehension"),
+        ]
 
     def test_the_guard_sees_a_tuple_set(self, monkeypatch):
         def layer_tuple(layer_id) -> tuple[tuple[ChainEndo, ...], ...]:

@@ -1,9 +1,11 @@
 """The claim registry: integrity, sweeps, parallel determinism."""
 
+import dataclasses
+
 import pytest
 
 import reference_loops as ref
-from chainendo import analysis, claims, simplex, triangle
+from chainendo import analysis, claims, simplex, strings, triangle
 from chainendo.claims import (
     REGISTRY,
     Claim,
@@ -160,6 +162,41 @@ class TestOrderClaims:
         result = run_claim(claim_id, 4)
         assert not result.holds
         assert result.witness == {"note": "enumeration must be strictly ascending"}
+
+
+class TestItIdealsDiagonal:
+    """it-ideals finds the a-c diagonal as the string's non-constant
+    idempotents, not the way idempotent_triangle builds it (the idempotent
+    block of partition_string), so a diagonal shifted by one row fails even
+    when the string partition shifts with it."""
+
+    @staticmethod
+    def _shift_diagonal(monkeypatch, params, shift):
+        n, a, b, c = params
+        spec = triangle.TriangleSpec(n, a, b, c)
+        rep = triangle.idempotent_triangle(spec)
+        start = n - c + shift  # the idempotent run starts at row n - c
+        cut = strings.elements(spec.string_ac())[start : start + len(rep.diagonal)]
+        real_partition = strings.partition_string
+        monkeypatch.setattr(
+            triangle, "idempotent_triangle", lambda _: dataclasses.replace(rep, diagonal=cut)
+        )
+        monkeypatch.setattr(
+            strings, "partition_string", lambda s: dataclasses.replace(real_partition(s), idem=cut)
+        )
+
+    PARAMS = [(3, 0, 1, 2), (6, 1, 3, 4), (7, 0, 2, 6)]
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_holds_with_the_diagonal_in_place(self, monkeypatch, params):
+        self._shift_diagonal(monkeypatch, params, 0)
+        assert claims._chk_it_ideals(params) == (True, None)
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_a_diagonal_shifted_by_one_row_fails(self, monkeypatch, params, shift):
+        self._shift_diagonal(monkeypatch, params, shift)
+        assert claims._chk_it_ideals(params) == (False, {"note": "diagonal mismatch"})
 
 
 class TestRunAll:
