@@ -13,6 +13,7 @@ constant map in the layer metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
@@ -51,14 +52,39 @@ class SimplexSpec:
         return analysis.Subset.from_values(self.n, [[v] * self.n for v in self.vertices])
 
 
+class _Pattern:
+    """P, combinations_with_replacement(range(k), n) as a read-only int8
+    matrix, lex ordered as V[P] is for any sorted vertex tuple V; and M, built
+    on first read, the read-only (N, k) count of each index in each row of P
+    (a member's barycentric coordinates), in the least unsigned type for n."""
+
+    def __init__(self, n: int, k: int):
+        self.k = k
+        flat = bytes(chain.from_iterable(combinations_with_replacement(range(k), n)))
+        self.P = np.frombuffer(flat, dtype=np.int8).reshape(-1, n)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        (N, n), k = self.P.shape, self.k
+        cells = self.P + np.arange(0, N * k, k)[:, None]  # row i, index j -> i * k + j
+        M = np.bincount(cells.ravel(), minlength=N * k).astype(np.min_scalar_type(n))
+        M.flags.writeable = False
+        return M.reshape(N, k)
+
+
+@lru_cache(maxsize=1)
+def _pattern(n: int, k: int) -> _Pattern:
+    """The pattern of the last (n, k) asked for: a sweep holds one at a time."""
+    return _Pattern(n, k)
+
+
 def enumerate_simplex(spec: SimplexSpec) -> analysis.Subset:
     """All maps with image inside the vertex set, in lexicographic order.
 
-    combinations_with_replacement yields the value tuples already in lex
-    order, so they fill the value matrix directly; no ChainEndo is built
-    until the set is read as objects.  A set larger than the full simplex
-    at MAX_CHAIN, which no check could index, is refused before anything
-    is allocated.
+    One gather of the vertex values by the (n, k) pattern fills the value
+    matrix; no ChainEndo is built until the set is read as objects.  A set
+    larger than the full simplex at MAX_CHAIN, which no check could index,
+    is refused before anything is allocated.
     """
     n, size = spec.n, comb(spec.n + spec.k - 1, spec.n)
     top = analysis.MAX_CHAIN
@@ -68,29 +94,26 @@ def enumerate_simplex(spec: SimplexSpec) -> analysis.Subset:
             f"the {comb(2 * top - 1, top)} of the full simplex at n = {top}, the largest set "
             "the checks index"
         )
-    flat = np.fromiter(
-        chain.from_iterable(combinations_with_replacement(spec.vertices, n)),
-        dtype=np.int64,
-        count=size * n,
-    )
-    return analysis.Subset.from_values(n, flat.reshape(-1, n))
+    vertices = np.asarray(spec.vertices, dtype=np.int64)
+    return analysis.Subset.from_values(n, vertices[_pattern(n, spec.k).P])
 
 
-def _image_sizes(V) -> np.ndarray:
-    """Number of distinct values in each row; rows are nondecreasing."""
-    return 1 + (np.diff(V, axis=1) > 0).sum(axis=1)
+def _coordinates(spec: SimplexSpec) -> tuple[analysis.Subset, np.ndarray]:
+    """The simplex and its multiplicity matrix: row i, column m counts how
+    often member i takes the value of vertex m."""
+    return enumerate_simplex(spec), _pattern(spec.n, spec.k).M
 
 
 def interior(spec: SimplexSpec) -> analysis.Subset:
     """Elements whose image is the whole vertex set."""
-    els = enumerate_simplex(spec)
-    return els[_image_sizes(els.values) == spec.k]
+    els, M = _coordinates(spec)
+    return els[(M > 0).all(axis=1)]
 
 
 def boundary(spec: SimplexSpec) -> analysis.Subset:
     """Elements missing at least one vertex value."""
-    els = enumerate_simplex(spec)
-    return els[_image_sizes(els.values) < spec.k]
+    els, M = _coordinates(spec)
+    return els[(M == 0).any(axis=1)]
 
 
 def face(spec: SimplexSpec, vertices) -> SimplexSpec:
@@ -103,11 +126,8 @@ def face(spec: SimplexSpec, vertices) -> SimplexSpec:
 
 def proper_faces(spec: SimplexSpec) -> tuple[SimplexSpec, ...]:
     """Faces on the nonempty proper vertex subsets, smallest first."""
-    result = []
-    for size in range(1, spec.k):
-        for sub in combinations(spec.vertices, size):
-            result.append(SimplexSpec(spec.n, sub))
-    return tuple(result)
+    subsets = (sub for size in range(1, spec.k) for sub in combinations(spec.vertices, size))
+    return tuple(SimplexSpec(spec.n, sub) for sub in subsets)
 
 
 def is_internal(spec: SimplexSpec) -> bool:
@@ -115,11 +135,9 @@ def is_internal(spec: SimplexSpec) -> bool:
     return 0 not in spec.vertices and (spec.n - 1) not in spec.vertices
 
 
-def _vertex_value(spec: SimplexSpec, m: int) -> int:
-    """The chain value of vertex index m."""
+def _check_vertex_index(spec: SimplexSpec, m: int) -> None:
     if not 0 <= m < spec.k:
         raise OutOfRange(f"vertex index {m} outside 0..{spec.k - 1}")
-    return spec.vertices[m]
 
 
 @dataclass(frozen=True)
@@ -131,36 +149,31 @@ class LayerId:
     s: int
 
     def __post_init__(self):
-        _vertex_value(self.spec, self.m)
+        _check_vertex_index(self.spec, self.m)
         if not 0 <= self.s <= self.spec.n:
             raise OutOfRange(f"layer index {self.s} outside 0..{self.spec.n}")
 
 
-def _multiplicities(spec: SimplexSpec, m: int) -> tuple[analysis.Subset, np.ndarray]:
-    """The simplex and, per member, how often it takes vertex m's value."""
-    value = _vertex_value(spec, m)
-    els = enumerate_simplex(spec)
-    return els, (els.values == value).sum(axis=1)
-
-
 def layer(layer_id: LayerId) -> analysis.Subset:
     """Elements taking the chosen vertex value exactly s times."""
-    els, counts = _multiplicities(layer_id.spec, layer_id.m)
-    return els[counts == layer_id.s]
+    els, M = _coordinates(layer_id.spec)
+    return els[M[:, layer_id.m] == layer_id.s]
 
 
 def layers(spec: SimplexSpec, m: int) -> tuple[analysis.Subset, ...]:
     """All layers of one vertex, s = 0 first; they partition the simplex."""
-    els, counts = _multiplicities(spec, m)
-    return tuple(els[counts == s] for s in range(spec.n + 1))
+    _check_vertex_index(spec, m)
+    els, M = _coordinates(spec)
+    return tuple(els[M[:, m] == s] for s in range(spec.n + 1))
 
 
 def discrete_neighborhood(spec: SimplexSpec, m: int, t: int) -> analysis.Subset:
     """The vertex constant (layer n) plus the t layers n - t .. n - 1 below it."""
     if not 1 <= t <= spec.n:
         raise OutOfRange(f"radius {t} outside 1..{spec.n}")
-    els, counts = _multiplicities(spec, m)
-    return els[counts >= spec.n - t]
+    _check_vertex_index(spec, m)
+    els, M = _coordinates(spec)
+    return els[M[:, m] >= spec.n - t]
 
 
 @dataclass(frozen=True)
@@ -183,21 +196,13 @@ class RadiusScan:
 
     @property
     def semiring_prefix(self) -> int:
-        prefix = 0
-        for ok in self.closed:
-            if not ok:
-                break
-            prefix += 1
-        return prefix
+        return (*self.closed, False).index(False)
 
 
 def min_semiring_radius(spec: SimplexSpec, m: int) -> RadiusScan:
     """Scan every neighborhood radius of one vertex for closure."""
-    verdicts = []
-    for t in range(1, spec.n + 1):
-        ok, _ = analysis.is_subsemiring(discrete_neighborhood(spec, m, t))
-        verdicts.append(ok)
-    return RadiusScan(spec, m, tuple(verdicts))
+    hoods = (discrete_neighborhood(spec, m, t) for t in range(1, spec.n + 1))
+    return RadiusScan(spec, m, tuple(analysis.is_subsemiring(h)[0] for h in hoods))
 
 
 def nilpotent_in_neighborhood(spec: SimplexSpec, alpha: ChainEndo) -> bool:

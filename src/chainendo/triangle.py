@@ -332,8 +332,8 @@ def basic_layer(spec: TriangleSpec, vertex: int, k: int) -> BasicLayer:
             f"vertex must be {spec.a} or {spec.c}; layers at {vertex} are "
             "not closed in general"
         )
-    els = elements(spec)
-    layer = els[(els.values == vertex).sum(axis=1) == k]
+    els, M = simplex._coordinates(spec.simplex())
+    layer = els[M[:, 0 if vertex == spec.a else 2] == k]
     return BasicLayer(
         spec,
         vertex,
@@ -380,29 +380,22 @@ def layer_string_iso(
     c-run.  Both are order bijections and semiring isomorphisms.
     """
     layer = basic_layer(spec, vertex, k)
-    n = spec.n
+    n, src = spec.n, layer.elements
     if vertex == spec.a:
         target = strings.StringSpec(n - k, spec.b - k, spec.c - k)
-
-        def image(e: ChainEndo) -> ChainEndo:
-            i = e.values.count(spec.c)
-            return strings.elem(target, n - k - i)
-
+        rows = src.values[:, k:] - k
     else:
         target = strings.StringSpec(n - k, spec.a, spec.b)
-
-        def image(e: ChainEndo) -> ChainEndo:
-            return strings.elem(target, e.values.count(spec.a))
-
-    src = layer.elements
-    images = [image(e) for e in src]
-    dst = analysis.Subset.of(images)
-    p = dst.find([e.values for e in images])  # phi as an index map
+        rows = src.values[:, : n - k]
+    # cutting a run all members share keeps the rows ascending: phi is the
+    # identity on member indices
+    dst = analysis.Subset.from_values(n - k, rows)
+    p = np.arange(len(src))
     holds = all(
         analysis._hom_mismatch(src, dst, p, op) is None
         for op in (analysis._sums, analysis._products)
     )
-    return LayerStringIso(layer, target, tuple(zip(src, images)), holds)
+    return LayerStringIso(layer, target, tuple(zip(src, dst)), holds)
 
 
 @dataclass(frozen=True)
@@ -531,10 +524,9 @@ def component_map(
     """Match members by multiplicity vector between two triangles.
 
     Always a bijection preserving addition; a semiring isomorphism only
-    when the vertex triples coincide.
+    when the vertex triples coincide.  Both triangles are gathers of one
+    (n, 3) pattern, so the match pairs the members of equal index.
     """
     if src.n != dst.n:
         raise OutOfRange(f"chain sizes differ: {src.n} vs {dst.n}")
-    return {
-        e: to_endo(dst, from_endo(src, e)) for e in elements(src)
-    }
+    return dict(zip(elements(src), elements(dst)))

@@ -23,6 +23,14 @@ filters of its discrete neighborhoods, layers, interior and boundary that
 ``chainendo.simplex`` replaced with one value matrix per set; tests require
 the matrix-backed sets to hold the same maps in the same order.
 
+The pattern loops are what ``chainendo.simplex`` reads off one cached
+(n, k) pattern instead: the ``np.fromiter`` enumeration over the value
+tuples that the gather replaced, a per-row count of each vertex value that
+the multiplicity matrix replaced, and the object-level matching of two
+triangles by multiplicity vector that ``triangle-add-iso`` replaced with
+the identity on member indices; tests require each to agree with what the
+pattern gives.
+
 The set loops are the object constructions of the string blocks and
 segments, the unions of strings, the triangle regions, right identities,
 fixing block and basic layers that ``chainendo.strings`` and
@@ -36,8 +44,11 @@ union, the member index of each row, membership, and the two-sided
 identities; tests require the row versions to agree with them.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
+from math import comb
 from operator import add, mul
+
+import numpy as np
 
 from chainendo import strings, triangle
 from chainendo.analysis import (
@@ -333,6 +344,30 @@ def enumerate_simplex(spec):
         ChainEndo._wrap(spec.n, values)
         for values in combinations_with_replacement(spec.vertices, spec.n)
     )
+
+
+def enumerate_simplex_fromiter(spec):
+    """The (N, n) int64 value matrix, filled from the value tuples."""
+    size = comb(spec.n + spec.k - 1, spec.n)
+    flat = np.fromiter(
+        chain.from_iterable(combinations_with_replacement(spec.vertices, spec.n)),
+        dtype=np.int64,
+        count=size * spec.n,
+    )
+    return flat.reshape(-1, spec.n)
+
+
+def multiplicities(spec):
+    """Per member, how often it takes each vertex value."""
+    return [[e.values.count(v) for v in spec.vertices] for e in enumerate_simplex(spec)]
+
+
+def component_map(src, dst):
+    """Each member of src to the member of dst with its multiplicity vector."""
+    return {
+        e: triangle.to_endo(dst, triangle.from_endo(src, e))
+        for e in enumerate_simplex(src.simplex())
+    }
 
 
 def discrete_neighborhood(spec, m, t):

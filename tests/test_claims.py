@@ -199,6 +199,41 @@ class TestItIdealsDiagonal:
         assert claims._chk_it_ideals(params) == (False, {"note": "diagonal mismatch"})
 
 
+class TestLayerStringIsoRuns:
+    """layer-string-iso finds the three runs of a basic layer with one find
+    over the runs stacked; a run boundary moved by one row fails, although
+    the runs still stack to the whole layer."""
+
+    PARAMS = (6, 1, 3, 4)
+
+    @staticmethod
+    def _move_c_boundary(monkeypatch, shift):
+        real = triangle.basic_layers
+
+        def moved(spec, vertex):
+            if vertex != spec.c:
+                return real(spec, vertex)
+            out = []
+            for bl in real(spec, vertex):
+                cut, end = len(bl.left) + shift, len(bl.left) + len(bl.middle)
+                out.append(
+                    dataclasses.replace(bl, left=bl.elements[:cut], middle=bl.elements[cut:end])
+                )
+            return tuple(out)
+
+        monkeypatch.setattr(triangle, "basic_layers", moved)
+
+    def test_holds_with_the_runs_in_place(self, monkeypatch):
+        self._move_c_boundary(monkeypatch, 0)
+        assert claims._chk_layer_string_iso(self.PARAMS) == (True, None)
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_a_boundary_moved_by_one_row_fails(self, monkeypatch, shift):
+        self._move_c_boundary(monkeypatch, shift)
+        want = {"vertex": 4, "k": 2, "note": "block drift"}
+        assert claims._chk_layer_string_iso(self.PARAMS) == (False, want)
+
+
 class TestRunAll:
     def test_everything_holds_at_a_small_bound(self):
         results = run_all(4)

@@ -1,13 +1,16 @@
 """Simplices: enumeration, faces, layers, discrete neighborhoods."""
 
+import gc
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference_loops as ref
@@ -358,3 +361,57 @@ class TestArrayBacked:
         assert els[0] == constant(16, 0) and els[-1] == constant(16, 15)
         with pytest.raises(analysis.ChainTooLong, match="n <= 15"):
             analysis.is_subsemiring(els)
+
+
+class TestPattern:
+    """Every simplex is one gather from a cached (n, k) pattern P, and its
+    layers, neighbourhoods, interior and boundary are masks on the pattern's
+    multiplicity matrix M."""
+
+    def test_enumeration_matches_the_fromiter_fill(self):
+        specs = [*_vertex_sets(7), SimplexSpec(9, tuple(range(9))), SimplexSpec(9, (1, 4, 6))]
+        assert len(enumerate_simplex(specs[-1])) == 55
+        for spec in specs:
+            got = enumerate_simplex(spec).values
+            assert got.dtype == np.int64, spec
+            assert np.array_equal(got, ref.enumerate_simplex_fromiter(spec)), spec
+
+    def test_multiplicities_match_the_row_count(self):
+        for spec in _vertex_sets(7):
+            els, M = simplex._coordinates(spec)
+            assert M.shape == (len(els), spec.k), spec
+            assert M.tolist() == ref.multiplicities(spec), spec
+
+    def test_multiplicities_hold_a_long_chain(self):
+        # counts up to n = 300 overflow one signed byte
+        spec = SimplexSpec(300, (0, 299))
+        assert simplex._coordinates(spec)[1].max() == 300
+        assert len(layer(LayerId(spec, 0, 300))) == 1
+        assert [len(s) for s in layers(spec, 1)] == [1] * 301
+        assert len(interior(spec)) == 299
+
+    def test_pattern_is_read_only(self):
+        enumerate_simplex(SPEC)
+        pattern = simplex._pattern(SPEC.n, SPEC.k)
+        for matrix in (pattern.P, pattern.M):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1
+
+    def test_a_value_matrix_shares_no_memory_with_the_pattern(self):
+        els = enumerate_simplex(SPEC)
+        pattern = simplex._pattern(SPEC.n, SPEC.k)
+        assert not np.shares_memory(els.values, pattern.P)
+        assert not np.shares_memory(els.values, pattern.M)
+        for cut in (interior(SPEC), boundary(SPEC), *layers(SPEC, 0)):
+            assert not np.shares_memory(cut.values, pattern.P)
+
+    def test_only_the_last_pattern_is_held(self):
+        enumerate_simplex(SimplexSpec(6, (0, 2, 5)))
+        first = weakref.ref(simplex._pattern(6, 3).P)
+        enumerate_simplex(SimplexSpec(5, (1, 3)))
+        gc.collect()
+        assert first() is None
+        assert simplex._pattern.cache_info().currsize == 1
+        enumerate_simplex(SimplexSpec(5, (0, 4)))  # same (n, k): a hit
+        assert simplex._pattern.cache_info().currsize == 1

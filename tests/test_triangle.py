@@ -407,6 +407,17 @@ class TestComponentMap:
         with pytest.raises(OutOfRange):
             component_map(SPEC, TriangleSpec(5, 1, 2, 3))
 
+    def test_index_identity_is_the_multiplicity_matching(self):
+        # both triangles gather one (n, 3) pattern, so the object-level
+        # matching that triangle-add-iso used sends member i to member i
+        for n, one, two in ref.triangle_pair_family(7):
+            src, dst = TriangleSpec(n, *one), TriangleSpec(n, *two)
+            phi = ref.component_map(src, dst)
+            targets = ref.enumerate_simplex(dst.simplex())
+            p = ref.find(targets, [phi[x].values for x in elements(src)])
+            assert p == list(range(len(targets))), (src, dst)
+            assert component_map(src, dst) == phi, (src, dst)
+
 
 class TestCuts:
     """Every set of a triangle is a Subset cut from one enumeration by a
