@@ -29,10 +29,10 @@ def main():
 
     print("\nTop and bottom segments, with their closure thresholds:")
     for r in range(1, spec.n + 1):
-        ok = strings.family_top_is_semiring(spec, r)
+        ok, _ = analysis.is_subsemiring(strings.family_top(spec, r))
         print(f"  top segment from index {r}: subsemiring={ok}")
     for s in range(spec.n):
-        ok = strings.family_bottom_is_semiring(spec, s)
+        ok, _ = analysis.is_subsemiring(strings.family_bottom(spec, s))
         print(f"  bottom segment up to index {s}: subsemiring={ok}")
 
     print("\nTwo strings sharing one vertex glue into a longer chain:")

@@ -60,10 +60,8 @@ def main():
         f"\nMembers fixing both outer vertices: {len(it.it)} "
         f"(= {len(it.ri)} right identities + {len(it.rest)} others);"
     )
-    print(
-        f"  the a-c string's neutral block acts as left zeroes: "
-        f"{it.diagonal_left_zero}"
-    )
+    left_zero = all(x * alpha == x for x in it.diagonal for alpha in it.it)
+    print(f"  the a-c string's neutral block acts as left zeroes: {left_zero}")
 
 
 if __name__ == "__main__":

@@ -133,18 +133,6 @@ def family_bottom(spec: StringSpec, s: int) -> analysis.Subset:
     return elements(spec)[spec.n - s :]
 
 
-def family_top_is_semiring(spec: StringSpec, r: int) -> bool:
-    """Closure verdict for the top segment; expected iff r >= a + 1."""
-    ok, _ = analysis.is_subsemiring(family_top(spec, r))
-    return ok
-
-
-def family_bottom_is_semiring(spec: StringSpec, s: int) -> bool:
-    """Closure verdict for the bottom segment; expected iff s <= b."""
-    ok, _ = analysis.is_subsemiring(family_bottom(spec, s))
-    return ok
-
-
 def consecutive_union(n: int, a: int, b: int, c: int) -> analysis.Subset:
     """Union of the strings on {a, b} and {b, c}; shares only const b."""
     if not 0 <= a < b < c <= n - 1:

@@ -191,7 +191,12 @@ class RegionSummary:
 
 @dataclass(frozen=True)
 class RegionReport:
-    """The eight-region decomposition with its verification flags."""
+    """The eight regions with the closure, order and partition verdicts.
+
+    disjoint holds by construction: each member has exactly one type
+    triple, so it lands in one region at most.  cover is the partition flag
+    that can fail, when some member's triple lands in no region.
+    """
 
     spec: TriangleSpec
     regions: Mapping[Region, RegionSummary]
@@ -213,28 +218,30 @@ class RegionReport:
         )
 
 
-def decompose(spec: TriangleSpec) -> RegionReport:
-    """Assign every member to its region and verify the partition.
-
-    Assignment is by type triple; closure of each region, disjointness,
-    covering, and the closed-form orders are all checked here and reported,
-    never assumed.
-    """
+def regions(spec: TriangleSpec) -> dict[Region, analysis.Subset]:
+    """The members of each region, cut from elements by type-triple masks."""
     members = elements(spec)
     types = members.values[:, [spec.a, spec.b, spec.c]]  # row i: type triple of member i
     masks = {region: np.zeros(len(members), dtype=bool) for region in Region}
     for triple, region in region_types(spec).items():
         masks[region] |= (types == triple).all(axis=1)
-    summaries = {}
+    return {region: members[mask] for region, mask in masks.items()}
+
+
+def decompose(spec: TriangleSpec) -> RegionReport:
+    """The regions with their verdicts: closure of each region, its
+    closed-form order, and whether the regions cover the triangle."""
+    cut = regions(spec)
     args = (spec.n, spec.a, spec.b, spec.c)
-    for region, mask in masks.items():
-        els = members[mask]
-        closed, witness = analysis.is_subsemiring(els)
-        summaries[region] = RegionSummary(
-            region, els, closed, witness, _REGION_FORMULAS[region](*args)
+    summaries = {
+        region: RegionSummary(
+            region, els, *analysis.is_subsemiring(els), _REGION_FORMULAS[region](*args)
         )
-    hits = np.count_nonzero(list(masks.values()), axis=0)  # regions per member
-    return RegionReport(spec, summaries, bool((hits <= 1).all()), bool((hits >= 1).all()))
+        for region, els in cut.items()
+    }
+    # the regions are disjoint, so they cover the triangle iff their sizes add up
+    covered = sum(len(els) for els in cut.values())
+    return RegionReport(spec, summaries, disjoint=True, cover=covered == len(elements(spec)))
 
 
 def _fixes(V: np.ndarray, *vertices: int) -> np.ndarray:
@@ -417,45 +424,22 @@ class ITReport:
     corner_left: analysis.Subset
     corner_right: analysis.Subset
     diagonal: analysis.Subset
-    ri_closed: bool
-    rest_closed: bool
-    diagonal_ideal: bool
-    rest_ideal: bool
-    diagonal_left_zero: bool
 
 
 def idempotent_triangle(spec: TriangleSpec) -> ITReport:
-    """Collect and verify the block of members fixing both a and c; there
-    alpha(b) = b, a or c picks the right identities or a corner triangle."""
+    """Collect the block of members fixing both a and c; there alpha(b) =
+    b, a or c picks the right identities or a corner triangle."""
     els = elements(spec)
     block = _fixes(els.values, spec.a, spec.c)
     at_b = els.values[:, spec.b]
-    members = els[block]
-    ri = els[block & (at_b == spec.b)]
-    rest = els[block & (at_b != spec.b)]
-    corner_left = els[block & (at_b == spec.a)]
-    corner_right = els[block & (at_b == spec.c)]
-    diagonal = strings.partition_string(spec.string_ac()).idem
-    ri_closed, _ = analysis.is_subsemiring(ri)
-    rest_closed, _ = analysis.is_subsemiring(rest)
-    diagonal_ideal, _ = analysis.is_ideal(diagonal, members)
-    rest_ideal, _ = analysis.is_ideal(rest, members)
-    diagonal_left_zero = all(
-        x * alpha == x for x in diagonal for alpha in members
-    )
     return ITReport(
         spec,
-        members,
-        ri,
-        rest,
-        corner_left,
-        corner_right,
-        diagonal,
-        ri_closed,
-        rest_closed,
-        diagonal_ideal,
-        rest_ideal,
-        diagonal_left_zero,
+        it=els[block],
+        ri=els[block & (at_b == spec.b)],
+        rest=els[block & (at_b != spec.b)],
+        corner_left=els[block & (at_b == spec.a)],
+        corner_right=els[block & (at_b == spec.c)],
+        diagonal=strings.partition_string(spec.string_ac()).idem,
     )
 
 
@@ -506,16 +490,10 @@ def idempotent_sum_counterexample(spec: TriangleSpec) -> IdempotentSumEscape:
     a_(a+1) c_(n-a-1) and b_(b+1) c_(n-b-1) are idempotent but their sum
     b_(a+1) c_(n-a-1) squares to const c.
     """
-    n = spec.n
     left = strings.elem(spec.string_ac(), spec.a + 1)
     right = strings.elem(spec.string_bc(), spec.b + 1)
     total = left + right
-    square = total * total
-    if not (left.is_idempotent() and right.is_idempotent()):
-        raise AssertionError("counterexample ingredients must be idempotent")
-    if total.is_idempotent() or square != constant(n, spec.c):
-        raise AssertionError("counterexample sum must square to const c")
-    return IdempotentSumEscape(left, right, total, square)
+    return IdempotentSumEscape(left, right, total, total * total)
 
 
 def component_map(

@@ -14,6 +14,7 @@ from chainendo.claims import (
     run_all,
     run_claim,
 )
+from chainendo.core import constant
 
 
 class TestRegistry:
@@ -197,6 +198,82 @@ class TestItIdealsDiagonal:
     def test_a_diagonal_shifted_by_one_row_fails(self, monkeypatch, params, shift):
         self._shift_diagonal(monkeypatch, params, shift)
         assert claims._chk_it_ideals(params) == (False, {"note": "diagonal mismatch"})
+
+
+class TestMovedVerdictsCanFail:
+    """The claims, not the builders, compute these verdicts; a scan that
+    answers wrongly must turn each into its witness."""
+
+    PARAMS = (6, 1, 3, 4)
+
+    @staticmethod
+    def _fail_on(monkeypatch, name, target):
+        real = getattr(analysis, name)
+
+        def scan(first, *rest):
+            return (False, None) if first == target else real(first, *rest)
+
+        monkeypatch.setattr(claims.analysis, name, scan)
+
+    @pytest.mark.parametrize(
+        "name, field, verdict",
+        [
+            ("is_subsemiring", "ri", "ri_closed"),
+            ("is_subsemiring", "rest", "rest_closed"),
+            ("is_ideal", "diagonal", "diagonal_ideal"),
+            ("is_ideal", "rest", "rest_ideal"),
+        ],
+    )
+    def test_it_ideals_scan_verdicts(self, monkeypatch, name, field, verdict):
+        rep = triangle.idempotent_triangle(triangle.TriangleSpec(*self.PARAMS))
+        self._fail_on(monkeypatch, name, getattr(rep, field))
+        assert claims._chk_it_ideals(self.PARAMS) == (False, {"verdict": verdict})
+
+    def test_it_ideals_left_zero_verdict(self, monkeypatch):
+        # the left-zero verdict is the one all(...) of the check
+        monkeypatch.setattr(claims, "all", lambda _: False, raising=False)
+        assert claims._chk_it_ideals(self.PARAMS) == (
+            False,
+            {"verdict": "diagonal_left_zero"},
+        )
+
+    @pytest.mark.parametrize(
+        "field, note",
+        [
+            ("left", "counterexample ingredients must be idempotent"),
+            ("right", "counterexample ingredients must be idempotent"),
+            ("total", "counterexample sum must square to const c"),
+            ("square", "counterexample sum must square to const c"),
+        ],
+    )
+    def test_idempotent_sum_notes(self, monkeypatch, field, note):
+        # the interior square witness is not idempotent; const a is
+        # idempotent, so a total of const a or a square of const a fails
+        spec = triangle.TriangleSpec(*self.PARAMS)
+        real = triangle.idempotent_sum_counterexample(spec)
+        witness, _ = triangle.interior_square_witness(spec)
+        bad = witness if field in ("left", "right") else constant(spec.n, spec.a)
+        patched = dataclasses.replace(real, **{field: bad})
+        monkeypatch.setattr(claims.triangle, "idempotent_sum_counterexample", lambda _: patched)
+        assert claims._chk_idempotent_sum_escape(self.PARAMS) == (False, {"note": note})
+
+    def test_string_families_top(self, monkeypatch):
+        # with a = 1 the top segment from index 1 reaches const b and is not closed
+        monkeypatch.setattr(claims.analysis, "is_subsemiring", lambda _: (True, None))
+        assert claims._chk_string_families((5, 1, 3)) == (False, {"segment": "top", "cut": 1})
+
+    def test_string_families_bottom(self, monkeypatch):
+        # only bottom segments hold const b; flip their verdicts
+        real, const_b = analysis.is_subsemiring, constant(5, 3)
+        monkeypatch.setattr(
+            claims.analysis,
+            "is_subsemiring",
+            lambda s: (not real(s)[0], None) if const_b in s else real(s),
+        )
+        assert claims._chk_string_families((5, 1, 3)) == (
+            False,
+            {"segment": "bottom", "cut": 0},
+        )
 
 
 class TestLayerStringIsoRuns:

@@ -425,6 +425,20 @@ def test_check_json_matches_the_golden_file(capsys):
         ["check", "--n-max", "4", "--json"],
         ["counts", "--n-max", "7", "--json"],
         ["iso", "--json", "sim n=6 A=0,1,2,3,4,5", "sim n=6 A=0,1,2,3,4,5"],
+        [
+            "check",
+            "it-ideals",
+            "idempotent-sum-escape",
+            "string-families",
+            "nilpotent-regions",
+            "b-fixpoint-union",
+            "right-identity-existence",
+            "it-fixed-point-variant",
+            "--n-max",
+            "8",
+            "--json",
+        ],
+        ["decompose", "--json", "tri n=6 a=1 b=3 c=4"],
     ],
 )
 def test_optimized_interpreter_gives_the_same_json(command):

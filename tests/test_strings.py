@@ -13,9 +13,7 @@ from chainendo.strings import (
     elem,
     elements,
     family_bottom,
-    family_bottom_is_semiring,
     family_top,
-    family_top_is_semiring,
     index_of,
     partition_string,
     string_mul_cases,
@@ -156,12 +154,12 @@ class TestFamilies:
     def test_top_threshold(self):
         spec = StringSpec(6, 2, 4)
         for r in range(1, 7):
-            assert family_top_is_semiring(spec, r) == (r >= spec.a + 1)
+            assert analysis.is_subsemiring(family_top(spec, r))[0] == (r >= spec.a + 1)
 
     def test_bottom_threshold(self):
         spec = StringSpec(6, 2, 4)
         for s in range(6):
-            assert family_bottom_is_semiring(spec, s) == (s <= spec.b)
+            assert analysis.is_subsemiring(family_bottom(spec, s))[0] == (s <= spec.b)
 
 
 class TestUnions:

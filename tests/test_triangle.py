@@ -31,6 +31,7 @@ from chainendo.triangle import (
     layer_string_iso,
     left_similar_witness,
     region_of,
+    regions,
     right_identities,
     to_endo,
 )
@@ -240,9 +241,10 @@ class TestFixingBlock:
         assert tuple(report.corner_left) == (endo("1_3 3"),)
         assert tuple(report.corner_right) == (endo("1_2 3_2"),)
         assert set(report.diagonal) == set(frozen(["1_3 3", "1_2 3_2"]))
-        assert report.ri_closed and report.rest_closed
-        assert report.diagonal_ideal and report.rest_ideal
-        assert report.diagonal_left_zero
+        assert analysis.is_subsemiring(report.ri)[0] and analysis.is_subsemiring(report.rest)[0]
+        assert analysis.is_ideal(report.diagonal, report.it)[0]
+        assert analysis.is_ideal(report.rest, report.it)[0]
+        assert all(x * alpha == x for x in report.diagonal for alpha in report.it)
 
     def test_orders_on_the_larger_example(self):
         report = idempotent_triangle(BIG)
@@ -251,8 +253,9 @@ class TestFixingBlock:
         assert len(report.rest) == 4
         assert len(report.corner_left) == 1
         assert len(report.corner_right) == 3
-        assert report.ri_closed and report.rest_closed
-        assert report.diagonal_ideal and report.rest_ideal
+        assert analysis.is_subsemiring(report.ri)[0] and analysis.is_subsemiring(report.rest)[0]
+        assert analysis.is_ideal(report.diagonal, report.it)[0]
+        assert analysis.is_ideal(report.rest, report.it)[0]
 
     def test_corner_triangles_partition_with_ri(self):
         report = idempotent_triangle(BIG)
@@ -431,9 +434,10 @@ class TestCuts:
                 ref.assert_cut(interior(spec), ref.interior(spec.simplex()), spec)
                 ref.assert_cut(boundary(spec), ref.boundary(spec.simplex()), spec)
                 ref.assert_cut(right_identities(spec), ref.right_identities(spec), spec)
-                regions = decompose(spec).regions
+                summaries, cut = decompose(spec).regions, regions(spec)
                 for region, want in ref.decompose(spec).items():
-                    ref.assert_cut(regions[region].elements, want, (spec, region))
+                    ref.assert_cut(summaries[region].elements, want, (spec, region))
+                    ref.assert_cut(cut[region], want, (spec, region))
                 report = idempotent_triangle(spec)
                 for name, want in ref.idempotent_triangle(spec).items():
                     ref.assert_cut(getattr(report, name), want, (spec, name))
@@ -447,3 +451,28 @@ class TestCuts:
                 ref.assert_cut(ids.right, want.right, spec)
                 both = tuple(e for e in want.left if e in set(want.right))
                 ref.assert_cut(ids.two_sided, both, spec)
+
+
+class ScanRan(Exception):
+    pass
+
+
+def test_builders_run_no_scan(monkeypatch):
+    """The builders return sets and maps; every closure or ideal verdict
+    on them is computed by the check that reads it."""
+
+    def refuse(*_):
+        raise ScanRan
+
+    monkeypatch.setattr(analysis, "_closure_scan", refuse)
+    monkeypatch.setattr(analysis, "is_ideal", refuse)
+    for spec in (SPEC, BIG, TriangleSpec(7, 0, 2, 6)):
+        regions(spec)
+        idempotent_triangle(spec)
+        idempotent_sum_counterexample(spec)
+        for line in (spec.string_ab(), spec.string_ac()):
+            for cut in range(1, spec.n):
+                strings.family_top(line, cut)
+                strings.family_bottom(line, cut)
+    with pytest.raises(ScanRan):
+        analysis.is_subsemiring(elements(SPEC))
