@@ -10,17 +10,18 @@ produce it directly, with no ChainEndo built, and every set derived from
 an enumeration is a slice of step 1 or a boolean row mask of it, so the
 rows stay in order.  A Subset may be empty; Subset.of, where every check
 starts, refuses an empty set.  Subset.of lexsorts the maps' value rows and
-drops repeats, the union s | t shares that step, and x in s compares x's
-row with the matrix; none of them reads keys, so they work at any n.
-Derived from the matrix are one exact int64 key per map (the map's
-lexicographic rank among all C(2n-1, n) monotone maps of its chain), two
-(n*n, N) rank tables, one for sums and one for products, in the smallest
-integer type that holds every rank, one index table over every rank of the
-chain, and the ChainEndo objects themselves.  These are built on first use and kept on the Subset,
-so a check that passes its Subset on to another check does not rebuild
-them; no other state survives a call.  A matrix may hold a chain of any
-length; building the keys or a rank table of a chain longer than MAX_CHAIN
-raises ChainTooLong.
+drops repeats, the union s | t shares that step, x in s compares x's row
+with the matrix, and s.limits squares the matrix to each map's eventual
+idempotent; none of them reads keys, so they work at any n.  Derived from
+the matrix are one exact int64 key per map (the map's lexicographic rank
+among all C(2n-1, n) monotone maps of its chain), two (n*n, N) rank tables,
+one for sums and one for products, in the smallest integer type that holds
+every rank, one index table over every rank of the chain, and the ChainEndo
+objects themselves.  These and the limits are built on first use and kept
+on the Subset, so a check that passes its Subset on to another check does
+not rebuild them; no other state survives a call.  A matrix may hold a
+chain of any length; building the keys or a rank table of a chain longer
+than MAX_CHAIN raises ChainTooLong.
 
 The scans run on these arrays, not on ChainEndo objects.  The rank of a map
 is a sum of one weight per position, and row k*n + c of a table holds, for
@@ -171,6 +172,17 @@ class Subset:
         if not isinstance(item, ChainEndo) or item.n != self.n:
             return False
         return bool((self.values == item.values).all(axis=1).any())
+
+    @cached_property
+    def limits(self) -> np.ndarray:
+        """Read-only (N, n): row i is member i's eventual idempotent.  Powers stop
+        moving by exponent n - 1 (ChainEndo._power_limit), s squarings reach power
+        2**s >= n - 1, and a map is idempotent exactly when it equals its limit."""
+        L = self.values
+        for _ in range(max(1, (self.n - 2).bit_length())):
+            L = np.take_along_axis(L, L, axis=1)
+        L.flags.writeable = False
+        return L
 
     def _check_limit(self) -> None:
         """Raise ChainTooLong beyond MAX_CHAIN: every key and rank table starts here."""

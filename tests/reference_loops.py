@@ -42,6 +42,15 @@ The set algebra loops are plain Python set and dict versions of what
 ``Subset`` answers from its value rows: normalising a collection, the
 union, the member index of each row, membership, and the two-sided
 identities; tests require the row versions to agree with them.
+
+The claim loops are eight checks of ``chainendo.claims`` as they read
+before they asked ``Subset.limits`` once per set: each walks the powers of
+every member (``is_nilpotent_to``, ``eventual_idempotent``,
+``nilpotency_target``) or squares every member (``is_idempotent``) as a
+``ChainEndo``.  ``interior_sum`` counts, for each member, the pairs of the
+two strings that sum to it.  They call the library through its modules, so
+a test that patches one library call changes what both versions read, and
+requires the check and its loop to return the same verdict and witness.
 """
 
 from itertools import chain, combinations, combinations_with_replacement
@@ -50,7 +59,7 @@ from operator import add, mul
 
 import numpy as np
 
-from chainendo import strings, triangle
+from chainendo import analysis, counting, simplex, strings, triangle
 from chainendo.analysis import (
     ElementClass,
     IdealWitness,
@@ -61,8 +70,11 @@ from chainendo.analysis import (
     TrivialityVerdict,
     is_closed,
 )
-from chainendo.core import ChainEndo, all_endomorphisms, constant
+from chainendo.claims import _pair
+from chainendo.core import ChainEndo, all_endomorphisms, constant, format_compact, identity
+from chainendo.simplex import LayerId, SimplexSpec
 from chainendo.strings import StringSpec
+from chainendo.triangle import NotDecomposable, Region, TriangleSpec
 
 TRIPLE_LAWS = (
     "associative addition",
@@ -515,3 +527,197 @@ def contains(members, item):
 def two_sided(left, right):
     kept = set(right)
     return tuple(e for e in left if e in kept)
+
+
+def dn1_internal(params):
+    n, verts, m = params
+    spec = SimplexSpec(n, verts)
+    hood = simplex.discrete_neighborhood(spec, m, 1)
+    v = analysis.triviality(hood)
+    pivot = verts[m]
+    if not v.is_trivial or v.iota != constant(n, pivot):
+        return False, {"note": "products must collapse onto the vertex constant"}
+    if v.iota_is_min != (m == 0) or v.iota_is_max != (m == spec.k - 1):
+        return False, {"note": "flavor must follow the vertex position", "m": m}
+    for x in hood:
+        if not x.is_nilpotent_to(pivot):
+            return False, {"element": format_compact(x)}
+    return True, None
+
+
+def top_layer(params):
+    n, verts = params
+    spec = SimplexSpec(n, verts)
+    low = verts[0]
+    lay = simplex.layer(LayerId(spec, 0, low + 1))
+    ok, wit = analysis.is_subsemiring(lay)
+    if not ok:
+        return False, _pair(wit)
+    limits = [x.eventual_idempotent() for x in lay]
+    inside = lay.find([limit.values for limit in limits]) >= 0
+    nil = constant(n, low)
+    for x, limit, kept in zip(lay, limits, inside):
+        if limit == nil:
+            return False, {"element": format_compact(x), "note": "nilpotent inside the layer"}
+        if not kept:
+            return False, {"element": format_compact(x), "note": "idempotent left the layer"}
+    return True, None
+
+
+def nilpotency_criterion(params):
+    n, verts = params
+    spec = SimplexSpec(n, verts)
+    low = verts[0]
+    for e in simplex.enumerate_simplex(spec):
+        nil = e.is_nilpotent_to(low)
+        if e.values[low] != low:
+            if nil:
+                return False, {"element": format_compact(e), "note": "nilpotent without fixing"}
+            continue
+        if simplex.nilpotent_in_neighborhood(spec, e) != nil:
+            return False, {"element": format_compact(e), "nilpotent": nil}
+    return True, None
+
+
+def nilpotent_regions(params):
+    n, a, b, c = params
+    spec = TriangleSpec(n, a, b, c)
+    regions = triangle.regions(spec)
+    els = triangle.elements(spec)
+    corners = zip((a, b, c), (Region.NIL_A, Region.NIL_B, Region.NIL_C))
+    fibers = {value: regions[region] for value, region in corners}
+    targets = [e.nilpotency_target() for e in els]
+    for value, members in fibers.items():
+        if els[np.array([t == value for t in targets])] != members:
+            return False, {"value": value, "note": "region misses the fiber"}
+    va = analysis.triviality(fibers[a])
+    if va.is_trivial != (c == n - 1) or (va.is_trivial and va.iota != constant(n, a)):
+        return False, {"region": "low corner", "trivial": va.is_trivial}
+    vc = analysis.triviality(fibers[c])
+    if vc.is_trivial != (a == 0) or (vc.is_trivial and vc.iota != constant(n, c)):
+        return False, {"region": "high corner", "trivial": vc.is_trivial}
+    vb = analysis.triviality(fibers[b])
+    if not vb.is_trivial or vb.iota != constant(n, b):
+        return False, {"region": "middle corner", "trivial": vb.is_trivial}
+    if vb.iota_is_min != (a == 0) or vb.iota_is_max != (c == n - 1):
+        return False, {"region": "middle corner", "flavor": vb.flavor}
+    return True, None
+
+
+def interior_sum(params):
+    n, a, b, c = params
+    spec = TriangleSpec(n, a, b, c)
+    ab_els = strings.elements(spec.string_ab())
+    ac_els = strings.elements(spec.string_ac())
+    bad = (constant(n, a), constant(n, c))
+    els, M = simplex._coordinates(spec.simplex())
+    for e, (_, ell, m) in zip(els, M.tolist()):
+        if ell >= 1 and m >= 1:
+            left, right = triangle.interior_decompose(spec, e)
+            if left + right != e:
+                return False, {"element": format_compact(e)}
+            if left in bad or right in bad:
+                return False, {"element": format_compact(e), "note": "constant summand"}
+            pairs = sum(1 for u in ab_els for v in ac_els if u + v == e)
+            if pairs != 1:
+                return False, {"element": format_compact(e), "pairs": pairs}
+        else:
+            try:
+                triangle.interior_decompose(spec, e)
+            except NotDecomposable:
+                continue
+            return False, {"element": format_compact(e), "note": "should not decompose"}
+    return True, None
+
+
+def interior_idempotents(params):
+    n, a, b, c = params
+    spec = TriangleSpec(n, a, b, c)
+    inner = triangle.interior(spec)
+    idem = inner[np.array([e.is_idempotent() for e in inner], dtype=bool)]
+    if idem != triangle.right_identities(spec):
+        return False, {"found": sorted(format_compact(e) for e in idem)}
+    return True, None
+
+
+def right_identity_existence(params):
+    n, a, b, c = params
+    spec = TriangleSpec(n, a, b, c)
+    ids = analysis.identities(triangle.elements(spec))
+    rid = triangle.right_identities(spec)
+    region = triangle.regions(spec)[Region.RIGHT_IDENTITIES]
+    if ids.right != rid or rid != region:
+        return False, {"right": [format_compact(e) for e in ids.right]}
+    for e in rid:
+        if not e.is_idempotent():
+            return False, {"element": format_compact(e)}
+    if n == 3:
+        if tuple(ids.left) != (identity(3),) or tuple(ids.two_sided) != (identity(3),):
+            return False, {"left": [format_compact(e) for e in ids.left]}
+    elif len(ids.left):
+        return False, {"left": [format_compact(e) for e in ids.left]}
+    return True, None
+
+
+def idempotent_sum_escape(params):
+    n, a, b, c = params
+    spec = TriangleSpec(n, a, b, c)
+    escape = triangle.idempotent_sum_counterexample(spec)
+    if not (escape.left.is_idempotent() and escape.right.is_idempotent()):
+        return False, {"note": "counterexample ingredients must be idempotent"}
+    if escape.total.is_idempotent() or escape.square != constant(n, c):
+        return False, {"note": "counterexample sum must square to const c"}
+    if escape.total + escape.total != escape.total:
+        return False, {"note": "sums must stay additively idempotent"}
+    idem = [e for e in triangle.elements(spec) if e.is_idempotent()]
+    ok, _ = analysis.is_closed(idem, "+")
+    if ok:
+        return False, {"note": "idempotents unexpectedly add up"}
+    return True, None
+
+
+def it_ideals(params):
+    n, a, b, c = params
+    spec = TriangleSpec(n, a, b, c)
+    rep = triangle.idempotent_triangle(spec)
+    if len(rep.it) != counting.it_order(n, a, b, c):
+        return False, {"order": len(rep.it)}
+    if len(rep.rest) != counting.it_rest_order(n, a, b, c):
+        return False, {"rest": len(rep.rest)}
+    regions = triangle.regions(spec)
+    if rep.ri != regions[Region.RIGHT_IDENTITIES]:
+        return False, {"note": "identity block mismatch"}
+    if rep.corner_left != regions[Region.L_TRI]:
+        return False, {"note": "left corner mismatch"}
+    if rep.corner_right != regions[Region.R_TRI]:
+        return False, {"note": "right corner mismatch"}
+    if rep.ri | rep.corner_left | rep.corner_right != rep.it:
+        return False, {"note": "corners and identities must partition the block"}
+    if len(rep.ri) + len(rep.corner_left) + len(rep.corner_right) != len(rep.it):
+        return False, {"note": "corner overlap"}
+    for corner in (rep.corner_left, rep.corner_right):
+        ok, wit = analysis.is_subsemiring(corner)
+        if not ok:
+            return False, _pair(wit)
+    for x in rep.corner_left:
+        for y in rep.corner_right:
+            if not x.pointwise_le(y) or x == y:
+                return False, {"left": format_compact(x), "right": format_compact(y)}
+    ac = strings.elements(spec.string_ac())
+    if rep.diagonal != ac[np.array([e * e == e and not e.is_constant() for e in ac])]:
+        return False, {"note": "diagonal mismatch"}
+    for x in rep.diagonal:
+        k = x.values.count(a)
+        home = rep.corner_right if k <= b else rep.corner_left
+        if x not in home:
+            return False, {"element": format_compact(x)}
+    for ok, name in (
+        (analysis.is_subsemiring(rep.ri)[0], "ri_closed"),
+        (analysis.is_subsemiring(rep.rest)[0], "rest_closed"),
+        (analysis.is_ideal(rep.diagonal, rep.it)[0], "diagonal_ideal"),
+        (analysis.is_ideal(rep.rest, rep.it)[0], "rest_ideal"),
+        (all(x * y == x for x in rep.diagonal for y in rep.it), "diagonal_left_zero"),
+    ):
+        if not ok:
+            return False, {"verdict": name}
+    return True, None

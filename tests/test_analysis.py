@@ -445,6 +445,59 @@ class TestClassify:
             assert e.nilpotency_target() == want, e
 
 
+class TestLimits:
+    """Subset.limits, one squaring pass over the value rows, against the power
+    walk of ChainEndo._power_limit on every member."""
+
+    @staticmethod
+    def _assert_limits(s):
+        assert s.limits.shape == (len(s), s.n)
+        assert s.limits.tolist() == [list(e._power_limit()[0].values) for e in s]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_map_of_the_chain(self, n):
+        self._assert_limits(simplex.enumerate_simplex(SimplexSpec(n, tuple(range(n)))))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_layers_and_neighborhoods_of_every_simplex(self, n):
+        for k in range(1, n + 1):
+            for verts in combinations(range(n), k):
+                spec = SimplexSpec(n, verts)
+                for m in range(k):
+                    for s in simplex.layers(spec, m):
+                        self._assert_limits(s)
+                    for t in range(1, n + 1):
+                        self._assert_limits(simplex.discrete_neighborhood(spec, m, t))
+
+    def test_empty_set(self):
+        empty = Subset.from_values(4, np.zeros((0, 4), dtype=np.int64))
+        assert empty.limits.shape == (0, 4)
+
+    @pytest.mark.parametrize("n", [20, 33])
+    def test_strings_beyond_the_chain_limit(self, n):
+        for a, b in ((0, 1), (0, n - 1), (n // 2, n // 2 + 1), (n - 2, n - 1)):
+            self._assert_limits(strings.elements(StringSpec(n, a, b)))
+
+    def test_a_map_that_needs_the_last_squaring(self):
+        # exponent 5 at n = 6: two squarings reach only the fourth power
+        shift = ChainEndo(6, (0, 0, 1, 2, 3, 4))
+        assert shift._power_limit() == (constant(6, 0), 5)
+        assert Subset.of([shift]).limits.tolist() == [[0] * 6]
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_the_slowest_map_of_each_chain(self, n):
+        # x -> max(x - 1, 0) has exponent n - 1, the largest on the chain
+        shift = ChainEndo(n, (0, *range(n - 1)))
+        assert shift._power_limit()[1] == max(1, n - 1)
+        self._assert_limits(Subset.of([shift, identity(n), constant(n, n - 1)]))
+
+    def test_limits_are_read_only(self):
+        s = Subset.of(all_endomorphisms(3))
+        with pytest.raises(ValueError, match="read-only"):
+            s.limits[0, 0] = 1
+        assert s.limits is s.limits  # built once
+
+
 class TestIsoCheck:
     def test_set_is_isomorphic_to_itself(self):
         els = strings.elements(StringSpec(4, 1, 2))
@@ -592,6 +645,45 @@ class TestOneSetType:
     def test_no_python_set_of_maps_is_built(self, module):
         # set questions go to Subset: |, find, in, masks and slices
         assert list(self._set_builders(inspect.getsource(module))) == []
+
+    POWER_WALKS = ("eventual_idempotent", "nilpotency_target", "is_nilpotent_to", "_power_limit")
+
+    @classmethod
+    def _power_walks(cls, source: str):
+        """(line, name) for every name, attribute or string constant in the
+        source that names a per-map power walk."""
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name in cls.POWER_WALKS:
+                yield node.lineno, name
+
+    def test_claims_call_no_power_walk(self):
+        # a set asks Subset.limits once; the walks are the one-map API
+        assert list(self._power_walks(inspect.getsource(claims))) == []
+
+    def test_the_guard_sees_every_call_form(self):
+        source = (
+            "a = x.eventual_idempotent()\n"
+            "b = nilpotency_target(x)\n"
+            "c = ChainEndo.is_nilpotent_to(x, 0)\n"
+            "d = list(map(ChainEndo._power_limit, xs))\n"
+            "e = getattr(x, 'eventual_idempotent')()\n"
+            "f = s.limits[0].is_idempotent(eventual=1)\n"
+        )
+        assert sorted(self._power_walks(source)) == [
+            (1, "eventual_idempotent"),
+            (2, "nilpotency_target"),
+            (3, "is_nilpotent_to"),
+            (4, "_power_limit"),
+            (5, "eventual_idempotent"),
+        ]
 
     def test_the_guard_sees_a_python_set(self):
         source = "a = set(x)\nb = frozenset(y)\nc = {e for e in z}\nd = {1, 2}\ne: set[int] = {}\n"

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import reference_loops as ref
@@ -15,6 +16,8 @@ from chainendo.claims import (
     run_claim,
 )
 from chainendo.core import constant
+from chainendo.simplex import SimplexSpec
+from chainendo.triangle import Region, TriangleSpec
 
 
 class TestRegistry:
@@ -274,6 +277,147 @@ class TestMovedVerdictsCanFail:
             False,
             {"segment": "bottom", "cut": 0},
         )
+
+
+class TestPortedChecksKeepTheirWitnesses:
+    """The checks that ask Subset.limits once per set, and interior-sum's one
+    count of the string sums, report what their per-member loops reported
+    (reference_loops): each is made to fail by patching library calls it
+    reads, and the check and its loop must return the same verdict and
+    witness.  A member nilpotent onto a0 always fixes a0, so no patched set
+    reaches nilpotency-criterion's "nilpotent without fixing"."""
+
+    TRIANGLES = [(4, 0, 1, 3), (6, 1, 3, 4), (7, 0, 2, 6)]
+
+    @staticmethod
+    def _same(check, loop, params):
+        got = check(params)
+        assert got == loop(params)
+        return got
+
+    @pytest.mark.parametrize("flip", ["every", "nilpotent", "other"])
+    @pytest.mark.parametrize("params", [(5, (1, 2, 4)), (6, (0, 2, 5)), (6, (2, 3, 4, 5))])
+    def test_nilpotency_criterion(self, monkeypatch, params, flip):
+        real = simplex.nilpotent_in_neighborhood
+
+        def criterion(spec, e):
+            verdict = real(spec, e)
+            return not verdict if flip == "every" or verdict == (flip == "nilpotent") else verdict
+
+        self._same(claims._chk_nilpotency_criterion, ref.nilpotency_criterion, params)
+        monkeypatch.setattr(simplex, "nilpotent_in_neighborhood", criterion)
+        holds, witness = self._same(
+            claims._chk_nilpotency_criterion, ref.nilpotency_criterion, params
+        )
+        assert not holds and witness["nilpotent"] == (flip != "other")
+
+    @pytest.mark.parametrize("cut", ["simplex", "non-idempotents", "simplex-non-idempotents"])
+    @pytest.mark.parametrize("params", [(6, (0, 2, 5)), (6, (1, 3, 4)), (5, (0, 1, 2, 3, 4))])
+    def test_top_layer(self, monkeypatch, params, cut):
+        # the whole simplex is closed but holds the nilpotents onto a0; a set
+        # without idempotents, passed as closed, loses its members' limits
+        real = simplex.layer
+
+        def layer(layer_id):
+            s = simplex.enumerate_simplex(layer_id.spec) if "simplex" in cut else real(layer_id)
+            if "non-idempotents" in cut:
+                s = s[np.array([not e.is_idempotent() for e in s])]
+            return s
+
+        monkeypatch.setattr(simplex, "layer", layer)
+        if "non-idempotents" in cut:
+            monkeypatch.setattr(analysis, "is_subsemiring", lambda _: (True, None))
+        holds, witness = self._same(claims._chk_top_layer, ref.top_layer, params)
+        assert not holds and "note" in witness
+
+    @pytest.mark.parametrize("radius", [2, 3])
+    @pytest.mark.parametrize("params", [(5, (1, 2, 3), 1), (6, (1, 3, 4), 0), (6, (1, 3, 4), 2)])
+    def test_dn1_internal(self, monkeypatch, params, radius):
+        # a wider neighborhood, with the verdict of the radius-1 one
+        n, verts, m = params
+        real = simplex.discrete_neighborhood
+        verdict = analysis.triviality(real(SimplexSpec(n, verts), m, 1))
+        monkeypatch.setattr(simplex, "discrete_neighborhood", lambda s, m, t: real(s, m, radius))
+        monkeypatch.setattr(analysis, "triviality", lambda _: verdict)
+        holds, witness = self._same(claims._chk_dn1_internal, ref.dn1_internal, params)
+        assert not holds and "element" in witness
+
+    @pytest.mark.parametrize("region", [Region.NIL_A, Region.NIL_B, Region.NIL_C])
+    @pytest.mark.parametrize("params", TRIANGLES)
+    def test_nilpotent_regions(self, monkeypatch, params, region):
+        real = triangle.regions
+        monkeypatch.setattr(
+            triangle, "regions", lambda spec: {**real(spec), region: real(spec)[region][1:]}
+        )
+        holds, witness = self._same(claims._chk_nilpotent_regions, ref.nilpotent_regions, params)
+        assert not holds and witness["note"] == "region misses the fiber"
+
+    @pytest.mark.parametrize("swap", ["triangle", "half"])
+    @pytest.mark.parametrize("params", TRIANGLES)
+    def test_interior_sum(self, monkeypatch, params, swap):
+        # more summands on the a-c side give some member two pairs, fewer none
+        ac, real = TriangleSpec(*params).string_ac(), strings.elements
+
+        def elements(spec):
+            if spec != ac:
+                return real(spec)
+            if swap == "triangle":
+                return triangle.elements(TriangleSpec(*params))
+            return real(spec)[: spec.n // 2]
+
+        monkeypatch.setattr(strings, "elements", elements)
+        holds, witness = self._same(claims._chk_interior_sum, ref.interior_sum, params)
+        assert not holds and "pairs" in witness
+
+    @pytest.mark.parametrize("patch", ["right_identities", "interior"])
+    @pytest.mark.parametrize("params", TRIANGLES)
+    def test_interior_idempotents(self, monkeypatch, params, patch):
+        if patch == "right_identities":
+            real = triangle.right_identities
+            monkeypatch.setattr(triangle, "right_identities", lambda spec: real(spec)[1:])
+        else:
+            monkeypatch.setattr(triangle, "interior", triangle.elements)
+        check, loop = claims._chk_interior_idempotents, ref.interior_idempotents
+        holds, witness = self._same(check, loop, params)
+        assert not holds and witness["found"]
+
+    @pytest.mark.parametrize("extra", ["interior", "boundary"])
+    @pytest.mark.parametrize("params", TRIANGLES)
+    def test_right_identity_existence(self, monkeypatch, params, extra):
+        # the identities, the block and the region all read one set with
+        # members that are not idempotent
+        spec = TriangleSpec(*params)
+        bad = triangle.right_identities(spec) | getattr(triangle, extra)(spec)
+        ids, regions = analysis.identities, triangle.regions
+        monkeypatch.setattr(
+            analysis, "identities", lambda s: dataclasses.replace(ids(s), right=bad)
+        )
+        monkeypatch.setattr(triangle, "right_identities", lambda _: bad)
+        monkeypatch.setattr(
+            triangle, "regions", lambda s: {**regions(s), Region.RIGHT_IDENTITIES: bad}
+        )
+        check, loop = claims._chk_right_identity_existence, ref.right_identity_existence
+        holds, witness = self._same(check, loop, params)
+        assert not holds and "element" in witness
+
+    @pytest.mark.parametrize("params", TRIANGLES)
+    def test_idempotent_sum_escape(self, monkeypatch, params):
+        # the idempotents of a string lie on one chain, so they add up
+        check, loop = claims._chk_idempotent_sum_escape, ref.idempotent_sum_escape
+        assert self._same(check, loop, params) == (True, None)
+        spec = TriangleSpec(*params)
+        monkeypatch.setattr(triangle, "elements", lambda _: strings.elements(spec.string_ac()))
+        assert self._same(check, loop, params) == (
+            False,
+            {"note": "idempotents unexpectedly add up"},
+        )
+
+    @pytest.mark.parametrize("shift", [0, 1, -1])
+    @pytest.mark.parametrize("params", TestItIdealsDiagonal.PARAMS)
+    def test_it_ideals_diagonal(self, monkeypatch, params, shift):
+        TestItIdealsDiagonal._shift_diagonal(monkeypatch, params, shift)
+        holds, _ = self._same(claims._chk_it_ideals, ref.it_ideals, params)
+        assert holds == (shift == 0)
 
 
 class TestLayerStringIsoRuns:

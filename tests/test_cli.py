@@ -438,6 +438,26 @@ def test_check_json_matches_the_golden_file(capsys):
             "8",
             "--json",
         ],
+        [
+            "check",
+            "nilpotency-criterion",
+            "top-layer-semiring",
+            "dn1-internal",
+            "nilpotent-regions",
+            "interior-idempotents",
+            "right-identity-existence",
+            "idempotent-sum-escape",
+            "it-ideals",
+            "interior-sum",
+            "power-stabilization",
+            "simplex-closed",
+            "dn1-semiring",
+            "dn2-internal-semiring",
+            "string-partition",
+            "--n-max",
+            "8",
+            "--json",
+        ],
         ["decompose", "--json", "tri n=6 a=1 b=3 c=4"],
     ],
 )
