@@ -13,22 +13,27 @@ starts, refuses an empty set.  Subset.of lexsorts the maps' value rows and
 drops repeats, the union s | t shares that step, x in s compares x's row
 with the matrix, and s.limits squares the matrix to each map's eventual
 idempotent; none of them reads keys, so they work at any n.  Derived from
-the matrix are one exact int64 key per map (the map's lexicographic rank
-among all C(2n-1, n) monotone maps of its chain), two (n*n, N) rank tables,
-one for sums and one for products, in the smallest integer type that holds
-every rank, one index table over every rank of the chain, and the ChainEndo
-objects themselves.  These and the limits are built on first use and kept
-on the Subset, so a check that passes its Subset on to another check does
-not rebuild them; no other state survives a call.  A matrix may hold a
-chain of any length; building the keys or a rank table of a chain longer
-than MAX_CHAIN raises ChainTooLong.
+the matrix are one (n, N) weight matrix, whose column j holds the weight of
+each position of map j, so that it sums to one exact int64 key per map (the
+map's lexicographic rank among all C(2n-1, n) monotone maps of its chain);
+two (n*n, N) rank tables, one for sums and one for products; one index table
+over every rank of the chain; and the ChainEndo objects themselves.  The
+weights and tables are in the smallest integer type that holds every rank.
+These and the limits are built on first use and kept on the Subset, so a
+check that passes its Subset on to another check does not rebuild them; no
+other state survives a call.  A matrix may hold a chain of any length;
+building the weights, keys or a rank table of a chain longer than MAX_CHAIN
+raises ChainTooLong.
 
 The scans run on these arrays, not on ChainEndo objects.  The rank of a map
 is a sum of one weight per position, and row k*n + c of a table holds, for
 every right operand y, the weight at k of the result when the left operand
 holds c at k.  So the keys of x + y or x * y for a block of left operands
 and a selection of right operands take one gather of n table rows per x and
-one sum over them.  Subset.index_of turns keys into member indices (-1 when
+one sum over them.  A closure scan of a set that spans more than one block
+first combines row 0 with every member straight from the weight matrix, and
+builds the rank tables only when row 0 stays inside the set: most sets that
+escape do so there.  Subset.index_of turns keys into member indices (-1 when
 the result leaves the set) with one gather from the index table; it is the
 only way a key becomes a member, and s.find(rows), the member index of each
 row of a value matrix, goes through it.  One pair budget, _PAIR_BUDGET,
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Literal, Mapping
 
@@ -52,7 +57,7 @@ import numpy as np
 from .core import ChainEndo, ChainEndoError, SizeMismatch
 
 # Largest chain the set checks accept.  A value matrix may hold any chain;
-# the limit is checked when a set's keys or rank tables are built.  Ranks
+# the limit is checked when a set's weights or rank tables are built.  Ranks
 # stay exact in int64 up to n = 33, but each set's index table holds one
 # entry per monotone map, C(2n-1, n) of them, in the smallest signed type
 # that holds N, for N maps: one byte up to N = 127 (74 MiB of address space
@@ -85,8 +90,8 @@ class SetTooLarge(ChainEndoError):
 @dataclass(frozen=True, eq=False)
 class Subset:
     """Distinct maps of one chain in lexicographic order: a read-only
-    sequence of ChainEndo backed by their (N, n) value matrix, with keys,
-    rank tables and index table (see the module docstring) and the
+    sequence of ChainEndo backed by their (N, n) value matrix, with weights,
+    keys, rank tables and index table (see the module docstring) and the
     ChainEndo objects themselves, each built on first use."""
 
     n: int
@@ -135,18 +140,21 @@ class Subset:
         """The i-th map, or the Subset of the rows that a slice of step 1 or a
         boolean row mask selects; while elements is unbuilt, an index wraps
         only row i."""
-        if isinstance(i, slice) and i.step not in (None, 1):
-            raise ValueError(f"a Subset slice needs step 1, got {i.step}: rows stay ascending")
-        if isinstance(i, slice) or (isinstance(i, np.ndarray) and i.dtype == bool):
+        if isinstance(i, (int, np.integer)) and not isinstance(i, bool):
+            elements = self.__dict__.get("elements")
+            if elements is not None:
+                return elements[i]
+            return ChainEndo._wrap(self.n, tuple(self.values[i].tolist()))
+        if isinstance(i, slice):
+            if i.step not in (None, 1):
+                raise ValueError(f"a Subset slice needs step 1, got {i.step}: rows stay ascending")
             return Subset.from_values(self.n, self.values[i])
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-            raise TypeError(
-                "a Subset takes an integer, a slice of step 1 or a boolean row mask, "
-                f"not {type(i).__name__}"
-            )
-        if "elements" in vars(self):
-            return self.elements[i]
-        return ChainEndo._wrap(self.n, tuple(self.values[i].tolist()))
+        if isinstance(i, np.ndarray) and i.dtype == bool:
+            return Subset.from_values(self.n, self.values[i])
+        raise TypeError(
+            "a Subset takes an integer, a slice of step 1 or a boolean row mask, "
+            f"not {type(i).__name__}"
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subset):
@@ -185,27 +193,41 @@ class Subset:
         return L
 
     def _check_limit(self) -> None:
-        """Raise ChainTooLong beyond MAX_CHAIN: every key and rank table starts here."""
+        """Raise ChainTooLong beyond MAX_CHAIN: the weights and every rank table start here."""
         if self.n > MAX_CHAIN:
             raise ChainTooLong(
                 f"chain size {self.n} is beyond the limit n <= {MAX_CHAIN} of the set checks"
             )
 
     @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only (n, N) array in the key dtype: entry [k, j] is W[k, y_j[k]].
+
+        W is _rank_weights(n) and y the elements, so column j sums to the
+        rank of y_j.
+        """
+        self._check_limit()
+        n = self.n
+        # a C-ordered index: np.take copies an F-ordered one first
+        at = np.add(self.values.T, np.arange(0, n * n, n)[:, None], order="C")
+        weights = np.take(_key_weights(n), at)
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
     def keys(self) -> np.ndarray:
         """Lex rank of each element among all maps of the chain; strictly increasing."""
-        self._check_limit()
-        return _pack(self.values, self.n)
+        return self.weights.sum(axis=0, dtype=np.int64)
 
     @cached_property
     def product_table(self) -> np.ndarray:
-        """(n*n, N) table: row k*n + c, column j holds W[k, y_j[c]].
+        """(n*n, N) table: row k*n + c, column j holds W[k, y_j[c]], W and y
+        as in weights.
 
-        W is _rank_weights(n) and y the elements, so the key of x * y_j is
-        the sum over k of row k*n + x[k] at column j.
+        The key of x * y_j is the sum over k of row k*n + x[k] at column j.
         """
         self._check_limit()
-        W = _rank_weights(self.n).astype(_key_dtype(self.n))
+        W = _key_weights(self.n).reshape(self.n, self.n)
         return W[:, self.values.T].reshape(self.n**2, len(self))
 
     @cached_property
@@ -213,12 +235,11 @@ class Subset:
         """(n*n, N) table: row k*n + c, column j holds W[k, max(c, y_j[k])].
 
         The key of x + y_j is the sum over k of row k*n + x[k] at column j.
-        Rows of W are nondecreasing, so the entry is max(W[k, c], W[k, y_j[k]]).
+        Rows of W are nondecreasing, so the entry is max(W[k, c], weights[k, j]).
         """
-        self._check_limit()
-        W = _rank_weights(self.n).astype(_key_dtype(self.n))
-        at = np.take_along_axis(W, self.values.T, axis=1)  # [k, j]: W[k, y_j[k]]
-        return np.maximum(W[:, :, None], at[:, None, :]).reshape(self.n**2, len(self))
+        weights = self.weights  # beyond MAX_CHAIN this raises first
+        W = _key_weights(self.n).reshape(self.n, self.n)
+        return np.maximum(W[:, :, None], weights[:, None, :]).reshape(self.n**2, len(self))
 
     @cached_property
     def index_table(self) -> np.ndarray:
@@ -295,6 +316,14 @@ def _key_dtype(n: int) -> np.dtype:
 
 
 @cache
+def _key_weights(n: int) -> np.ndarray:
+    """_rank_weights(n) flattened, in _key_dtype(n): entry k*n + c is W[k, c]."""
+    W = _rank_weights(n).astype(_key_dtype(n)).ravel()
+    W.flags.writeable = False
+    return W
+
+
+@cache
 def _index_dtype(size: int) -> np.dtype:
     """Smallest of int8, int16, int32 and int64 that holds size."""
     types = (np.int8, np.int16, np.int32, np.int64)
@@ -307,11 +336,11 @@ def _pack(matrix: np.ndarray, n: int) -> np.ndarray:
     return W[np.arange(n), matrix].sum(axis=-1)
 
 
-def _blocks(size: int, width: int):
-    """Slices of consecutive rows covering range(size), for rows combined
-    with width columns each: _PAIR_BUDGET // width rows, at least one."""
+def _blocks(size: int, width: int, first: int = 0):
+    """Slices of consecutive rows covering range(first, size), for rows
+    combined with width columns each: _PAIR_BUDGET // width rows, at least one."""
     height = max(1, _PAIR_BUDGET // width)
-    for start in range(0, size, height):
+    for start in range(first, size, height):
         yield slice(start, min(start + height, size))
 
 
@@ -388,29 +417,54 @@ def _triple_law_scan(A: np.ndarray, M: np.ndarray) -> tuple[int, int, int, str] 
     return None
 
 
+def _block_keys(s: Subset, rows: slice, op: str) -> tuple[int, np.ndarray]:
+    """(first column, keys) of x op y for x in the rows of s and y in s from
+    that column on, read from the rank tables."""
+    if op == "+":
+        # x + y = y + x: every pair (i, j) with j < rows.start was scanned
+        # as (j, i) in an earlier block
+        return rows.start, _sums(s.values[rows], s, slice(rows.start, None))
+    return 0, _products(s.values[rows], s)
+
+
+def _row_zero_keys(s: Subset, rows: slice, op: str) -> tuple[int, np.ndarray]:
+    """(0, keys) of x_0 op y for every y in s, read from the weights alone,
+    in the key dtype: no rank table is built.  rows is slice(0, 1); it is
+    taken so that the scan calls this and _block_keys alike."""
+    weights = s.weights
+    if op == "+":
+        # rows of W are nondecreasing: W[k, max(c, v)] = max(W[k, c], W[k, v])
+        combined = np.maximum(weights, weights[:, :1])
+    else:
+        V, n = s.values, s.n
+        at = V.T[V[0]]  # [k, j]: (x_0 * y_j)[k] = y_j[x_0[k]]
+        at += np.arange(0, n * n, n)[:, None]
+        combined = np.take(_key_weights(n), at)
+    return 0, combined.sum(axis=0, dtype=weights.dtype)[None, :]
+
+
 def _closure_scan(els, ops):
     """First (i, j, op, result) whose result escapes, scanning pairs in lex order.
 
     i and j index the elements of Subset.of(els).  Within one pair the ops
-    are tried in the order given.  Returns None when closed.
+    are tried in the order given.  Returns None when closed.  A set that
+    spans more than one block scans row 0 first from its weights, so a set
+    that escapes there, as most escaping sets do, builds no rank table.
     """
     s = Subset.of(els)
     V, n, size = s.values, s.n, len(s)
-    for rows in _blocks(size, size):
-        start = rows.start
+    split = size * size > _PAIR_BUDGET  # more than one block
+    blocks = ((rows, _block_keys) for rows in _blocks(size, size, int(split)))
+    if split:
+        blocks = chain([(slice(0, 1), _row_zero_keys)], blocks)
+    for rows, keys_of in blocks:
         best = None  # (i, j, op) of the block's first escape
         for op in ops:
-            if op == "+":
-                # x + y = y + x: every pair (i, j) with j < start was
-                # scanned as (j, i) in an earlier block
-                first = start
-                kept = np.take(s.index_table, _sums(V[rows], s, slice(start, None)))
-            else:
-                first = 0
-                kept = np.take(s.index_table, _products(V[rows], s))
+            first, keys = keys_of(s, rows, op)
+            kept = np.take(s.index_table, keys)
             if not kept.all():
                 i, j = np.unravel_index(int(kept.argmin()), kept.shape)
-                hit = (start + int(i), first + int(j), op)
+                hit = (rows.start + int(i), first + int(j), op)
                 if best is None or hit[:2] < best[:2]:
                     best = hit
         if best is not None:

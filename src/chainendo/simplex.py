@@ -94,8 +94,11 @@ def enumerate_simplex(spec: SimplexSpec) -> analysis.Subset:
             f"the {comb(2 * top - 1, top)} of the full simplex at n = {top}, the largest set "
             "the checks index"
         )
-    vertices = np.asarray(spec.vertices, dtype=np.int64)
-    return analysis.Subset.from_values(n, vertices[_pattern(n, spec.k).P])
+    # np.take by the int8 pattern beats fancy indexing, which casts the
+    # pattern in a buffered loop; the vertices are in the least type that
+    # holds n - 1, and from_values widens the result to int64 once
+    vertices = np.asarray(spec.vertices, dtype=np.min_scalar_type(n - 1))
+    return analysis.Subset.from_values(n, np.take(vertices, _pattern(n, spec.k).P))
 
 
 def _coordinates(spec: SimplexSpec) -> tuple[analysis.Subset, np.ndarray]:

@@ -1,6 +1,7 @@
 """The numpy Cayley-table kernel against the pure-Python reference loops."""
 
 import itertools
+import tracemalloc
 from math import comb
 from operator import add, mul
 
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from chainendo import analysis, claims, strings, triangle
-from chainendo.analysis import NotClosed, Subset
+from chainendo.analysis import ChainTooLong, NotClosed, Subset
 from chainendo.core import ChainEndo, all_endomorphisms, parse_compact
-from chainendo.simplex import SimplexSpec, enumerate_simplex
+from chainendo.simplex import SimplexSpec, discrete_neighborhood, enumerate_simplex
 from chainendo.strings import StringSpec
 from chainendo.triangle import TriangleSpec
 
@@ -138,6 +139,35 @@ def test_keys_are_lex_ranks():
     for n in range(1, 8):
         keys = Subset.of(all_endomorphisms(n)).keys
         assert np.array_equal(keys, np.arange(comb(2 * n - 1, n)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SimplexSpec(n, tuple(range(n))) for n in range(1, 9)] + [SimplexSpec(15, (3, 9))],
+    ids=str,
+)
+def test_keys_sum_the_weights(spec):
+    s = enumerate_simplex(spec)
+    assert np.array_equal(s.keys, analysis._pack(s.values, s.n))
+    assert s.weights.shape == (s.n, len(s))
+    assert s.weights.dtype == analysis._key_dtype(s.n)
+    assert not s.weights.flags.writeable
+
+
+def test_weights_beyond_the_limit_are_refused_before_any_allocation(monkeypatch):
+    s = enumerate_simplex(SimplexSpec(16, (0, 5, 10, 15)))  # 969 maps
+    # the limit is checked before the weights are looked up or gathered
+    monkeypatch.setattr(analysis, "_key_weights", None)
+    tracemalloc.start()
+    try:
+        for name in ("weights", "keys", "sum_table"):
+            with pytest.raises(ChainTooLong, match="n <= 15"):
+                getattr(s, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s.values.nbytes // 4
+    assert not {"weights", "keys", "sum_table"} & vars(s).keys()
 
 
 @settings(max_examples=150, deadline=None)
@@ -301,6 +331,85 @@ def test_closure_scan_tries_ops_in_the_given_order_within_a_pair():
         hit = analysis._closure_scan(els, ops)
         assert hit == ref.closure_scan(els, ops)
         assert hit[:3] == (0, 1, ops[0])
+
+
+# Sets of C_4 whose first escape is known.  With 8 or 9 maps each spans
+# several blocks under budgets 1 and 40, so the scan takes row 0 from the
+# weights first.  hits: the first escape under ("+", "*") and ("*", "+").
+ROW_ZERO_CASES = {
+    "row 0 under + only": (
+        ("0_2 2 3", "0_2 3_2", "0 1 2 3", "0 2_2 3", "1_3 3", "1_2 3_2", "1 2 3_2", "1 3_3"),
+        ((0, 4, "+"), (0, 4, "+")),
+    ),
+    "row 0 under * only": (
+        ("0_4", "0_2 1 3", "0 1 2 3", "0 1 3_2", "0 2_3", "0 2_2 3", "1_3 3", "1 2_3", "2_4"),
+        ((0, 6, "*"), (0, 6, "*")),
+    ),
+    "row 0 under both at one pair": (
+        ("0_2 2_2", "0_2 2 3", "0 1_3", "0 1 2 3", "0 3_3", "1_4", "1_2 3_2", "2_2 3_2", "3_4"),
+        ((0, 2, "+"), (0, 2, "*")),
+    ),
+    "row 1": (
+        ("0_4", "0_3 3", "0_2 1 2", "0_2 2_2", "0_2 3_2", "0 2_3", "2_4", "2_3 3"),
+        ((1, 2, "+"), (1, 2, "*")),
+    ),
+}
+
+
+def _scan_through_row_zero(monkeypatch, els, ops):
+    """_closure_scan(els, ops) under small blocks, required to have taken
+    row 0 from the weights under both small budgets."""
+    calls = []
+
+    def spy(s, rows, op):
+        calls.append(op)
+        return row_zero(s, rows, op)
+
+    row_zero = analysis._row_zero_keys
+    monkeypatch.setattr(analysis, "_row_zero_keys", spy)
+    hit = _under_small_blocks(analysis._closure_scan, els, ops)
+    assert calls == [*ops, *ops]
+    return hit
+
+
+@pytest.mark.parametrize("case", ROW_ZERO_CASES)
+def test_row_zero_step_matches_reference(monkeypatch, case):
+    maps, hits = ROW_ZERO_CASES[case]
+    els = _normalised([parse_compact(m, 4) for m in maps])
+    for ops, hit in zip((("+", "*"), ("*", "+")), hits):
+        expected = ref.closure_scan(els, ops)
+        assert expected[:3] == hit
+        assert _scan_through_row_zero(monkeypatch, els, ops) == expected
+
+
+@pytest.mark.parametrize("ops", [("+",), ("*",), ("+", "*")])
+def test_row_zero_step_passes_closed_sets(monkeypatch, ops):
+    closed = [_normalised(c) for c in CLOSED if len(c) ** 2 > 40]
+    assert len(closed) > 10
+    for els in closed:
+        assert _scan_through_row_zero(monkeypatch, els, ops) is None
+
+
+def test_row_zero_step_in_the_ideal_scan():
+    # the additive scan of is_ideal escapes at row 0 of the candidate
+    maps, _ = ROW_ZERO_CASES["row 0 under + only"]
+    ideal = [parse_compact(m, 4) for m in maps]
+    got = _under_small_blocks(analysis.is_ideal, ideal, MAPS[4])
+    assert got == ref.is_ideal(ideal, MAPS[4])
+    assert got[1].kind == "add"
+
+
+def test_row_zero_escape_builds_no_rank_table():
+    # the radius-7 neighborhood of vertex 1 of the n = 8 simplex has 3,432
+    # maps and escapes at its first pair under *
+    s = discrete_neighborhood(SimplexSpec(8, tuple(range(8))), 1, 7)
+    assert analysis._closure_scan(s, ("+", "*")) == ref.closure_scan(s, ("+", "*"))
+    assert analysis._closure_scan(s, ("+", "*"))[:3] == (0, 0, "*")
+    assert not {"sum_table", "product_table"} & vars(s).keys()
+    closed = enumerate_simplex(SimplexSpec(8, (0, 2, 4, 6)))  # 165 maps, two blocks
+    assert len(closed) ** 2 > analysis._PAIR_BUDGET
+    assert analysis._closure_scan(closed, ("+", "*")) is None
+    assert {"sum_table", "product_table"} <= vars(closed).keys()
 
 
 def _index_tables(s):
