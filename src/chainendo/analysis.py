@@ -33,23 +33,29 @@ and a selection of right operands take one gather of n table rows per x and
 one sum over them.  A closure scan of a set that spans more than one block
 first combines row 0 with every member straight from the weight matrix, and
 builds the rank tables only when row 0 stays inside the set: most sets that
-escape do so there.  Subset.index_of turns keys into member indices (-1 when
-the result leaves the set) with one gather from the index table; it is the
-only way a key becomes a member, and s.find(rows), the member index of each
-row of a value matrix, goes through it.  One pair budget, _PAIR_BUDGET,
-sizes every block: a block of rows combined with width columns each has
-_PAIR_BUDGET // width rows, or one row when a row alone is wider, so the
-scratch arrays of each numpy call stay near the budget whatever the set
-size.  One scan, _hom_mismatch, checks whether a given bijection carries
-+ or * over, for iso_check and the claims.
+escape do so there.  After row 0, x * y reads y only on the image of x, so
+the later rows of an image class (rows that take one set of values) are
+keyed only against the first member of each restriction class to that
+image, when they would span more than one block against every member.
+Subset.index_of turns keys into member indices (-1 when the result leaves
+the set) with one gather from the index table; it is the only way a key
+becomes a member, and s.find(rows), the member index of each row of a value
+matrix, goes through it.  One pair budget, _PAIR_BUDGET, sizes every block:
+a block of rows combined with width columns each has _PAIR_BUDGET // width
+rows, or one row when a row alone is wider, so the scratch arrays of each
+numpy call stay near the budget whatever the set size.  One scan,
+_hom_mismatch, checks whether a given bijection carries + or * over, for
+iso_check and the claims.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -348,13 +354,15 @@ def _table_keys(table: np.ndarray, X: np.ndarray, cols) -> np.ndarray:
     """(len(X), width) keys: for each row x of X, the sum over k of
     table[k*n + x[k], cols], cols a slice or an index array of columns."""
     n = X.shape[1]
-    rows = X + np.arange(0, n * n, n)
+    # [k, i]: the table row of position k of x_i; the gather is position
+    # first, so the sum over k adds whole (len(X), width) slabs
+    rows = X.T + np.arange(0, n * n, n)[:, None]
     if isinstance(cols, slice):
-        return table[rows, cols].sum(axis=1, dtype=table.dtype)
+        return table[rows, cols].sum(axis=0, dtype=table.dtype)
     # Whole table rows are gathered as contiguous runs, several times faster
     # per entry than scattered columns, so an index array picks its columns
     # from the keys of all of them (and the table is never copied).
-    return table[rows].sum(axis=1, dtype=table.dtype)[:, cols]
+    return table[rows].sum(axis=0, dtype=table.dtype)[:, cols]
 
 
 def _sums(X: np.ndarray, s: "Subset", cols=slice(None)) -> np.ndarray:
@@ -443,36 +451,135 @@ def _row_zero_keys(s: Subset, rows: slice, op: str) -> tuple[int, np.ndarray]:
     return 0, combined.sum(axis=0, dtype=weights.dtype)[None, :]
 
 
+def _escape(s: Subset, keys: np.ndarray, rows, cols) -> tuple[int, int] | None:
+    """(i, j) of the first key, row by row, that is no member's rank, or None;
+    rows and cols hold the ascending member indices of the keys' rows and
+    columns."""
+    kept = np.take(s.index_table, keys)
+    if kept.all():
+        return None
+    i, j = np.unravel_index(int(kept.argmin()), kept.shape)
+    return int(rows[i]), int(cols[j])
+
+
+def _block_escape(s: Subset, rows: slice, ops, keys_of) -> tuple[int, int, str] | None:
+    """First (i, j, op) escaping among the rows of one block, each op's keys
+    from keys_of(s, rows, op); a pair that escapes under several ops reports
+    the first of them."""
+    members, best = range(len(s)), None
+    for op in ops:
+        first, keys = keys_of(s, rows, op)
+        hit = _escape(s, keys, members[rows], members[first:])
+        if hit is not None and (best is None or hit < best[:2]):
+            best = (*hit, op)
+    return best
+
+
+def _image_classes(s: Subset) -> list[np.ndarray]:
+    """The rows from 1 on grouped by image, each group ascending and the
+    groups in the order of their first rows, keeping the groups whose rows
+    after the first span more than one block of pairs."""
+    size = len(s)
+    images = np.zeros(size - 1, dtype=np.int64)  # bit c is set when c is a value
+    for column in s.values[1:].T:
+        images |= np.left_shift(1, column)
+    counts = np.bincount(images)
+    kept = np.flatnonzero((counts - 1) * size > _PAIR_BUDGET)
+    if not len(kept):
+        return []
+    order = np.argsort(images, kind="stable") + 1  # the rows by image
+    ends = np.cumsum(counts)
+    groups = (order[ends[image] - counts[image] : ends[image]] for image in kept)
+    return sorted(groups, key=itemgetter(0))
+
+
+def _class_escape(s: Subset, G: np.ndarray, limit: int) -> tuple[int, int] | None:
+    """First (i, j) with x_i * x_j outside s, for i in G, ascending rows of s
+    that share one image I, up to row limit.
+
+    (x * y)(k) = y(x(k)) reads y only on I, so members that agree on I give
+    every row of G one product, and a row's first escape is at the first
+    member of such a restriction class.  The head row, keyed against every
+    member, names these first members F: its keys are exact ranks, so equal
+    keys mean equal restrictions.  The other rows are keyed against F alone,
+    from the columns F of the product table.
+    """
+    V, size = s.values, len(s)
+    keys = _products(V[G[:1]], s)
+    hit = _escape(s, keys, G[:1], range(size))
+    rest = G[1:] if G[-1] <= limit else G[1 : np.searchsorted(G, limit, side="right")]
+    if hit is not None or not len(rest):
+        return hit
+    F = np.sort(np.unique(keys[0], return_index=True)[1])
+    table = np.take(s.product_table, F, axis=1)
+    for rows in _blocks(len(rest), len(F)):
+        hit = _escape(s, _table_keys(table, V[rest[rows]], slice(None)), rest[rows], F)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _later_escape(s: Subset, ops) -> tuple[int, int, str] | None:
+    """First (i, j, op) escaping with i >= 1, for a set that spans more than
+    one block and keeps row 0 inside.
+
+    Sums run in blocks of rows from 1, each against the members from its
+    first row on; products of the rows of an image class from _image_classes
+    run through _class_escape, and those of the other rows in blocks against
+    every member.  The passes run in the order of their first rows, and each
+    stops at the rows past the best escape found so far: the least (i, j)
+    over both ops, a tie going to the op given first.
+    """
+    size = len(s)
+    members = range(size)
+    passes = []  # per kind, (first row, kind, rows) in the order of first rows
+    if "+" in ops:
+        passes.append((rows.start, "+", rows) for rows in _blocks(size, size, 1))
+    if "*" in ops:
+        classes = _image_classes(s)
+        plain = np.ones(size, dtype=bool)
+        plain[0] = False
+        for G in classes:
+            plain[G] = False
+        plain = np.flatnonzero(plain)
+        passes.append((int(plain[b.start]), "*", plain[b]) for b in _blocks(len(plain), size))
+        passes.append((int(G[0]), "class", G) for G in classes)
+    best = None  # (i, j, position of op in ops)
+    for first, kind, rows in heapq.merge(*passes, key=itemgetter(0)):
+        if best is not None and first > best[0]:
+            break
+        if kind == "class":
+            kind, hit = "*", _class_escape(s, rows, size if best is None else best[0])
+        elif kind == "+":
+            hit = _escape(s, _block_keys(s, rows, kind)[1], members[rows], members[first:])
+        else:
+            hit = _escape(s, _products(s.values[rows], s), rows, members)
+        if hit is not None and (best is None or (*hit, ops.index(kind)) < best):
+            best = (*hit, ops.index(kind))
+    return None if best is None else (best[0], best[1], ops[best[2]])
+
+
 def _closure_scan(els, ops):
     """First (i, j, op, result) whose result escapes, scanning pairs in lex order.
 
     i and j index the elements of Subset.of(els).  Within one pair the ops
     are tried in the order given.  Returns None when closed.  A set that
     spans more than one block scans row 0 first from its weights, so a set
-    that escapes there, as most escaping sets do, builds no rank table.
+    that escapes there, as most escaping sets do, builds no rank table; its
+    later rows go to _later_escape.
     """
     s = Subset.of(els)
     V, n, size = s.values, s.n, len(s)
-    split = size * size > _PAIR_BUDGET  # more than one block
-    blocks = ((rows, _block_keys) for rows in _blocks(size, size, int(split)))
-    if split:
-        blocks = chain([(slice(0, 1), _row_zero_keys)], blocks)
-    for rows, keys_of in blocks:
-        best = None  # (i, j, op) of the block's first escape
-        for op in ops:
-            first, keys = keys_of(s, rows, op)
-            kept = np.take(s.index_table, keys)
-            if not kept.all():
-                i, j = np.unravel_index(int(kept.argmin()), kept.shape)
-                hit = (rows.start + int(i), first + int(j), op)
-                if best is None or hit[:2] < best[:2]:
-                    best = hit
-        if best is not None:
-            i, j, op = best
-            x, y = V[i], V[j]
-            values = np.maximum(x, y) if op == "+" else y[x]
-            return i, j, op, ChainEndo._wrap(n, tuple(values.tolist()))
-    return None
+    if size * size <= _PAIR_BUDGET:  # one block
+        hit = _block_escape(s, slice(0, size), ops, _block_keys)
+    else:
+        hit = _block_escape(s, slice(0, 1), ops, _row_zero_keys) or _later_escape(s, ops)
+    if hit is None:
+        return None
+    i, j, op = hit
+    x, y = V[i], V[j]
+    values = np.maximum(x, y) if op == "+" else y[x]
+    return i, j, op, ChainEndo._wrap(n, tuple(values.tolist()))
 
 
 def _closure(elements: Iterable[ChainEndo], ops) -> tuple[bool, ClosureWitness | None]:

@@ -317,13 +317,17 @@ def _chk_nilpotency_criterion(params):
     low = verts[0]
     els = simplex.enumerate_simplex(spec)
     nil = (els.limits == low).all(axis=1)
-    asked = nil | (els.values[:, low] == low)  # the fixing members, and any stray nilpotent
-    for e, is_nil in zip(els[asked], nil[asked].tolist()):
-        if e.values[low] != low:
-            return False, {"element": _fmt(e), "note": "nilpotent without fixing"}
-        if simplex.nilpotent_in_neighborhood(spec, e) != is_nil:
-            return False, {"element": _fmt(e), "nilpotent": is_nil}
-    return True, None
+    fixing = els.values[:, low] == low
+    passes = np.zeros(len(els), dtype=bool)
+    passes[fixing] = simplex.nilpotent_rows(spec, els.values[fixing])
+    stray = nil & ~fixing
+    bad = stray | (fixing & (passes != nil))
+    if not bad.any():
+        return True, None
+    i = int(bad.argmax())
+    if stray[i]:
+        return False, {"element": _fmt(els[i]), "note": "nilpotent without fixing"}
+    return False, {"element": _fmt(els[i]), "nilpotent": bool(nil[i])}
 
 
 def _chk_min_radius_middle(params):
@@ -1284,7 +1288,8 @@ def run_claim(claim_id: str, n_max: int) -> ClaimResult:
 
 
 def _run_remote(job: tuple[str, int]) -> ClaimResult:
-    return run_claim(*job)
+    with counting._memo_scope():
+        return run_claim(*job)
 
 
 def run_all(
@@ -1305,6 +1310,7 @@ def run_all(
     # the pool forks all its workers at the first submit
     workers = min(jobs, len(order))
     if workers <= 1:
-        return tuple(run_claim(claim_id, n_max) for claim_id in order)
+        with counting._memo_scope():  # claims that read one census share it
+            return tuple(run_claim(claim_id, n_max) for claim_id in order)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return tuple(pool.map(_run_remote, [(cid, n_max) for cid in order]))

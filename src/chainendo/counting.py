@@ -17,6 +17,7 @@ audits.  Nothing it holds outlives the audit call that built it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections import Counter
@@ -176,16 +177,33 @@ def r_par_order(n: int, a: int, b: int, c: int) -> int:
 # independent of the formula it audits.
 #
 # Censuses, string classifications and triangle members are kept in _memo
-# only while one audit() call runs, so every audit enumerates each chain
-# once and none starts from an earlier call's results.  An oracle called
-# outside audit builds what it needs and drops it.  The store is module
-# state because oracles keep the signature oracle(*params).
+# only while a _memo_scope() is open: one audit() call, one in-process
+# claims.run_all sweep, or one claim job of a pooled sweep.  So each of
+# these enumerates each chain once, and none starts from an earlier scope's
+# results.  An oracle or claim called outside a scope builds what it needs
+# and drops it.  The store is module state because oracles keep the
+# signature oracle(*params).
 
 _memo: dict | None = None
 
 
+@contextlib.contextmanager
+def _memo_scope():
+    """Keep what the oracles build in _memo until the scope closes; a scope
+    opened inside another shares the outer one's store."""
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
 def _per_audit(build):
-    """Keep build(*args) in _memo while an audit runs."""
+    """Keep build(*args) in _memo while a _memo_scope() is open."""
 
     @functools.wraps(build)
     def memoized(*args):
@@ -537,9 +555,7 @@ def audit(n_max: int) -> AuditReport:
     """Compare every formula with its oracle on all tuples up to n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    global _memo
-    _memo = {}
-    try:
+    with _memo_scope():
         results = []
         for formula in FORMULAS.values():
             checked = 0
@@ -561,5 +577,3 @@ def audit(n_max: int) -> AuditReport:
                     break
             results.append(FormulaAudit(formula.id, checked, ok, mismatch))
         return AuditReport(n_max, tuple(results))
-    finally:
-        _memo = None

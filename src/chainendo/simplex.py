@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from . import analysis
-from .core import ChainEndo, OutOfRange, _require_ints, constant
+from .core import ChainEndo, OutOfRange, _require_ints
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,16 @@ def _pattern(n: int, k: int) -> _Pattern:
     return _Pattern(n, k)
 
 
-def enumerate_simplex(spec: SimplexSpec) -> analysis.Subset:
-    """All maps with image inside the vertex set, in lexicographic order.
+def enumerate_simplex(spec: SimplexSpec, select=None) -> analysis.Subset:
+    """All maps with image inside the vertex set, in lexicographic order, or
+    those whose row of the multiplicity matrix M the boolean row mask
+    select(M) keeps.
 
-    One gather of the vertex values by the (n, k) pattern fills the value
-    matrix; no ChainEndo is built until the set is read as objects.  A set
-    larger than the full simplex at MAX_CHAIN, which no check could index,
-    is refused before anything is allocated.
+    One gather of the vertex values by the (n, k) pattern, or by the pattern
+    rows that select keeps, fills the value matrix; no ChainEndo is built
+    until the set is read as objects.  A set larger than the full simplex
+    at MAX_CHAIN, which no check could index, is refused before anything is
+    allocated.
     """
     n, size = spec.n, comb(spec.n + spec.k - 1, spec.n)
     top = analysis.MAX_CHAIN
@@ -94,11 +97,13 @@ def enumerate_simplex(spec: SimplexSpec) -> analysis.Subset:
             f"the {comb(2 * top - 1, top)} of the full simplex at n = {top}, the largest set "
             "the checks index"
         )
+    pattern = _pattern(n, spec.k)
+    P = pattern.P if select is None else pattern.P[select(pattern.M)]
     # np.take by the int8 pattern beats fancy indexing, which casts the
     # pattern in a buffered loop; the vertices are in the least type that
     # holds n - 1, and from_values widens the result to int64 once
     vertices = np.asarray(spec.vertices, dtype=np.min_scalar_type(n - 1))
-    return analysis.Subset.from_values(n, np.take(vertices, _pattern(n, spec.k).P))
+    return analysis.Subset.from_values(n, np.take(vertices, P))
 
 
 def _coordinates(spec: SimplexSpec) -> tuple[analysis.Subset, np.ndarray]:
@@ -109,14 +114,12 @@ def _coordinates(spec: SimplexSpec) -> tuple[analysis.Subset, np.ndarray]:
 
 def interior(spec: SimplexSpec) -> analysis.Subset:
     """Elements whose image is the whole vertex set."""
-    els, M = _coordinates(spec)
-    return els[(M > 0).all(axis=1)]
+    return enumerate_simplex(spec, lambda M: (M > 0).all(axis=1))
 
 
 def boundary(spec: SimplexSpec) -> analysis.Subset:
     """Elements missing at least one vertex value."""
-    els, M = _coordinates(spec)
-    return els[(M == 0).any(axis=1)]
+    return enumerate_simplex(spec, lambda M: (M == 0).any(axis=1))
 
 
 def face(spec: SimplexSpec, vertices) -> SimplexSpec:
@@ -159,15 +162,13 @@ class LayerId:
 
 def layer(layer_id: LayerId) -> analysis.Subset:
     """Elements taking the chosen vertex value exactly s times."""
-    els, M = _coordinates(layer_id.spec)
-    return els[M[:, layer_id.m] == layer_id.s]
+    return enumerate_simplex(layer_id.spec, lambda M: M[:, layer_id.m] == layer_id.s)
 
 
 def layers(spec: SimplexSpec, m: int) -> tuple[analysis.Subset, ...]:
     """All layers of one vertex, s = 0 first; they partition the simplex."""
     _check_vertex_index(spec, m)
-    els, M = _coordinates(spec)
-    return tuple(els[M[:, m] == s] for s in range(spec.n + 1))
+    return tuple(enumerate_simplex(spec, lambda M, s=s: M[:, m] == s) for s in range(spec.n + 1))
 
 
 def discrete_neighborhood(spec: SimplexSpec, m: int, t: int) -> analysis.Subset:
@@ -175,8 +176,7 @@ def discrete_neighborhood(spec: SimplexSpec, m: int, t: int) -> analysis.Subset:
     if not 1 <= t <= spec.n:
         raise OutOfRange(f"radius {t} outside 1..{spec.n}")
     _check_vertex_index(spec, m)
-    els, M = _coordinates(spec)
-    return els[M[:, m] >= spec.n - t]
+    return enumerate_simplex(spec, lambda M: M[:, m] >= spec.n - t)
 
 
 @dataclass(frozen=True)
@@ -208,22 +208,51 @@ def min_semiring_radius(spec: SimplexSpec, m: int) -> RadiusScan:
     return RadiusScan(spec, m, tuple(analysis.is_subsemiring(h)[0] for h in hoods))
 
 
+def _shown(row: list[int]) -> str:
+    """A row in compact form when it is a map of its chain, else as a list."""
+    if row and row == sorted(row) and 0 <= row[0] and row[-1] < len(row):
+        return str(ChainEndo._wrap(len(row), tuple(row)))
+    return str(row)
+
+
+def nilpotent_rows(spec: SimplexSpec, rows) -> np.ndarray:
+    """The criterion of nilpotent_in_neighborhood for every row of an (N, n)
+    value matrix of members that fix the least vertex a0, as a boolean array.
+
+    A row passes when it is constantly a0 up to the second vertex a1 and
+    drops strictly below the diagonal after a1; with one vertex, only the
+    constant a0 passes.  The first row that is no member of the simplex, or
+    does not fix a0, raises ValueError.
+    """
+    V = np.asarray(rows, dtype=np.int64)
+    if V.ndim != 2:
+        raise ValueError(f"expected an (N, {spec.n}) value matrix, got shape {V.shape}")
+    a0 = spec.vertices[0]
+    if V.shape[1] == spec.n:
+        member = np.isin(V, spec.vertices).all(axis=1) & (np.diff(V, axis=1) >= 0).all(axis=1)
+        fixing = V[:, a0] == a0
+    else:
+        member = fixing = np.zeros(len(V), dtype=bool)
+    if not (member & fixing).all():
+        i = int((~(member & fixing)).argmax())
+        alpha = _shown(V[i].tolist())
+        if not member[i]:
+            raise ValueError(f"{alpha} is not a member of the simplex {spec}")
+        raise ValueError(f"{alpha} does not fix the least vertex {a0}")
+    if spec.k == 1:
+        return (V == a0).all(axis=1)
+    a1 = spec.vertices[1]
+    low = (V[:, : a1 + 1] == a0).all(axis=1)
+    return low & (V[:, a1 + 1 :] < np.arange(a1 + 1, spec.n)).all(axis=1)
+
+
 def nilpotent_in_neighborhood(spec: SimplexSpec, alpha: ChainEndo) -> bool:
     """Pointwise-descent test inside the least vertex's fixing neighborhood.
 
     The neighborhood in question consists of the simplex members fixing the
     least vertex a0.  A member passes when it is constantly a0 up to the
     second vertex a1 and drops strictly below the diagonal after a1; passing
-    forces some power to collapse onto the constant a0.
+    forces some power to collapse onto the constant a0.  This is the
+    one-row case of nilpotent_rows.
     """
-    a0 = spec.vertices[0]
-    if alpha.n != spec.n or not set(alpha.image()) <= set(spec.vertices):
-        raise ValueError(f"{alpha} is not a member of the simplex {spec}")
-    if alpha.values[a0] != a0:
-        raise ValueError(f"{alpha} does not fix the least vertex {a0}")
-    if spec.k == 1:
-        return alpha == constant(spec.n, a0)
-    a1 = spec.vertices[1]
-    if any(alpha.values[i] != a0 for i in range(a1 + 1)):
-        return False
-    return all(alpha.values[i] < i for i in range(a1 + 1, spec.n))
+    return bool(nilpotent_rows(spec, [alpha.values])[0])

@@ -400,6 +400,17 @@ def boundary(spec):
     return tuple(e for e in enumerate_simplex(spec) if e.image() != spec.vertices)
 
 
+def neighborhood_criterion(spec, alpha):
+    """The per-map walk of simplex.nilpotent_rows for one member fixing a0."""
+    a0 = spec.vertices[0]
+    if spec.k == 1:
+        return alpha == constant(spec.n, a0)
+    a1 = spec.vertices[1]
+    if any(alpha.values[i] != a0 for i in range(a1 + 1)):
+        return False
+    return all(alpha.values[i] < i for i in range(a1 + 1, spec.n))
+
+
 def layers(spec, m):
     value = spec.vertices[m]
     buckets = [[] for _ in range(spec.n + 1)]

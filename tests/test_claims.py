@@ -1,12 +1,13 @@
 """The claim registry: integrity, sweeps, parallel determinism."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import reference_loops as ref
-from chainendo import analysis, claims, simplex, strings, triangle
+from chainendo import analysis, claims, counting, simplex, strings, triangle
 from chainendo.claims import (
     REGISTRY,
     Claim,
@@ -298,14 +299,16 @@ class TestPortedChecksKeepTheirWitnesses:
     @pytest.mark.parametrize("flip", ["every", "nilpotent", "other"])
     @pytest.mark.parametrize("params", [(5, (1, 2, 4)), (6, (0, 2, 5)), (6, (2, 3, 4, 5))])
     def test_nilpotency_criterion(self, monkeypatch, params, flip):
-        real = simplex.nilpotent_in_neighborhood
+        # the claim asks the set form once; the per-map form the loop asks
+        # reads it through the module, so both see the same flip
+        real = simplex.nilpotent_rows
 
-        def criterion(spec, e):
-            verdict = real(spec, e)
-            return not verdict if flip == "every" or verdict == (flip == "nilpotent") else verdict
+        def criterion(spec, rows):
+            verdict = real(spec, rows)
+            return verdict ^ ((flip == "every") | (verdict == (flip == "nilpotent")))
 
         self._same(claims._chk_nilpotency_criterion, ref.nilpotency_criterion, params)
-        monkeypatch.setattr(simplex, "nilpotent_in_neighborhood", criterion)
+        monkeypatch.setattr(simplex, "nilpotent_rows", criterion)
         holds, witness = self._same(
             claims._chk_nilpotency_criterion, ref.nilpotency_criterion, params
         )
@@ -509,6 +512,48 @@ class TestRunAll:
         assert built == workers
         assert [r.claim_id for r in results] == ids
         assert all(r.holds for r in results)
+
+    def _count_enumerations(self, monkeypatch):
+        """A Counter of the chains counting enumerates, by chain size."""
+        enumerated = Counter()
+        original = counting.all_endomorphisms
+
+        def counted(n):
+            enumerated[n] += 1
+            return original(n)
+
+        monkeypatch.setattr(counting, "all_endomorphisms", counted)
+        return enumerated
+
+    def test_a_sweep_enumerates_each_chain_once(self, monkeypatch):
+        # catalan-count and idempotent-count read one census per n
+        ids = ["catalan-count", "idempotent-count"]
+        chains = {n for claim_id in ids for (n,) in REGISTRY[claim_id].params(7)}
+        assert max(chains) == 7
+        enumerated = self._count_enumerations(monkeypatch)
+        results = run_all(7, ids=ids)
+        assert all(r.holds for r in results)
+        assert enumerated == {n: 1 for n in chains}
+        assert counting._memo is None
+        enumerated.clear()  # the next sweep starts afresh
+        run_all(7, ids=ids)
+        assert enumerated == {n: 1 for n in chains}
+
+    def test_a_pooled_job_shares_its_census_and_drops_it(self, monkeypatch):
+        enumerated = self._count_enumerations(monkeypatch)
+        assert claims._run_remote(("catalan-count", 6)).holds
+        assert enumerated == {n: 1 for (n,) in REGISTRY["catalan-count"].params(6)}
+        assert counting._memo is None
+
+    def test_the_census_is_dropped_when_a_sweep_raises(self, monkeypatch):
+        def too_long(n):
+            assert counting._memo is not None
+            raise analysis.ChainTooLong(f"chain size {n}")
+
+        monkeypatch.setattr(counting, "all_endomorphisms", too_long)
+        with pytest.raises(analysis.ChainTooLong):
+            run_all(5, ids=["simplex-order", "catalan-count"])
+        assert counting._memo is None
 
     def test_parallel_matches_sequential(self):
         ids = [

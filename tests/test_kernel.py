@@ -412,6 +412,147 @@ def test_row_zero_escape_builds_no_rank_table():
     assert {"sum_table", "product_table"} <= vars(closed).keys()
 
 
+# The representative path.  After row 0, the products of an image class (the
+# rows from 1 on that take one set of values) whose later rows span more than
+# one block are keyed by _class_escape: its head row against every member,
+# the later rows against the first member of each restriction class to the
+# image alone.  Budget 1 sends every class of two rows or more there.
+
+
+class _RepresentativeSpy:
+    """Records the pair budgets under which _class_escape ran, and the
+    (head row, hit) of each class it found an escape in."""
+
+    def __init__(self, mp):
+        self.budgets, self.hits = set(), []
+        real = analysis._class_escape
+
+        def spy(s, G, limit):
+            hit = real(s, G, limit)
+            self.budgets.add(analysis._PAIR_BUDGET)
+            if hit is not None:
+                self.hits.append((int(G[0]), hit))
+            return hit
+
+        mp.setattr(analysis, "_class_escape", spy)
+
+    def scan(self, els, ops):
+        """_closure_scan(els, ops) under small blocks, which must equal the
+        reference loop's."""
+        self.budgets.clear()
+        self.hits.clear()
+        hit = _under_small_blocks(analysis._closure_scan, els, ops)
+        assert hit == ref.closure_scan(els, ops)
+        return hit
+
+
+def _class_heads(els):
+    """First rows of the images that two or more rows from 1 on share."""
+    rows = {}
+    for i, e in enumerate(_normalised(els)[1:], 1):
+        rows.setdefault(frozenset(e.values), []).append(i)
+    return [group[0] for group in rows.values() if len(group) > 1]
+
+
+@pytest.mark.parametrize("ops", [("*",), ("+", "*"), ("*", "+")])
+def test_representatives_pass_closed_sets(monkeypatch, ops):
+    spy = _RepresentativeSpy(monkeypatch)
+    closed = [_normalised(c) for c in CLOSED if len(c) ** 2 > 40 and _class_heads(c)]
+    assert len(closed) > 10
+    under_40 = 0
+    for els in closed:
+        assert spy.scan(els, ops) is None
+        assert 1 in spy.budgets and not spy.hits
+        under_40 += 40 in spy.budgets
+    assert under_40 > 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_with_strays(), st.sampled_from([("*",), ("+", "*"), ("*", "+")]))
+def test_representatives_match_reference_with_strays(els, ops):
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _RepresentativeSpy(mp)
+        hit = spy.scan(els, ops)
+    # every pass whose first row is at most the escape's row runs
+    heads = _class_heads(els)
+    if len(els) > 1 and heads and (hit is None or 0 < hit[0] >= min(heads)):
+        assert 1 in spy.budgets
+
+
+# Sets of C_5 whose first escape x_i * x_j, under both op orders, is in
+# neither row 0 nor the head row of the image class of row i, so only the
+# representative path keys it, under budgets 1 and 40 alike: (maps, (i, j,
+# op), rows of the class, the members that agree with x_j on the image of
+# x_i).  In the second, x_j is the first of three such members.
+LATE_CLASS_ROWS = [
+    (
+        (
+            "2_5", "2_4 3", "2_4 4", "2_3 3_2", "2_3 3 4", "2_2 3_3", "2_2 3_2 4", "2_2 3 4_2",
+            "2_2 4_3", "2 3_3 4", "2 3_2 4_2", "2 3 4_3", "2 4_4", "3_5", "3_4 4", "3_3 4_2",
+            "3_2 4_3", "3 4_4", "4_5",
+        ),
+        (7, 2, "*"),
+        [4, 6, 7, 9, 10, 11],
+        [2],
+    ),
+    (
+        (
+            "0_5", "0_4 1", "0_4 2", "0_3 1_2", "0_3 1 2", "0_3 2_2", "0_2 1_2 2", "0_2 1 2_2",
+            "0_2 2_3", "0 1_4", "0 1_3 2", "0 1_2 2_2", "0 2_4", "1_5", "1_4 2", "1_3 2_2",
+            "1_2 2_3", "1 2_4", "2_5",
+        ),
+        (6, 9, "*"),
+        [4, 6, 7, 10, 11],
+        [9, 10, 11],
+    ),
+]
+
+
+@pytest.mark.parametrize("case", LATE_CLASS_ROWS, ids=["single", "first-of-three"])
+def test_first_escape_in_a_later_row_of_a_class(monkeypatch, case):
+    maps, want, rows, agreeing = case
+    els = _normalised([parse_compact(m, 5) for m in maps])
+    V = Subset.of(els).values
+    image = np.unique(V[want[0]])
+    assert [i for i in range(1, len(els)) if np.array_equal(np.unique(V[i]), image)] == rows
+    assert [j for j in range(len(els)) if (V[j, image] == V[want[1], image]).all()] == agreeing
+    spy = _RepresentativeSpy(monkeypatch)
+    for ops in (("+", "*"), ("*", "+")):
+        assert spy.scan(els, ops)[:3] == want
+        assert {1, 40} <= spy.budgets
+        assert (rows[0], want[:2]) in spy.hits
+
+
+def test_sum_and_product_escape_on_one_pair_of_a_later_class_row(monkeypatch):
+    # the first escape of both ops is 0_2 2_2 + 0 1_2 3 = 0 1 2_2 and
+    # 0_2 2_2 * 0 1_2 3 = 0_2 1_2 at (3, 4); row 3 is the second of the
+    # image class {0, 2} (rows 2, 3 and 5), keyed against representatives
+    # under budget 1, while the sum is keyed in a block of its own
+    maps = ("0_4", "0_3 1", "0_3 2", "0_2 2_2", "0 1_2 3", "0 2_3", "2_4")
+    els = _normalised([parse_compact(m, 4) for m in maps])
+    spy = _RepresentativeSpy(monkeypatch)
+    for ops in (("+", "*"), ("*", "+")):
+        assert spy.scan(els, ops)[:3] == (3, 4, ops[0])
+        assert 1 in spy.budgets
+        assert (2, (3, 4)) in spy.hits
+    assert spy.scan(els, ("*",))[:3] == (3, 4, "*")
+    assert spy.scan(els, ("+",))[:3] == (3, 4, "+")
+
+
+def test_representatives_key_under_a_quarter_of_the_products(monkeypatch):
+    s = enumerate_simplex(SimplexSpec(8, tuple(range(8))))
+    keyed = []
+    real = analysis._escape
+
+    def counted(s, keys, rows, cols):
+        keyed.append(keys.size)
+        return real(s, keys, rows, cols)
+
+    monkeypatch.setattr(analysis, "_escape", counted)
+    assert analysis._closure_scan(s, ("*",)) is None  # every key is a product's
+    assert sum(keyed) < len(s) ** 2 / 4
+
+
 def _index_tables(s):
     """(N, N) member indices of x_i + x_j and x_i * x_j, -1 outside the set."""
     return s.index_of(analysis._sums(s.values, s)), s.index_of(analysis._products(s.values, s))

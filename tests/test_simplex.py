@@ -251,6 +251,37 @@ class TestNilpotencyTest:
         spec = SimplexSpec(4, (2,))
         assert nilpotent_in_neighborhood(spec, constant(4, 2))
 
+    def test_errors_name_the_map(self):
+        with pytest.raises(ValueError, match=r"^0_4 is not a member of the simplex"):
+            nilpotent_in_neighborhood(SPEC, endo("0_4"))
+        with pytest.raises(ValueError, match=r"^2_4 does not fix the least vertex 1$"):
+            nilpotent_in_neighborhood(SPEC, endo("2_4"))
+        with pytest.raises(ValueError, match=r"^1_5 is not a member of the simplex"):
+            nilpotent_in_neighborhood(SPEC, endo("1_5", 5))
+
+    def test_row_form_matches_the_per_map_walk(self):
+        checked = 0
+        for spec in _vertex_sets(6):
+            els = enumerate_simplex(spec)
+            low = spec.vertices[0]
+            fixing = els[els.values[:, low] == low]
+            got = simplex.nilpotent_rows(spec, fixing.values)
+            assert got.dtype == bool and got.shape == (len(fixing),), spec
+            want = [ref.neighborhood_criterion(spec, e) for e in fixing]
+            assert got.tolist() == want, spec
+            checked += len(fixing)
+        assert checked > 1000
+
+    def test_row_form_raises_for_its_first_bad_row(self):
+        good, stray, outside = ([1, 1, 1, 1], [2, 2, 2, 2], [0, 1, 1, 1])
+        with pytest.raises(ValueError, match=r"^2_4 does not fix the least vertex 1$"):
+            simplex.nilpotent_rows(SPEC, [good, stray, outside])
+        with pytest.raises(ValueError, match=r"^0 1_3 is not a member of the simplex"):
+            simplex.nilpotent_rows(SPEC, [good, outside, stray])
+        with pytest.raises(ValueError, match="not a member"):
+            simplex.nilpotent_rows(SPEC, [[1, 3, 2, 2]])  # not monotone
+        assert simplex.nilpotent_rows(SPEC, np.empty((0, 4), dtype=np.int64)).shape == (0,)
+
 
 def _vertex_sets(n_max):
     for n in range(1, n_max + 1):
