@@ -50,17 +50,15 @@ iso_check and the claims.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import comb
-from operator import itemgetter
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
-from .core import ChainEndo, ChainEndoError, SizeMismatch
+from .core import ChainEndo, ChainEndoError, OutOfRange, SizeMismatch
 
 # Largest chain the set checks accept.  A value matrix may hold any chain;
 # the limit is checked when a set's weights or rank tables are built.  Ranks
@@ -264,8 +262,11 @@ class Subset:
 
     def find(self, rows) -> np.ndarray:
         """Member index of each row of a (..., n) value matrix, -1 for a row
-        that is no member, a map of the chain or not; another width is refused."""
-        rows = np.asarray(rows, dtype=np.int64)
+        that is no member, a map of the chain or not; another width, or rows
+        not of an integer type, are refused."""
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":  # a float or bool row would be truncated
+            raise OutOfRange(f"rows of type {rows.dtype} are not integer values")
         if rows.shape[-1:] != (self.n,):
             raise SizeMismatch(f"rows of shape {rows.shape} are not maps of the chain of {self.n}")
         self._check_limit()
@@ -476,9 +477,8 @@ def _block_escape(s: Subset, rows: slice, ops, keys_of) -> tuple[int, int, str] 
 
 
 def _image_classes(s: Subset) -> list[np.ndarray]:
-    """The rows from 1 on grouped by image, each group ascending and the
-    groups in the order of their first rows, keeping the groups whose rows
-    after the first span more than one block of pairs."""
+    """The rows from 1 on grouped by image, each group ascending, keeping the
+    groups whose rows after the first span more than one block of pairs."""
     size = len(s)
     images = np.zeros(size - 1, dtype=np.int64)  # bit c is set when c is a value
     for column in s.values[1:].T:
@@ -489,13 +489,12 @@ def _image_classes(s: Subset) -> list[np.ndarray]:
         return []
     order = np.argsort(images, kind="stable") + 1  # the rows by image
     ends = np.cumsum(counts)
-    groups = (order[ends[image] - counts[image] : ends[image]] for image in kept)
-    return sorted(groups, key=itemgetter(0))
+    return [order[ends[image] - counts[image] : ends[image]] for image in kept]
 
 
-def _class_escape(s: Subset, G: np.ndarray, limit: int) -> tuple[int, int] | None:
+def _class_escape(s: Subset, G: np.ndarray) -> tuple[int, int] | None:
     """First (i, j) with x_i * x_j outside s, for i in G, ascending rows of s
-    that share one image I, up to row limit.
+    that share one image I.
 
     (x * y)(k) = y(x(k)) reads y only on I, so members that agree on I give
     every row of G one product, and a row's first escape is at the first
@@ -507,13 +506,12 @@ def _class_escape(s: Subset, G: np.ndarray, limit: int) -> tuple[int, int] | Non
     V, size = s.values, len(s)
     keys = _products(V[G[:1]], s)
     hit = _escape(s, keys, G[:1], range(size))
-    rest = G[1:] if G[-1] <= limit else G[1 : np.searchsorted(G, limit, side="right")]
-    if hit is not None or not len(rest):
+    if hit is not None:
         return hit
     F = np.sort(np.unique(keys[0], return_index=True)[1])
     table = np.take(s.product_table, F, axis=1)
-    for rows in _blocks(len(rest), len(F)):
-        hit = _escape(s, _table_keys(table, V[rest[rows]], slice(None)), rest[rows], F)
+    for rows in _blocks(len(G), len(F), 1):
+        hit = _escape(s, _table_keys(table, V[G[rows]], slice(None)), G[rows], F)
         if hit is not None:
             return hit
     return None
@@ -523,40 +521,38 @@ def _later_escape(s: Subset, ops) -> tuple[int, int, str] | None:
     """First (i, j, op) escaping with i >= 1, for a set that spans more than
     one block and keeps row 0 inside.
 
-    Sums run in blocks of rows from 1, each against the members from its
-    first row on; products of the rows of an image class from _image_classes
-    run through _class_escape, and those of the other rows in blocks against
-    every member.  The passes run in the order of their first rows, and each
-    stops at the rows past the best escape found so far: the least (i, j)
-    over both ops, a tie going to the op given first.
+    Products of the rows of an image class from _image_classes run through
+    _class_escape, those of the other rows in blocks against every member,
+    and sums in blocks of rows from 1 up to the row of the least product
+    escape, each against the members from its first row on.  Each pass stops
+    at its own first escape; the least (i, j) wins, a tie going to the op
+    given first.
     """
-    size = len(s)
-    members = range(size)
-    passes = []  # per kind, (first row, kind, rows) in the order of first rows
-    if "+" in ops:
-        passes.append((rows.start, "+", rows) for rows in _blocks(size, size, 1))
+    size, members = len(s), range(len(s))
+    found = []  # (i, j, position of op in ops) of each pass's first escape
     if "*" in ops:
         classes = _image_classes(s)
         plain = np.ones(size, dtype=bool)
-        plain[0] = False
-        for G in classes:
-            plain[G] = False
+        plain[np.concatenate([[0], *classes])] = False
         plain = np.flatnonzero(plain)
-        passes.append((int(plain[b.start]), "*", plain[b]) for b in _blocks(len(plain), size))
-        passes.append((int(G[0]), "class", G) for G in classes)
-    best = None  # (i, j, position of op in ops)
-    for first, kind, rows in heapq.merge(*passes, key=itemgetter(0)):
-        if best is not None and first > best[0]:
-            break
-        if kind == "class":
-            kind, hit = "*", _class_escape(s, rows, size if best is None else best[0])
-        elif kind == "+":
-            hit = _escape(s, _block_keys(s, rows, kind)[1], members[rows], members[first:])
-        else:
-            hit = _escape(s, _products(s.values[rows], s), rows, members)
-        if hit is not None and (best is None or (*hit, ops.index(kind)) < best):
-            best = (*hit, ops.index(kind))
-    return None if best is None else (best[0], best[1], ops[best[2]])
+        products = (
+            _escape(s, _products(s.values[plain[b]], s), plain[b], members)
+            for b in _blocks(len(plain), size)
+        )
+        hits = (next(filter(None, products), None), *(_class_escape(s, G) for G in classes))
+        found += [(*hit, ops.index("*")) for hit in hits if hit]
+    if "+" in ops:
+        # the sets that escape late mostly do so under *, and no sum in a
+        # later row than that escape can come first
+        last = min(found)[0] if found else size - 1
+        sums = (
+            _escape(s, _block_keys(s, b, "+")[1], members[b], members[b.start :])
+            for b in _blocks(last + 1, size, 1)
+        )
+        hit = next(filter(None, sums), None)
+        found += [(*hit, ops.index("+"))] if hit else []
+    best = min(found, default=None)
+    return best and (best[0], best[1], ops[best[2]])
 
 
 def _closure_scan(els, ops):

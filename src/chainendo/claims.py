@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
@@ -583,9 +583,10 @@ def _chk_interior_sum(params):
     # pairs[v]: how many u + w, u in the a-b string and w in the a-c string, have values v
     pairs = Counter(map(tuple, np.maximum(ab[:, None], ac[None]).reshape(-1, n).tolist()))
     bad = (constant(n, a), constant(n, c))
-    els, M = simplex._coordinates(spec.simplex())
-    for e, (_, ell, m) in zip(els, M.tolist()):
-        if ell >= 1 and m >= 1:
+    els = triangle.elements(spec)
+    uses_bc = ((els.values == b).any(axis=1) & (els.values == c).any(axis=1)).tolist()
+    for e, decomposable in zip(els, uses_bc):
+        if decomposable:
             left, right = triangle.interior_decompose(spec, e)
             if left + right != e:
                 return False, {"element": _fmt(e)}
@@ -848,19 +849,13 @@ def _chk_layer_string_iso(params):
                 want = StringSpec(n - bl.k, a, b)
             if iso.target != want:
                 return False, {"vertex": vertex, "k": bl.k, "target": iso.target}
-            images = tuple(img for _, img in iso.pairs)
-            if images != tuple(strings.elements(want)):
+            if iso.image != strings.elements(want):
                 return False, {"vertex": vertex, "k": bl.k, "note": "not onto"}
             part = strings.partition_string(want)
-            runs = (bl.left, bl.middle, bl.right)
-            targets = (part.nil_low, part.idem, part.nil_high)
-            # one find over the three runs stacked; pairs follow the layer
-            at = iso.layer.elements.find(np.vstack([r.values for r in runs]))
-            if (
-                [len(r) for r in runs] != [len(t) for t in targets]
-                or (at < 0).any()
-                or tuple(images[i] for i in at) != tuple(chain.from_iterable(targets))
-            ):
+            # layer member i maps to image member i: a run's image is its slice
+            cut1, cut2 = len(bl.left), len(bl.left) + len(bl.middle)
+            runs = (iso.image[:cut1], iso.image[cut1:cut2], iso.image[cut2:])
+            if runs != (part.nil_low, part.idem, part.nil_high):
                 return False, {"vertex": vertex, "k": bl.k, "note": "block drift"}
     return True, None
 
@@ -868,8 +863,7 @@ def _chk_layer_string_iso(params):
 def _chk_middle_layer_counterexample(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
-    els, M = simplex._coordinates(spec.simplex())
-    layer = els[M[:, 1] == 2]
+    layer = simplex.layer(LayerId(spec.simplex(), 1, 2))
     add_ok, _ = analysis.is_closed(layer, "+")
     mul_ok, wit = analysis.is_closed(layer, "*")
     if not add_ok or mul_ok:

@@ -106,12 +106,6 @@ def enumerate_simplex(spec: SimplexSpec, select=None) -> analysis.Subset:
     return analysis.Subset.from_values(n, np.take(vertices, P))
 
 
-def _coordinates(spec: SimplexSpec) -> tuple[analysis.Subset, np.ndarray]:
-    """The simplex and its multiplicity matrix: row i, column m counts how
-    often member i takes the value of vertex m."""
-    return enumerate_simplex(spec), _pattern(spec.n, spec.k).M
-
-
 def interior(spec: SimplexSpec) -> analysis.Subset:
     """Elements whose image is the whole vertex set."""
     return enumerate_simplex(spec, lambda M: (M > 0).all(axis=1))
@@ -167,8 +161,7 @@ def layer(layer_id: LayerId) -> analysis.Subset:
 
 def layers(spec: SimplexSpec, m: int) -> tuple[analysis.Subset, ...]:
     """All layers of one vertex, s = 0 first; they partition the simplex."""
-    _check_vertex_index(spec, m)
-    return tuple(enumerate_simplex(spec, lambda M, s=s: M[:, m] == s) for s in range(spec.n + 1))
+    return tuple(layer(LayerId(spec, m, s)) for s in range(spec.n + 1))
 
 
 def discrete_neighborhood(spec: SimplexSpec, m: int, t: int) -> analysis.Subset:
@@ -222,14 +215,17 @@ def nilpotent_rows(spec: SimplexSpec, rows) -> np.ndarray:
     A row passes when it is constantly a0 up to the second vertex a1 and
     drops strictly below the diagonal after a1; with one vertex, only the
     constant a0 passes.  The first row that is no member of the simplex, or
-    does not fix a0, raises ValueError.
+    does not fix a0, raises ValueError, and rows not of an integer type
+    raise OutOfRange.
     """
-    V = np.asarray(rows, dtype=np.int64)
+    V = np.asarray(rows)
+    if V.dtype.kind not in "iu":  # a float or bool row would be truncated
+        raise OutOfRange(f"rows of type {V.dtype} are not integer values")
     if V.ndim != 2:
         raise ValueError(f"expected an (N, {spec.n}) value matrix, got shape {V.shape}")
     a0 = spec.vertices[0]
     if V.shape[1] == spec.n:
-        member = np.isin(V, spec.vertices).all(axis=1) & (np.diff(V, axis=1) >= 0).all(axis=1)
+        member = np.isin(V, spec.vertices).all(axis=1) & (V[:, 1:] >= V[:, :-1]).all(axis=1)
         fixing = V[:, a0] == a0
     else:
         member = fixing = np.zeros(len(V), dtype=bool)

@@ -315,65 +315,54 @@ class BasicLayer:
     right: analysis.Subset
 
 
-def basic_layer(spec: TriangleSpec, vertex: int, k: int) -> BasicLayer:
-    """The layer with k copies of the given corner value."""
-    n = spec.n
+def _closed_layers(spec: TriangleSpec, vertex: int) -> range:
+    """The k of the closed layers at the a or c corner."""
     if vertex == spec.a:
-        if not spec.a + 1 <= k <= spec.b:
-            raise OutOfRange(
-                f"a-corner layers have {spec.a + 1} <= k <= {spec.b}"
-            )
-        # rows ascend in the count i of copies of c
-        cut1 = n - spec.c  # i < cut1: left block
-        cut2 = n - spec.b  # i >= cut2: right block
-    elif vertex == spec.c:
-        if not n - spec.c <= k <= n - spec.b - 1:
-            raise OutOfRange(
-                f"c-corner layers have {n - spec.c} <= k <= {n - spec.b - 1}"
-            )
-        # rows ascend as the count i of copies of a descends
-        cut1 = n - k - spec.b  # first n-k-b elements: left block
-        cut2 = n - k - spec.a  # beyond: the a+1 right-block elements
-    else:
-        raise NotBasic(
-            f"vertex must be {spec.a} or {spec.c}; layers at {vertex} are "
-            "not closed in general"
-        )
-    els, M = simplex._coordinates(spec.simplex())
-    layer = els[M[:, 0 if vertex == spec.a else 2] == k]
-    return BasicLayer(
-        spec,
-        vertex,
-        k,
-        layer,
-        layer[:cut1],
-        layer[cut1:cut2],
-        layer[cut2:],
+        return range(spec.a + 1, spec.b + 1)
+    if vertex == spec.c:
+        return range(spec.n - spec.c, spec.n - spec.b)
+    raise NotBasic(
+        f"vertex must be {spec.a} or {spec.c}; layers at {vertex} are "
+        "not closed in general"
     )
+
+
+def basic_layer(spec: TriangleSpec, vertex: int, k: int) -> BasicLayer:
+    """The layer with k copies of the given corner value: the simplex layer
+    of that vertex, split at two cuts."""
+    n, ks = spec.n, _closed_layers(spec, vertex)
+    if vertex == spec.a:
+        # rows ascend in the count i of copies of c: i < n - c is the left
+        # block, i >= n - b the right
+        corner, m, cut1, cut2 = "a", 0, n - spec.c, n - spec.b
+    else:
+        # rows ascend as the count i of copies of a descends: the first
+        # n - k - b rows are the left block, the last a + 1 the right
+        corner, m, cut1, cut2 = "c", 2, n - k - spec.b, n - k - spec.a
+    if k not in ks:
+        raise OutOfRange(f"{corner}-corner layers have {ks.start} <= k <= {ks[-1]}")
+    layer = simplex.layer(simplex.LayerId(spec.simplex(), m, k))
+    return BasicLayer(spec, vertex, k, layer, layer[:cut1], layer[cut1:cut2], layer[cut2:])
 
 
 def basic_layers(spec: TriangleSpec, vertex: int) -> tuple[BasicLayer, ...]:
     """All closed layers at one of the two outer corners."""
-    if vertex == spec.a:
-        ks = range(spec.a + 1, spec.b + 1)
-    elif vertex == spec.c:
-        ks = range(spec.n - spec.c, spec.n - spec.b)
-    else:
-        raise NotBasic(
-            f"vertex must be {spec.a} or {spec.c}; layers at {vertex} are "
-            "not closed in general"
-        )
-    return tuple(basic_layer(spec, vertex, k) for k in ks)
+    return tuple(basic_layer(spec, vertex, k) for k in _closed_layers(spec, vertex))
 
 
 @dataclass(frozen=True)
 class LayerStringIso:
-    """The explicit isomorphism from a basic layer onto a shorter string."""
+    """The explicit isomorphism from a basic layer onto a shorter string:
+    member i of the layer maps to member i of image."""
 
     layer: BasicLayer
     target: strings.StringSpec
-    pairs: tuple[tuple[ChainEndo, ChainEndo], ...]
+    image: analysis.Subset
     holds: bool
+
+    @property
+    def pairs(self) -> tuple[tuple[ChainEndo, ChainEndo], ...]:
+        return tuple(zip(self.layer.elements, self.image))
 
 
 def layer_string_iso(
@@ -396,13 +385,13 @@ def layer_string_iso(
         rows = src.values[:, : n - k]
     # cutting a run all members share keeps the rows ascending: phi is the
     # identity on member indices
-    dst = analysis.Subset.from_values(n - k, rows)
+    image = analysis.Subset.from_values(n - k, rows)
     p = np.arange(len(src))
     holds = all(
-        analysis._hom_mismatch(src, dst, p, op) is None
+        analysis._hom_mismatch(src, image, p, op) is None
         for op in (analysis._sums, analysis._products)
     )
-    return LayerStringIso(layer, target, tuple(zip(src, dst)), holds)
+    return LayerStringIso(layer, target, image, holds)
 
 
 @dataclass(frozen=True)

@@ -621,7 +621,7 @@ def interior_sum(params):
     ab_els = strings.elements(spec.string_ab())
     ac_els = strings.elements(spec.string_ac())
     bad = (constant(n, a), constant(n, c))
-    els, M = simplex._coordinates(spec.simplex())
+    els, M = simplex.enumerate_simplex(spec.simplex()), simplex._pattern(n, 3).M
     for e, (_, ell, m) in zip(els, M.tolist()):
         if ell >= 1 and m >= 1:
             left, right = triangle.interior_decompose(spec, e)

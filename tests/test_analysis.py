@@ -6,6 +6,7 @@ import inspect
 import random
 import typing
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,10 +649,11 @@ class TestOneSetType:
 
     POWER_WALKS = ("eventual_idempotent", "nilpotency_target", "is_nilpotent_to", "_power_limit")
 
-    @classmethod
-    def _power_walks(cls, source: str):
-        """(line, name) for every name, attribute or string constant in the
-        source that names a per-map power walk."""
+    @staticmethod
+    def _naming(source: str, names=POWER_WALKS):
+        """(line, name) for every name, attribute, string constant, import or
+        definition in the source that is one of names, by default the per-map
+        power walks."""
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Attribute):
                 name = node.attr
@@ -659,14 +661,29 @@ class TestOneSetType:
                 name = node.id
             elif isinstance(node, ast.Constant):
                 name = node.value
+            elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+                name = node.name
             else:
                 continue
-            if name in cls.POWER_WALKS:
+            if name in names:
                 yield node.lineno, name
 
     def test_claims_call_no_power_walk(self):
         # a set asks Subset.limits once; the walks are the one-map API
-        assert list(self._power_walks(inspect.getsource(claims))) == []
+        assert list(self._naming(inspect.getsource(claims))) == []
+
+    def test_only_simplex_reads_the_pattern(self):
+        # every cut by multiplicity goes through simplex, and the cut of the
+        # whole simplex with its multiplicity matrix is gone
+        sources = {path.name: path.read_text() for path in Path(simplex.__file__).parent.glob("*.py")}
+        assert len(sources) > 5
+        naming = {
+            module: [name for _, name in self._naming(source, ("_pattern", "_coordinates"))]
+            for module, source in sources.items()
+        }
+        assert {module for module, names in naming.items() if names} == {"simplex.py"}
+        assert set(naming["simplex.py"]) == {"_pattern"}
+        assert not hasattr(simplex, "_coordinates")
 
     def test_the_guard_sees_every_call_form(self):
         source = (
@@ -677,7 +694,7 @@ class TestOneSetType:
             "e = getattr(x, 'eventual_idempotent')()\n"
             "f = s.limits[0].is_idempotent(eventual=1)\n"
         )
-        assert sorted(self._power_walks(source)) == [
+        assert sorted(self._naming(source)) == [
             (1, "eventual_idempotent"),
             (2, "nilpotency_target"),
             (3, "is_nilpotent_to"),

@@ -424,9 +424,9 @@ class TestPortedChecksKeepTheirWitnesses:
 
 
 class TestLayerStringIsoRuns:
-    """layer-string-iso finds the three runs of a basic layer with one find
-    over the runs stacked; a run boundary moved by one row fails, although
-    the runs still stack to the whole layer."""
+    """layer-string-iso reads the images of the three runs of a basic layer
+    from the layer's image at the runs' offsets; a run boundary moved by one
+    row fails, although the runs still stack to the whole layer."""
 
     PARAMS = (6, 1, 3, 4)
 

@@ -449,6 +449,9 @@ def test_check_json_matches_the_golden_file(capsys):
             "idempotent-sum-escape",
             "it-ideals",
             "interior-sum",
+            "basic-layers",
+            "layer-string-iso",
+            "middle-layer-counterexample",
             "power-stabilization",
             "simplex-closed",
             "dn1-semiring",

@@ -412,6 +412,27 @@ def test_row_zero_escape_builds_no_rank_table():
     assert {"sum_table", "product_table"} <= vars(closed).keys()
 
 
+def test_sums_stop_at_the_row_of_a_later_product_escape(monkeypatch):
+    # the radius-4 neighborhood of vertex 4 of the n = 8 simplex (330 maps,
+    # two or more blocks) keeps row 0 inside, is closed under + and escapes
+    # first at row 4 under *; only the sums of rows 1 to 4 can come first
+    s = discrete_neighborhood(SimplexSpec(8, tuple(range(8))), 4, 4)
+    summed = []
+    real = analysis._block_keys
+
+    def spy(s, rows, op):
+        summed.append(rows)
+        return real(s, rows, op)
+
+    monkeypatch.setattr(analysis, "_block_keys", spy)
+    for ops in (("+", "*"), ("*", "+")):
+        summed.clear()
+        hit = analysis._closure_scan(s, ops)
+        assert hit == ref.closure_scan(s, ops) and hit[:3] == (4, 315, "*")
+        assert summed == [slice(1, 5)]
+    assert analysis.is_closed(s, "+") == (True, None)
+
+
 # The representative path.  After row 0, the products of an image class (the
 # rows from 1 on that take one set of values) whose later rows span more than
 # one block are keyed by _class_escape: its head row against every member,
@@ -427,8 +448,8 @@ class _RepresentativeSpy:
         self.budgets, self.hits = set(), []
         real = analysis._class_escape
 
-        def spy(s, G, limit):
-            hit = real(s, G, limit)
+        def spy(s, G):
+            hit = real(s, G)
             self.budgets.add(analysis._PAIR_BUDGET)
             if hit is not None:
                 self.hits.append((int(G[0]), hit))

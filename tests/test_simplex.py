@@ -283,6 +283,64 @@ class TestNilpotencyTest:
         assert simplex.nilpotent_rows(SPEC, np.empty((0, 4), dtype=np.int64)).shape == (0,)
 
 
+NON_INTEGER_ROWS = {
+    "float": [1.9, 1, 2, 3],
+    "half": [1.5, 1, 1, 1],
+    "exact-float": [1.0, 1, 1, 1],
+    "bool": [True, True, True, True],
+}
+
+
+class TestNonIntegerRows:
+    """Subset.find and nilpotent_rows refuse rows that are not of an integer
+    type, as _require_ints refuses a value that is not an int, rather than
+    truncate them: [1.9, 1, 2, 3] would be found as 1_2 2 3, and
+    [1.5, 1, 1, 1] would pass as the nilpotent 1_4."""
+
+    CALLS = {
+        "find": lambda rows: enumerate_simplex(SPEC).find(rows),
+        "nilpotent_rows": lambda rows: simplex.nilpotent_rows(SPEC, rows),
+    }
+
+    @pytest.mark.parametrize("kind", NON_INTEGER_ROWS)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_refused(self, call, kind):
+        with pytest.raises(OutOfRange, match="are not integer values"):
+            self.CALLS[call]([NON_INTEGER_ROWS[kind]])
+
+    def test_rows_of_any_integer_type_are_read(self):
+        els = enumerate_simplex(SPEC)
+        for dtype in (np.int64, np.int8, np.uint8):
+            assert els.find(np.array([[1, 1, 2, 3]], dtype=dtype)).tolist() == [4]
+            assert simplex.nilpotent_rows(SPEC, np.array([[1, 1, 1, 1]], dtype=dtype)).tolist() == [True]
+            # an unsigned difference would wrap: 1 3 2 2 is no member
+            with pytest.raises(ValueError, match="not a member"):
+                simplex.nilpotent_rows(SPEC, np.array([[1, 3, 2, 2]], dtype=dtype))
+
+    def test_refused_under_optimize(self):
+        code = (
+            "from chainendo import simplex\n"
+            "from chainendo.core import OutOfRange\n"
+            "spec = simplex.SimplexSpec(4, (1, 2, 3))\n"
+            "els = simplex.enumerate_simplex(spec)\n"
+            f"for row in {list(NON_INTEGER_ROWS.values())}:\n"
+            "    for call in (els.find, lambda rows: simplex.nilpotent_rows(spec, rows)):\n"
+            "        try:\n"
+            "            print(call([row]))\n"
+            "        except OutOfRange:\n"
+            "            print('refused')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["refused"] * 2 * len(NON_INTEGER_ROWS)
+
+
 def _vertex_sets(n_max):
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
@@ -409,14 +467,15 @@ class TestPattern:
 
     def test_multiplicities_match_the_row_count(self):
         for spec in _vertex_sets(7):
-            els, M = simplex._coordinates(spec)
+            els, M = enumerate_simplex(spec), simplex._pattern(spec.n, spec.k).M
             assert M.shape == (len(els), spec.k), spec
             assert M.tolist() == ref.multiplicities(spec), spec
 
     def test_multiplicities_hold_a_long_chain(self):
         # counts up to n = 300 overflow one signed byte
         spec = SimplexSpec(300, (0, 299))
-        assert simplex._coordinates(spec)[1].max() == 300
+        enumerate_simplex(spec)
+        assert simplex._pattern(spec.n, spec.k).M.max() == 300
         assert len(layer(LayerId(spec, 0, 300))) == 1
         assert [len(s) for s in layers(spec, 1)] == [1] * 301
         assert len(interior(spec)) == 299

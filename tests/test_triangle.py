@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import reference_loops as ref
-from chainendo import analysis, strings, triangle
+from chainendo import analysis, simplex, strings, triangle
 from chainendo.core import OutOfRange, constant, parse_compact
 from chainendo.strings import StringSpec
 from chainendo.triangle import (
@@ -339,6 +339,28 @@ class TestBasicLayers:
                 ok, _ = analysis.is_subsemiring(layer.elements)
                 assert ok, (vertex, layer.k)
 
+    def test_each_layer_is_gathered_alone(self, monkeypatch):
+        # one enumeration with a select per layer, returning just its rows;
+        # the whole triangle is never enumerated
+        calls = []
+        real = simplex.enumerate_simplex
+
+        def spy(spec, select=None):
+            got = real(spec, select)
+            calls.append((select is not None, got))
+            return got
+
+        monkeypatch.setattr(simplex, "enumerate_simplex", spy)
+        for spec in (SPEC, BIG):
+            for vertex in (spec.a, spec.c):
+                calls.clear()
+                layers = basic_layers(spec, vertex)
+                assert len(layers) > 0
+                assert [selected for selected, _ in calls] == [True] * len(layers)
+                for (_, got), bl in zip(calls, layers):
+                    assert got is bl.elements
+                    assert tuple(got) == ref.basic_layer(spec, vertex, bl.k)[0]
+
     def test_layer_bounds(self):
         with pytest.raises(OutOfRange):
             basic_layer(SPEC, 1, 3)
@@ -382,6 +404,20 @@ class TestLayerStringIso:
         assert {phi[e] for e in iso.layer.left} == set(part.nil_low)
         assert {phi[e] for e in iso.layer.middle} == set(part.idem)
         assert {phi[e] for e in iso.layer.right} == set(part.nil_high)
+
+    def test_the_image_is_the_target_string_member_by_member(self):
+        checked = 0
+        for n in range(3, 8):
+            for a, b, c in combinations(range(n), 3):
+                spec = TriangleSpec(n, a, b, c)
+                for vertex in (a, c):
+                    for bl in basic_layers(spec, vertex):
+                        iso = layer_string_iso(spec, vertex, bl.k)
+                        where = (spec, vertex, bl.k)
+                        assert iso.image == strings.elements(iso.target), where
+                        assert iso.pairs == tuple(zip(bl.elements, iso.image)), where
+                        checked += 1
+        assert checked == 252  # c - a layers per triangle
 
     def test_every_basic_layer_maps_isomorphically(self):
         for vertex in (BIG.a, BIG.c):
