@@ -14,7 +14,6 @@ reports checked = 0 and holds = True.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -57,7 +56,7 @@ def _pair(witness) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# parameter families (chain and triangle families come from counting)
+# parameter families (chain, string and triangle families come from counting)
 
 
 def _simplex_family(n_max: int) -> Iterator[tuple]:
@@ -106,12 +105,6 @@ def _vertex_pair_family(sizes: Callable[[int], Iterable[int]]):
                     yield (n, one, two)
 
     return gen
-
-
-def _string_family(n_max: int) -> Iterator[tuple]:
-    for n in range(3, n_max + 1):
-        for a, b in combinations(range(n), 2):
-            yield (n, a, b)
 
 
 def _singleton_family(n_needed: int, params: tuple):
@@ -1040,7 +1033,7 @@ _CLAIMS = (
         "string-partition",
         "A string splits into three consecutive runs: squares onto const a, "
         "idempotents, squares onto const b, of sizes n - b, b - a, a + 1.",
-        _string_family,
+        counting._string_family(3),
         _chk_string_partition,
     ),
     Claim(
@@ -1054,14 +1047,14 @@ _CLAIMS = (
         "string-right-identities",
         "The idempotent run of a string consists exactly of its right "
         "identities; no left identity exists.",
-        _string_family,
+        counting._string_family(3),
         _chk_string_right_identities,
     ),
     Claim(
         "string-trivial-parts",
         "Both nilpotent runs of a string are trivial semirings collapsing "
         "onto their constant, one from below and one from above.",
-        _string_family,
+        counting._string_family(3),
         _chk_string_trivial_parts,
     ),
     Claim(
@@ -1069,7 +1062,7 @@ _CLAIMS = (
         "A top segment of a string is a subsemiring exactly when it stops "
         "above index a; a bottom segment exactly when it stops at or below "
         "index b.",
-        _string_family,
+        counting._string_family(3),
         _chk_string_families,
     ),
     Claim(
@@ -1077,7 +1070,7 @@ _CLAIMS = (
         "Members fixing a form the union of the low nilpotent run and the "
         "idempotents; members fixing b the union of the high run and the "
         "idempotents; both are subsemirings.",
-        _string_family,
+        counting._string_family(3),
         _chk_string_fixpoint_unions,
     ),
     Claim(
@@ -1252,51 +1245,34 @@ REGISTRY: dict[str, Claim] = {claim.id: claim for claim in _CLAIMS}
 
 def run_claim(claim_id: str, n_max: int) -> ClaimResult:
     """Sweep one claim up to the bound; stop at the first failure."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    counting._require_bounds(n_max=n_max)
     try:
         claim = REGISTRY[claim_id]
     except KeyError:
         raise UnknownClaim(claim_id) from None
-    limit = n_max if claim.max_n is None else min(n_max, claim.max_n)
-    start = perf_counter()
-    checked = 0
-    for params in claim.params(limit):
+
+    def check(params):
         # a crash while checking is a failed verification, not a crash of
         # the whole sweep
         try:
-            holds, witness = claim.check(params)
+            return claim.check(params)
         except (analysis.ChainTooLong, analysis.SetTooLarge):
             raise  # a limit of the checker says nothing about the claim
         except Exception as err:
-            holds, witness = False, {"error": repr(err)}
-        checked += 1
-        if not holds:
-            return ClaimResult(
-                claim_id, n_max, checked, False, params, witness,
-                perf_counter() - start,
-            )
-    return ClaimResult(
-        claim_id, n_max, checked, True, None, None, perf_counter() - start
-    )
+            return False, {"error": repr(err)}
 
-
-def _run_remote(job: tuple[str, int]) -> ClaimResult:
+    limit = n_max if claim.max_n is None else min(n_max, claim.max_n)
+    start = perf_counter()
     with counting._memo_scope():
-        return run_claim(*job)
+        checked, params, witness = counting._first_failure(claim.params(limit), check)
+    elapsed = perf_counter() - start
+    return ClaimResult(claim_id, n_max, checked, params is None, params, witness, elapsed)
 
 
-def run_all(
-    n_max: int,
-    jobs: int = 1,
-    ids: list[str] | None = None,
-) -> tuple[ClaimResult, ...]:
+def run_all(n_max: int, jobs: int = 1, ids: list[str] | None = None) -> tuple[ClaimResult, ...]:
     """Run claims in the requested order (registry order when ids is None);
     fan out over min(jobs, number of claims) processes when that is over one."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    counting._require_bounds(n_max=n_max, jobs=jobs)
     order = list(REGISTRY) if ids is None else list(ids)
     for claim_id in order:
         if claim_id not in REGISTRY:
@@ -1306,5 +1282,6 @@ def run_all(
     if workers <= 1:
         with counting._memo_scope():  # claims that read one census share it
             return tuple(run_claim(claim_id, n_max) for claim_id in order)
+    from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(_run_remote, [(cid, n_max) for cid in order]))
+        return tuple(pool.map(run_claim, order, [n_max] * len(order)))

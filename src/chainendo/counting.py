@@ -177,12 +177,13 @@ def r_par_order(n: int, a: int, b: int, c: int) -> int:
 # independent of the formula it audits.
 #
 # Censuses, string classifications and triangle members are kept in _memo
-# only while a _memo_scope() is open: one audit() call, one in-process
-# claims.run_all sweep, or one claim job of a pooled sweep.  So each of
-# these enumerates each chain once, and none starts from an earlier scope's
-# results.  An oracle or claim called outside a scope builds what it needs
-# and drops it.  The store is module state because oracles keep the
-# signature oracle(*params).
+# only while a _memo_scope() is open: one audit() call, one
+# claims.run_claim call (a claim job of a pooled sweep), or one in-process
+# claims.run_all sweep, whose claims share it.  So each of these enumerates
+# each chain once, and none starts from an earlier scope's results.  An
+# oracle or claim check called outside a scope builds what it needs and
+# drops it.  The store is module state because oracles keep the signature
+# oracle(*params).
 
 _memo: dict | None = None
 
@@ -396,17 +397,43 @@ def _simplex_domain(n_max):
             yield (n, k)
 
 
-def _string_domain(n_max):
-    for n in range(2, n_max + 1):
-        for a in range(n - 1):
-            for b in range(a + 1, n):
+def _string_family(lo):
+    """String tuples (n, a, b), a < b, with n from lo up to the bound."""
+
+    def gen(n_max):
+        for n in range(lo, n_max + 1):
+            for a, b in combinations(range(n), 2):
                 yield (n, a, b)
+
+    return gen
 
 
 def _triangle_domain(n_max):
     for n in range(3, n_max + 1):
         for a, b, c in combinations(range(n), 3):
             yield (n, a, b, c)
+
+
+def _require_bounds(**bounds) -> None:
+    """Refuse a sweep bound (n_max, jobs) that is not an int of at least 1."""
+    for name, value in bounds.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _first_failure(tuples, check):
+    """The one sweep loop, of audit and claims.run_claim: check(params) ->
+    (holds, witness) over the tuples in order up to the first that fails,
+    giving (tuples checked, that tuple or None, its witness)."""
+    checked = 0
+    for params in tuples:
+        checked += 1
+        holds, witness = check(params)
+        if not holds:
+            return checked, params, witness
+    return checked, None, None
 
 
 @dataclass(frozen=True)
@@ -418,6 +445,12 @@ class CountFormula:
     oracle: Callable[..., int]
     domain: Callable[[int], Iterator[tuple]]
     expect_equal: bool = True  # False marks a documented-wrong variant
+
+    def _check(self, params):
+        """Formula, then oracle, at one tuple: they stand as expect_equal
+        says, and the two values are the witness."""
+        value, counted = self.evaluate(*params), self.oracle(*params)
+        return (value == counted) == self.expect_equal, (value, counted)
 
 
 FORMULAS: dict[str, CountFormula] = {
@@ -451,19 +484,19 @@ FORMULAS: dict[str, CountFormula] = {
             "string_nil_low_order",
             string_nil_low_order,
             _oracle_string_nil_low,
-            _string_domain,
+            _string_family(2),
         ),
         CountFormula(
             "string_idem_order",
             string_idem_order,
             _oracle_string_idem,
-            _string_domain,
+            _string_family(2),
         ),
         CountFormula(
             "string_nil_high_order",
             string_nil_high_order,
             _oracle_string_nil_high,
-            _string_domain,
+            _string_family(2),
         ),
         CountFormula("ri_order", ri_order, _oracle_ri, _triangle_domain),
         CountFormula(
@@ -552,28 +585,13 @@ class AuditReport:
 
 
 def audit(n_max: int) -> AuditReport:
-    """Compare every formula with its oracle on all tuples up to n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    """Compare every formula with its oracle on all tuples up to n_max; the
+    documented-wrong variant passes only by disagreeing everywhere."""
+    _require_bounds(n_max=n_max)
     with _memo_scope():
         results = []
         for formula in FORMULAS.values():
-            checked = 0
-            mismatch = None
-            expected_equal = formula.expect_equal
-            ok = True
-            for params in formula.domain(n_max):
-                checked += 1
-                value = formula.evaluate(*params)
-                counted = formula.oracle(*params)
-                if expected_equal and value != counted:
-                    ok = False
-                    mismatch = (params, value, counted)
-                    break
-                if not expected_equal and value == counted:
-                    # The variant is documented to disagree everywhere.
-                    ok = False
-                    mismatch = (params, value, counted)
-                    break
-            results.append(FormulaAudit(formula.id, checked, ok, mismatch))
+            checked, params, values = _first_failure(formula.domain(n_max), formula._check)
+            mismatch = None if params is None else (params, *values)
+            results.append(FormulaAudit(formula.id, checked, params is None, mismatch))
         return AuditReport(n_max, tuple(results))

@@ -136,6 +136,7 @@ def is_internal(spec: SimplexSpec) -> bool:
 
 
 def _check_vertex_index(spec: SimplexSpec, m: int) -> None:
+    _require_ints((m,))
     if not 0 <= m < spec.k:
         raise OutOfRange(f"vertex index {m} outside 0..{spec.k - 1}")
 
@@ -150,6 +151,7 @@ class LayerId:
 
     def __post_init__(self):
         _check_vertex_index(self.spec, self.m)
+        _require_ints((self.s,))
         if not 0 <= self.s <= self.spec.n:
             raise OutOfRange(f"layer index {self.s} outside 0..{self.spec.n}")
 
@@ -166,6 +168,7 @@ def layers(spec: SimplexSpec, m: int) -> tuple[analysis.Subset, ...]:
 
 def discrete_neighborhood(spec: SimplexSpec, m: int, t: int) -> analysis.Subset:
     """The vertex constant (layer n) plus the t layers n - t .. n - 1 below it."""
+    _require_ints((t,))
     if not 1 <= t <= spec.n:
         raise OutOfRange(f"radius {t} outside 1..{spec.n}")
     _check_vertex_index(spec, m)

@@ -330,6 +330,7 @@ def _closed_layers(spec: TriangleSpec, vertex: int) -> range:
 def basic_layer(spec: TriangleSpec, vertex: int, k: int) -> BasicLayer:
     """The layer with k copies of the given corner value: the simplex layer
     of that vertex, split at two cuts."""
+    _require_ints((vertex, k))
     n, ks = spec.n, _closed_layers(spec, vertex)
     if vertex == spec.a:
         # rows ascend in the count i of copies of c: i < n - c is the left

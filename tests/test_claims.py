@@ -1,7 +1,12 @@
 """The claim registry: integrity, sweeps, parallel determinism."""
 
+import concurrent.futures
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from chainendo.claims import (
 from chainendo.core import constant
 from chainendo.simplex import SimplexSpec
 from chainendo.triangle import Region, TriangleSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestRegistry:
@@ -83,6 +90,37 @@ class TestRunClaim:
     def test_empty_bound_is_refused(self, n_max):
         with pytest.raises(ValueError, match="n_max must be at least 1"):
             run_claim("semiring-laws", n_max)
+
+    @pytest.mark.parametrize("n_max", [True, 4.0, 2.5])
+    def test_a_bound_that_is_no_int_is_refused(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an int"):
+            run_claim("catalan-count", n_max)
+
+    @pytest.mark.parametrize("k", [1, 2, 13, 25])
+    def test_the_first_failing_tuple_and_its_position_are_reported(self, monkeypatch, k):
+        entry = REGISTRY["simplex-order"]
+        tuples = list(entry.params(4))
+        assert len(tuples) == 25
+        seen = []
+
+        def check(params):
+            seen.append(params)
+            return params not in tuples[k - 1 :], {"at": params}
+
+        monkeypatch.setitem(REGISTRY, entry.id, dataclasses.replace(entry, check=check))
+        result = run_claim(entry.id, 4)
+        assert not result.holds and result.checked == k
+        assert result.failure_params == tuples[k - 1]
+        assert result.witness == {"at": tuples[k - 1]}
+        assert seen == tuples[:k]  # each tuple once, in order, none after the failure
+
+    def test_alone_keeps_one_store_and_drops_it(self, monkeypatch):
+        stores = TestRunAll._record_stores(monkeypatch, ["catalan-count"])
+        assert run_claim("catalan-count", 6).holds
+        (first, *rest) = seen = stores["catalan-count"]
+        assert len(seen) == 5 and first is not None  # n = 2..6
+        assert all(store is first for store in rest)
+        assert counting._memo is None
 
     def test_single_claim_result_shape(self):
         result = run_claim("mul-noncommutative", 4)
@@ -458,6 +496,52 @@ class TestLayerStringIsoRuns:
         assert claims._chk_layer_string_iso(self.PARAMS) == (False, want)
 
 
+# Falsifiers of the two count claims: the formula the claim and the audit
+# both read, the tuple at which it is made off by one, and the keys of the
+# claim's witness.
+COUNT_FALSIFIERS = [
+    pytest.param(
+        "catalan-count", "nilpotent_count", (5, 2), ("target", "formula", "enumerated"),
+        id="catalan-count",
+    ),
+    pytest.param(
+        "idempotent-count", "idempotent_count", (5, (1, 3)), ("fixed", "formula", "enumerated"),
+        id="idempotent-count",
+    ),
+]
+
+
+class TestCountClaimsCanFail:
+    """A formula off by one at one tuple fails its claim at that n and its
+    audit at that tuple."""
+
+    @pytest.mark.parametrize("claim_id, formula_id, wrong, keys", COUNT_FALSIFIERS)
+    def test_claim_and_audit_fail_at_the_wrong_tuple(
+        self, monkeypatch, claim_id, formula_id, wrong, keys
+    ):
+        real = getattr(counting, formula_id)
+
+        def off_by_one(*params):
+            return real(*params) + (params == wrong)
+
+        # the claim calls the module function; the registry entry holds its own reference
+        monkeypatch.setattr(counting, formula_id, off_by_one)
+        entry = counting.FORMULAS[formula_id]
+        wrong_entry = dataclasses.replace(entry, evaluate=off_by_one)
+        monkeypatch.setitem(counting.FORMULAS, formula_id, wrong_entry)
+        n, *where = wrong
+        result = run_claim(claim_id, 7)
+        assert not result.holds and result.failure_params == (n,)
+        assert tuple(result.witness) == keys
+        assert result.witness[keys[0]] == where[0]
+        assert result.witness["formula"] == result.witness["enumerated"] + 1 == real(*wrong) + 1
+        audited = {r.id: r for r in counting.audit(7).results}
+        assert not audited[formula_id].ok
+        assert audited[formula_id].first_mismatch == (wrong, real(*wrong) + 1, real(*wrong))
+        assert audited[formula_id].checked == list(entry.domain(7)).index(wrong) + 1
+        assert all(r.ok for r in audited.values() if r.id != formula_id)
+
+
 class TestRunAll:
     def test_everything_holds_at_a_small_bound(self):
         results = run_all(4)
@@ -478,6 +562,19 @@ class TestRunAll:
         with pytest.raises(ValueError, match=message):
             run_all(n_max, jobs=jobs)
 
+    @pytest.mark.parametrize(
+        "n_max, jobs, message",
+        [
+            (True, 1, "n_max must be an int, got True"),
+            (2.5, 1, "n_max must be an int, got 2.5"),
+            (3, 2.0, "jobs must be an int, got 2.0"),
+            (3, True, "jobs must be an int, got True"),
+        ],
+    )
+    def test_a_bound_or_job_count_that_is_no_int_is_refused(self, n_max, jobs, message):
+        with pytest.raises(ValueError, match=message):
+            run_all(n_max, jobs=jobs)
+
     def test_unknown_id_in_selection(self):
         with pytest.raises(UnknownClaim):
             run_all(3, ids=["simplex-order", "bogus"])
@@ -492,6 +589,15 @@ class TestRunAll:
         ],
     )
     def test_pool_has_at_most_one_worker_per_claim(self, monkeypatch, jobs, ids, workers):
+        built = self._pool_in_process(monkeypatch)
+        results = run_all(3, jobs=jobs, ids=ids)
+        assert built == workers
+        assert [r.claim_id for r in results] == ids
+        assert all(r.holds for r in results)
+
+    @staticmethod
+    def _pool_in_process(monkeypatch):
+        """Run the pool's jobs in this process; a list of its worker counts."""
         built = []
 
         class InProcessPool:
@@ -504,16 +610,15 @@ class TestRunAll:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(claims, "ProcessPoolExecutor", InProcessPool)
-        results = run_all(3, jobs=jobs, ids=ids)
-        assert built == workers
-        assert [r.claim_id for r in results] == ids
-        assert all(r.holds for r in results)
+        # run_all imports the pool only when it builds one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return built
 
-    def _count_enumerations(self, monkeypatch):
+    @staticmethod
+    def _count_enumerations(monkeypatch):
         """A Counter of the chains counting enumerates, by chain size."""
         enumerated = Counter()
         original = counting.all_endomorphisms
@@ -539,11 +644,54 @@ class TestRunAll:
         run_all(7, ids=ids)
         assert enumerated == {n: 1 for n in chains}
 
-    def test_a_pooled_job_shares_its_census_and_drops_it(self, monkeypatch):
-        enumerated = self._count_enumerations(monkeypatch)
-        assert claims._run_remote(("catalan-count", 6)).holds
-        assert enumerated == {n: 1 for (n,) in REGISTRY["catalan-count"].params(6)}
+    @staticmethod
+    def _record_stores(monkeypatch, ids):
+        """claim id -> counting's store (or None) at each of its checks; the
+        stores are kept, so that two of them are never told apart by a
+        reused id."""
+        stores = {}
+        for claim_id in ids:
+            entry, seen = REGISTRY[claim_id], stores.setdefault(claim_id, [])
+
+            def check(params, real=entry.check, seen=seen):
+                seen.append(counting._memo)
+                return real(params)
+
+            monkeypatch.setitem(REGISTRY, claim_id, dataclasses.replace(entry, check=check))
+        return stores
+
+    @pytest.mark.parametrize("jobs, shared", [(1, True), (2, False)])
+    def test_a_sweep_shares_one_store_and_each_pooled_job_keeps_its_own(
+        self, monkeypatch, jobs, shared
+    ):
+        self._pool_in_process(monkeypatch)
+        ids = ["catalan-count", "idempotent-count"]
+        stores = self._record_stores(monkeypatch, ids)
+        assert all(r.holds for r in run_all(6, jobs=jobs, ids=ids))
+        one, two = (stores[claim_id][0] for claim_id in ids)
+        assert one is not None and two is not None
+        assert all(store is one for store in stores[ids[0]])
+        assert all(store is two for store in stores[ids[1]])
+        assert (one is two) == shared
         assert counting._memo is None
+
+    def test_the_pool_is_not_loaded_for_one_job(self):
+        code = (
+            "import sys\n"
+            "from chainendo import claims\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "claims.run_all(3, ids=['catalan-count'])\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
     def test_the_census_is_dropped_when_a_sweep_raises(self, monkeypatch):
         def too_long(n):

@@ -140,6 +140,43 @@ class TestAudit:
         with pytest.raises(ValueError, match="n_max must be at least 1"):
             audit(n_max)
 
+    @pytest.mark.parametrize("n_max", [True, 3.0])
+    def test_a_bound_that_is_no_int_is_refused(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an int"):
+            audit(n_max)
+
+    @pytest.mark.parametrize("formula_id", ["string_idem_order", "ri_order_variant"])
+    @pytest.mark.parametrize("k", [1, 2, 10, 15])
+    def test_the_first_mismatch_and_its_position_are_reported(self, monkeypatch, formula_id, k):
+        # the variant fails where its oracle first agrees with it, an
+        # ordinary formula where its oracle first disagrees
+        entry = counting.FORMULAS[formula_id]
+        tuples = list(entry.domain(5))
+        assert len(tuples) >= 15  # 15 triangles, 20 strings at n <= 5
+        calls = []
+
+        def evaluate(*params):
+            calls.append(("formula", params))
+            return entry.evaluate(*params)
+
+        def oracle(*params):
+            calls.append(("oracle", params))
+            counted = entry.oracle(*params)
+            if params != tuples[k - 1]:
+                return counted
+            return entry.evaluate(*params) if not entry.expect_equal else counted + 1
+
+        wrapped = dataclasses.replace(entry, evaluate=evaluate, oracle=oracle)
+        monkeypatch.setitem(counting.FORMULAS, formula_id, wrapped)
+        result = next(r for r in audit(5).results if r.id == formula_id)
+        assert not result.ok and result.checked == k
+        params, value, counted = result.first_mismatch
+        assert params == tuples[k - 1]
+        assert value == entry.evaluate(*params)
+        assert (value == counted) != entry.expect_equal
+        # formula, then oracle, once per tuple, in order, none after the mismatch
+        assert calls == [(kind, t) for t in tuples[:k] for kind in ("formula", "oracle")]
+
     def test_domain_sizes_scale_with_bound(self):
         small, large = audit(3), audit(4)
         checked = {r.id: r.checked for r in small.results}

@@ -341,6 +341,55 @@ class TestNonIntegerRows:
         assert done.stdout.split() == ["refused"] * 2 * len(NON_INTEGER_ROWS)
 
 
+class TestNonIntegerArguments:
+    """A layer's vertex index m and count s, a neighbourhood's radius t and
+    a basic layer's corner and count k are refused when they are not ints,
+    as SimplexSpec refuses its fields: LayerId(spec, 0.5, 1) passed the
+    range check and its layer ended in a numpy IndexError, and
+    basic_layer(tri, 1, 2.0) returned a layer with k == 2.0."""
+
+    # each call is source text, so that a python -O subprocess reads the same
+    PRELUDE = (
+        "from chainendo import simplex, triangle\n"
+        "from chainendo.simplex import LayerId, SimplexSpec, discrete_neighborhood\n"
+        "from chainendo.triangle import TriangleSpec\n"
+        "SPEC, TRI = SimplexSpec(4, (0, 1)), TriangleSpec(6, 1, 3, 4)\n"
+    )
+    CALLS = [
+        "simplex.layer(LayerId(SPEC, 0.5, 1))",
+        "simplex.layer(LayerId(SPEC, False, 1))",
+        "simplex.layer(LayerId(SPEC, 0, 1.0))",
+        "simplex.layer(LayerId(SPEC, 0, True))",
+        "discrete_neighborhood(SPEC, 0.0, 2)",
+        "discrete_neighborhood(SPEC, 0, 2.0)",
+        "discrete_neighborhood(SPEC, 0, True)",
+        "triangle.basic_layer(TRI, 1.0, 2)",
+        "triangle.basic_layer(TRI, True, 2)",
+        "triangle.basic_layer(TRI, 1, 2.0)",
+    ]
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_refused(self, call):
+        scope = {}
+        exec(self.PRELUDE, scope)
+        with pytest.raises(OutOfRange, match="has type (float|bool), not int"):
+            eval(call, scope)
+
+    def test_refused_under_optimize(self):
+        code = self.PRELUDE + "from chainendo.core import OutOfRange\n"
+        for call in self.CALLS:
+            code += f"try:\n    print({call})\nexcept OutOfRange:\n    print('refused')\n"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["refused"] * len(self.CALLS)
+
+
 def _vertex_sets(n_max):
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
