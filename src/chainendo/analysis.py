@@ -36,7 +36,19 @@ builds the rank tables only when row 0 stays inside the set: most sets that
 escape do so there.  After row 0, x * y reads y only on the image of x, so
 the later rows of an image class (rows that take one set of values) are
 keyed only against the first member of each restriction class to that
-image, when they would span more than one block against every member.
+image, when they would span more than one block against every member; and
+since the products of such a class are fixed by its signature (the size of
+the image, the rows' step masks and the members' restrictions to the
+image), a class whose signature already stayed inside is not keyed again.
+Sums after row 0 are decided per prefix class (a run of rows that share
+their first h values) when they would span more than _PREFIX_PASS_BLOCKS
+blocks: whether the sums of two classes stay inside depends only on their
+suffix sets and that of the class of their joined prefix, so one pair of
+classes is keyed per distinct triple of suffix sets, from the weights: a
+set whose sums stay inside builds no sum table.  The pair loops stay
+the witness finders, bounded to a known escape: the sums run only over the
+first prefix class with an escaping pair, or up to the row of a product
+escape, whichever applies, so every witness is still the lex-first pair.
 Subset.index_of turns keys into member indices (-1 when the result leaves
 the set) with one gather from the index table; it is the only way a key
 becomes a member, and s.find(rows), the member index of each row of a value
@@ -52,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import comb
 from typing import Iterable, Literal, Mapping
 
@@ -72,6 +84,12 @@ MAX_CHAIN = 15
 
 # Most pairs a scan combines in one numpy call.
 _PAIR_BUDGET = 2**14
+
+# The sums of a closure scan take the prefix pass only when they would span
+# more than this many blocks.  The pass has a fixed cost of about 0.2 ms, and
+# on the closed sets that check --n-max 9 scans it breaks even near 400 maps
+# (some ten blocks), so smaller sets keep the sums loop.
+_PREFIX_PASS_BLOCKS = 8
 
 
 class NotClosed(ValueError):
@@ -104,7 +122,10 @@ class Subset:
     @classmethod
     def from_values(cls, n: int, matrix) -> "Subset":
         """The set whose rows are already strictly ascending in lex order;
-        an (0, n) matrix gives the empty set of the chain."""
+        an (0, n) matrix gives the empty set of the chain.  The order is
+        taken on trust: checking it here would cost more than the cut that
+        calls this, so the one scan that needs it, the prefix pass of a
+        closure scan, checks it and refuses rows out of order."""
         values = np.asarray(matrix, dtype=np.int64).view()
         if values.ndim != 2 or values.shape[1] != n:
             raise ValueError(f"expected an (N, {n}) value matrix, got shape {values.shape}")
@@ -492,29 +513,150 @@ def _image_classes(s: Subset) -> list[np.ndarray]:
     return [order[ends[image] - counts[image] : ends[image]] for image in kept]
 
 
-def _class_escape(s: Subset, G: np.ndarray) -> tuple[int, int] | None:
+def _class_escape(s: Subset, G: np.ndarray, passed: dict[tuple, None]) -> tuple[int, int] | None:
     """First (i, j) with x_i * x_j outside s, for i in G, ascending rows of s
-    that share one image I.
+    that share one image I; passed holds the signatures of the classes found
+    to stay inside, and gains this class's when it does.
 
     (x * y)(k) = y(x(k)) reads y only on I, so members that agree on I give
     every row of G one product, and a row's first escape is at the first
     member of such a restriction class.  The head row, keyed against every
-    member, names these first members F: its keys are exact ranks, so equal
-    keys mean equal restrictions.  The other rows are keyed against F alone,
-    from the columns F of the product table.
+    member, names these first members F: the first occurrences of its
+    products' member indices.  Each row of G is its quotient onto I, which
+    its step mask fixes, followed by I's inclusion, so the products of G
+    are the restrictions V[F][:, I] after those quotients: a class whose
+    signature (|I|, sorted step masks, V[F][:, I]) has passed stays inside
+    too.  Otherwise the other rows are keyed against F alone.
     """
     V, size = s.values, len(s)
-    keys = _products(V[G[:1]], s)
-    hit = _escape(s, keys, G[:1], range(size))
-    if hit is not None:
-        return hit
-    F = np.sort(np.unique(keys[0], return_index=True)[1])
+    found = np.take(s.index_table, _products(V[G[:1]], s)[0])  # 1 + member index, 0 outside
+    if not found.all():
+        return int(G[0]), int(found.argmin())
+    first = np.full(size + 1, size)
+    np.minimum.at(first, found, np.arange(size))
+    F = np.sort(first[first < size])
+    image = np.flatnonzero(np.bincount(V[G[0]], minlength=s.n))
+    steps = (np.diff(V[G], axis=1) > 0) @ (1 << np.arange(s.n - 1))
+    # below MAX_CHAIN the step masks fit int16 and the values int8
+    masks, restrictions = np.sort(steps).astype(np.int16), V[F][:, image].astype(np.int8)
+    signature = (len(image), masks.tobytes(), restrictions.tobytes())
+    if signature in passed:
+        return None
+    hit = _class_rows_escape(s, G, F)
+    if hit is None:
+        passed[signature] = None
+    return hit
+
+
+def _class_rows_escape(s: Subset, G: np.ndarray, F: np.ndarray) -> tuple[int, int] | None:
+    """First (i, j) with x_i * x_j outside s, for i in G after its head row
+    and j in F, both ascending member indices, keyed from the columns F of
+    the product table."""
     table = np.take(s.product_table, F, axis=1)
     for rows in _blocks(len(G), len(F), 1):
-        hit = _escape(s, _table_keys(table, V[G[rows]], slice(None)), G[rows], F)
+        hit = _escape(s, _table_keys(table, s.values[G[rows]], slice(None)), G[rows], F)
         if hit is not None:
             return hit
     return None
+
+
+def _prefix_classes(s: Subset) -> tuple[int, np.ndarray]:
+    """(h, bounds): the prefix classes of s, the runs of rows that share
+    their first h values, for the least h that gives C classes with
+    C**2 >= len(s); class c holds rows bounds[c] to bounds[c + 1].
+
+    from_values takes the row order on trust, and runs hold their classes
+    only when the rows are strictly ascending, so this checks it and raises
+    ValueError otherwise.
+    """
+    V, size = s.values, len(s)
+    later, earlier = V[1:], V[:-1]
+    split = (later != earlier).argmax(axis=1)  # where each row first differs from the last
+    at = np.arange(size - 1)
+    if not (later[at, split] > earlier[at, split]).all():
+        raise ValueError("the rows of a Subset must be strictly ascending in lex order")
+    classes = 1 + np.cumsum(np.bincount(split, minlength=s.n))  # [h - 1]: classes of prefix h
+    h = 1 + int(np.argmax(classes**2 >= size))
+    return h, np.concatenate(([0], np.flatnonzero(split < h) + 1, [size]))
+
+
+def _sum_representatives(s: Subset) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(h, bounds, pairs, joined): the prefix classes of s from
+    _prefix_classes; the first pair (c, d) of classes in row order of each
+    distinct triple (see _sum_class), these pairs in row order; and the
+    partial rank of each pair's joined prefix, -1 when no class has it.
+
+    The partial rank of a prefix p is the sum of W[k, p[k]] over k < h, W
+    as in _rank_weights; it ascends with p in lex order, so one search in
+    the classes' partial ranks finds the class of a joined prefix.  A
+    triple does not tell its two suffix sets apart, as x + y = y + x, so
+    the first pair of each has c <= d.
+    """
+    V, n = s.values, s.n
+    h, bounds = _prefix_classes(s)
+    W = _key_weights(n).reshape(n, n)
+    P = V[bounds[:-1], :h]
+    partial = W[np.arange(h), P].sum(axis=1, dtype=W.dtype)
+    joined = sum(W[k, np.maximum.outer(P[:, k], P[:, k])] for k in range(h))  # [c, d]
+    join = np.searchsorted(partial, joined)
+    held = partial[np.minimum(join, len(P) - 1, out=join)] == joined
+    tails = V[:, h:].astype(np.int8)  # values fit int8 below MAX_CHAIN
+    ids: dict[bytes, int] = {}  # suffix rows -> suffix set id
+    runs = pairwise(bounds.tolist())
+    T = np.array([ids.setdefault(tails[a:b].tobytes(), len(ids)) for a, b in runs])
+    # one code per (lesser, greater suffix set id, 1 + that of the joined class or 0)
+    triples = T[join] + 1
+    triples *= held
+    triples += (np.minimum.outer(T, T) * len(ids) + np.maximum.outer(T, T)) * (len(ids) + 1)
+    first = np.sort(np.unique(triples, return_index=True)[1])
+    pairs = np.stack(np.divmod(first, len(P)), axis=1)
+    return h, bounds, pairs, np.where(held.ravel()[first], joined.ravel()[first], -1)
+
+
+def _sum_class(s: Subset) -> slice | None:
+    """Rows of the first prefix class, from row 1 on, that holds some x with
+    x + y outside s for a y in s, or None when s is closed under +.
+
+    Write x = (p, a) and y = (q, b), p and q the prefixes of their classes
+    and a and b the suffixes: x + y = (p | q, a | b), a member exactly when
+    p | q is the prefix of a class and a | b lies in its suffix set.  So
+    whether a pair of classes escapes depends only on the triple of its two
+    suffix sets and that of the class of p | q (equal sets one id), and a
+    pair escapes outright when no class has the prefix p | q.  The first
+    pair of each triple is keyed, all those of one left class at once, from
+    the weights at positions h on plus the partial rank of p | q.  Pairs
+    run in row order, so the first that escapes names the class.
+    """
+    h, bounds, pairs, joined = _sum_representatives(s)
+    # the columns of every pair's right class, one run after another, and
+    # the partial rank of the pair's joined prefix at each of them
+    right = pairs[:, 1]
+    widths = bounds[right + 1] - bounds[right]
+    ends = np.cumsum(widths)
+    cols = np.arange(ends[-1]) + np.repeat(bounds[right] - ends + widths, widths)
+    prefix = np.repeat(joined.astype(s.weights.dtype), widths)
+    starts = (ends - widths).tolist()
+    lefts, heads = np.unique(pairs[:, 0], return_index=True)
+    for c, first, last in zip(lefts.tolist(), heads.tolist(), [*heads[1:].tolist(), len(pairs)]):
+        rows, run = slice(bounds[c], bounds[c + 1]), slice(starts[first], ends[last - 1])
+        lost = (joined[first:last] < 0).any()  # no class holds a joined prefix
+        if lost or _prefix_sums_escape(s, rows, cols[run], h, prefix[run]):
+            return slice(max(1, rows.start), rows.stop)
+    return None
+
+
+def _prefix_sums_escape(s: Subset, rows: slice, cols, h: int, prefix: np.ndarray) -> bool:
+    """Whether x + y leaves s for some x in rows and y in cols, where the
+    prefixes of length h of x and of y_j join to partial rank prefix[j];
+    keyed from the weights at positions h on, in blocks of the pair budget."""
+    weights = s.weights[h:]
+    right = weights[:, cols][:, None, :]
+    for b in _blocks(rows.stop, len(cols), rows.start):
+        # W[k, max(c, v)] = max(W[k, c], W[k, v]): rows of W are nondecreasing
+        keys = np.maximum(weights[:, b, None], right).sum(axis=0, dtype=weights.dtype)
+        if not np.take(s.index_table, keys + prefix).all():
+            return True
+    return False
 
 
 def _later_escape(s: Subset, ops) -> tuple[int, int, str] | None:
@@ -522,11 +664,13 @@ def _later_escape(s: Subset, ops) -> tuple[int, int, str] | None:
     one block and keeps row 0 inside.
 
     Products of the rows of an image class from _image_classes run through
-    _class_escape, those of the other rows in blocks against every member,
-    and sums in blocks of rows from 1 up to the row of the least product
-    escape, each against the members from its first row on.  Each pass stops
-    at its own first escape; the least (i, j) wins, a tie going to the op
-    given first.
+    _class_escape, those of the other rows in blocks against every member.
+    Sums run in blocks of rows, each against the members from its first row
+    on: from row 1 up to the row of the least product escape, or else over
+    the prefix class that _sum_class names, if any.  That suffices: a row
+    before the class has no escaping sum, so neither has any column before
+    it.  Each pass stops at its own first escape; the least (i, j) wins, a
+    tie going to the op given first.
     """
     size, members = len(s), range(len(s))
     found = []  # (i, j, position of op in ops) of each pass's first escape
@@ -539,18 +683,26 @@ def _later_escape(s: Subset, ops) -> tuple[int, int, str] | None:
             _escape(s, _products(s.values[plain[b]], s), plain[b], members)
             for b in _blocks(len(plain), size)
         )
-        hits = (next(filter(None, products), None), *(_class_escape(s, G) for G in classes))
+        passed: dict[tuple, None] = {}  # the signatures of classes that stayed inside
+        escapes = (_class_escape(s, G, passed) for G in classes)
+        hits = (next(filter(None, products), None), *escapes)
         found += [(*hit, ops.index("*")) for hit in hits if hit]
     if "+" in ops:
         # the sets that escape late mostly do so under *, and no sum in a
         # later row than that escape can come first
-        last = min(found)[0] if found else size - 1
-        sums = (
-            _escape(s, _block_keys(s, b, "+")[1], members[b], members[b.start :])
-            for b in _blocks(last + 1, size, 1)
-        )
-        hit = next(filter(None, sums), None)
-        found += [(*hit, ops.index("+"))] if hit else []
+        if found:
+            rows = slice(1, min(found)[0] + 1)
+        elif size * size > _PREFIX_PASS_BLOCKS * _PAIR_BUDGET:
+            rows = _sum_class(s)
+        else:
+            rows = slice(1, size)
+        if rows is not None:
+            sums = (
+                _escape(s, _block_keys(s, b, "+")[1], members[b], members[b.start :])
+                for b in _blocks(rows.stop, size, rows.start)
+            )
+            hit = next(filter(None, sums), None)
+            found += [(*hit, ops.index("+"))] if hit else []
     best = min(found, default=None)
     return best and (best[0], best[1], ops[best[2]])
 

@@ -1,9 +1,13 @@
 """The numpy Cayley-table kernel against the pure-Python reference loops."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import comb
 from operator import add, mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from chainendo.strings import StringSpec
 from chainendo.triangle import TriangleSpec
 
 MAPS = {n: tuple(all_endomorphisms(n)) for n in range(1, 7)}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _closed_sets():
@@ -448,8 +453,8 @@ class _RepresentativeSpy:
         self.budgets, self.hits = set(), []
         real = analysis._class_escape
 
-        def spy(s, G):
-            hit = real(s, G)
+        def spy(s, G, passed):
+            hit = real(s, G, passed)
             self.budgets.add(analysis._PAIR_BUDGET)
             if hit is not None:
                 self.hits.append((int(G[0]), hit))
@@ -572,6 +577,297 @@ def test_representatives_key_under_a_quarter_of_the_products(monkeypatch):
     monkeypatch.setattr(analysis, "_escape", counted)
     assert analysis._closure_scan(s, ("*",)) is None  # every key is a product's
     assert sum(keyed) < len(s) ** 2 / 4
+
+
+FULL_8 = SimplexSpec(8, tuple(range(8)))
+
+
+def test_image_classes_of_one_signature_scan_their_rows_once(monkeypatch):
+    # on the full simplex the members restricted to an image I are every
+    # monotone map of I, and the quotients of a class onto I are every
+    # surjection, so a class's signature is fixed by |I|
+    s = enumerate_simplex(FULL_8)
+    classes = analysis._image_classes(s)
+    sizes = {len(np.unique(s.values[G[0]])) for G in classes}
+    assert (len(classes), len(sizes)) == (246, 6)
+    calls = {"_class_escape": 0, "_class_rows_escape": 0}
+    for name in calls:
+
+        def counted(*args, real=getattr(analysis, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    assert analysis._closure_scan(s, ("*",)) is None
+    assert calls == {"_class_escape": 246, "_class_rows_escape": 6}
+
+
+# Sets of C_4 whose image classes G and H (rows from 1 on, given by their
+# rows) share one signature and both escape under *; G is scanned first, but
+# H holds the first escape: (maps, G, H, own first escape of G and of H).
+ONE_SIGNATURE_CASES = [
+    (
+        # the full simplex of C_4 without 2_2 3_2 and 2 3_3
+        (
+            "0_4", "0_3 1", "0_3 2", "0_3 3", "0_2 1_2", "0_2 1 2", "0_2 1 3", "0_2 2_2",
+            "0_2 2 3", "0_2 3_2", "0 1_3", "0 1_2 2", "0 1_2 3", "0 1 2_2", "0 1 2 3",
+            "0 1 3_2", "0 2_3", "0 2_2 3", "0 2 3_2", "0 3_3", "1_4", "1_3 2", "1_3 3",
+            "1_2 2_2", "1_2 2 3", "1_2 3_2", "1 2_3", "1 2_2 3", "1 2 3_2", "1 3_3", "2_4",
+            "2_3 3", "3_4",
+        ),
+        [21, 23, 26],
+        [3, 9, 19],
+        ((23, 18), (9, 31)),
+    ),
+]
+
+
+@pytest.mark.parametrize("case", ONE_SIGNATURE_CASES)
+def test_a_later_class_of_one_signature_reports_its_own_escape(monkeypatch, case):
+    # an escaping signature is not kept, so H is scanned and its escape,
+    # the first of the set, is the witness
+    maps, G, H, (own_g, own_h) = case
+    els = _normalised([parse_compact(m, 4) for m in maps])
+    want = ref.closure_scan(els, ("*",))
+    assert want[:2] == own_h < own_g
+    spy = _RepresentativeSpy(monkeypatch)
+    for ops in (("*",), ("+", "*"), ("*", "+")):
+        assert spy.scan(els, ops) == ref.closure_scan(els, ops)
+        assert {(G[0], own_g), (H[0], own_h)} <= set(spy.hits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_PAIR_BUDGET", 1)
+        classes = [G.tolist() for G in analysis._image_classes(Subset.of(els))]
+    assert classes.index(G) < classes.index(H)
+
+
+# The prefix pass.  After row 0, when no product escapes first, the sums of a
+# set that spans more than _PREFIX_PASS_BLOCKS blocks are decided per triple
+# of suffix sets of its prefix classes, one representative pair of classes
+# each, and the sums loop runs only over the first class that escapes.
+
+
+class _PrefixSpy:
+    """Records the representative pairs of each prefix pass, the rows and
+    the number of columns of each block of sums it keys, and the row blocks
+    of the sums loop."""
+
+    def __init__(self, mp):
+        self.pairs, self.keyed, self.looped = [], [], []
+        reps, keyer, block_keys = (
+            analysis._sum_representatives,
+            analysis._prefix_sums_escape,
+            analysis._block_keys,
+        )
+
+        def spy_reps(s):
+            found = reps(s)
+            self.pairs.append(found)
+            return found
+
+        def spy_keyer(s, rows, cols, h, prefix):
+            self.keyed.append((rows, len(cols)))
+            return keyer(s, rows, cols, h, prefix)
+
+        def spy_block_keys(s, rows, op):
+            if op == "+":
+                self.looped.append(rows)
+            return block_keys(s, rows, op)
+
+        mp.setattr(analysis, "_sum_representatives", spy_reps)
+        mp.setattr(analysis, "_prefix_sums_escape", spy_keyer)
+        mp.setattr(analysis, "_block_keys", spy_block_keys)
+
+    def clear(self):
+        self.pairs.clear()
+        self.keyed.clear()
+        self.looped.clear()
+
+
+def _scan_under_budgets(els, ops, budgets=(1, 3, 40)):
+    """The reference loop's first escape, required of _closure_scan(els, ops)
+    under each budget."""
+    want = ref.closure_scan(els, ops)
+    for budget in budgets:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_PAIR_BUDGET", budget)
+            assert analysis._closure_scan(els, ops) == want, budget
+    return want
+
+
+@st.composite
+def closed_with_holes(draw):
+    """A closed set with a few of its maps taken out, so sums escape late."""
+    closed = _normalised(draw(st.sampled_from(CLOSED)))
+    holes = draw(st.sets(st.integers(0, len(closed) - 1), max_size=3))
+    return tuple(e for i, e in enumerate(closed) if i not in holes) or closed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(closed_with_holes(), closed_with_strays()),
+    st.sampled_from([("+",), ("+", "*"), ("*", "+")]),
+)
+def test_prefix_pass_matches_reference(els, ops):
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _PrefixSpy(mp)
+        hit = _scan_under_budgets(els, ops)
+    # under budget 1 every set of 3 maps or more whose sums are not cut
+    # short by row 0 or a product escape takes the pass
+    late = hit is None or (hit[2] == "+" and hit[0] > 0 and ops == ("+",))
+    if late and len(els) >= 3:
+        assert spy.pairs
+
+
+# Sets closed under * whose first escape is a sum after row 0, in a prefix
+# class after the first: (n, maps, first escape, class of its row).  In
+# the first the class's triples are all keyed; in the second the class of
+# its row pairs with a class whose prefix it joins to none of the set's.
+LATE_SUM_CASES = {
+    "keyed": (
+        4,
+        (
+            "0_4", "0_3 1", "0_2 1_2", "0 1_3", "0 1 3_2", "1_4", "1_3 2", "1_3 3", "1_2 2_2",
+            "1_2 3_2", "1 2_3", "1 2 3_2", "1 3_3", "2_4", "2_3 3", "2_2 3_2", "2 3_3", "3_4",
+        ),
+        (7, 8, "+"),
+        2,
+    ),
+    "missing joined prefix": (
+        5,
+        (
+            "0_5", "0_4 1", "0_4 2", "0_4 3", "0_3 1_2", "0_3 1 2", "0_3 1 3", "0_3 2_2",
+            "0_3 2 3", "0_3 3 4", "0_2 1_3", "0_2 1_2 2", "0_2 1_2 3", "0_2 1 2_2",
+            "0_2 1 2 3", "0_2 1 3 4", "0 1 2_3", "0 1 2_2 3",
+        ),
+        (9, 16, "+"),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LATE_SUM_CASES)
+def test_sums_escape_in_a_later_prefix_class(monkeypatch, case):
+    n, maps, want, cls = LATE_SUM_CASES[case]
+    els = _normalised([parse_compact(m, n) for m in maps])
+    assert analysis.is_closed(els, "*") == (True, None)
+    _, bounds = analysis._prefix_classes(Subset.of(els))
+    assert np.searchsorted(bounds, want[0], side="right") - 1 == cls
+    spy = _PrefixSpy(monkeypatch)
+    for ops in (("+",), ("+", "*"), ("*", "+")):
+        spy.clear()
+        assert _scan_under_budgets(els, ops)[:3] == want
+        # the pass ran under each budget, and the sums loop only over the
+        # rows of the class
+        assert len(spy.pairs) == 3
+        rows = slice(bounds[cls], bounds[cls + 1])
+        assert all(rows.start <= b.start < b.stop <= rows.stop for b in spy.looped)
+    _, _, pairs, joined = spy.pairs[0]
+    lost = joined[pairs[:, 0] == cls] < 0
+    keyed_rows = [rows for rows, _ in spy.keyed]
+    if case == "keyed":
+        assert len(lost) and not lost.any()
+        assert slice(bounds[cls], bounds[cls + 1]) in keyed_rows
+    else:
+        # the class fails without a key: no member holds the joined prefix
+        assert lost.any()
+        assert slice(bounds[cls], bounds[cls + 1]) not in keyed_rows
+
+
+def _distinct_triples(s, h):
+    """Distinct triples of the prefix classes of prefix length h: the two
+    suffix sets of a pair of classes, unordered, and the suffix set of the
+    class of their joined prefix (None when no class has it)."""
+    suffixes = {}
+    for row in map(tuple, s.values.tolist()):
+        suffixes.setdefault(row[:h], []).append(row[h:])
+    suffixes = {p: frozenset(t) for p, t in suffixes.items()}
+    triples = {}
+    for p, q in itertools.combinations_with_replacement(suffixes, 2):
+        join = tuple(map(max, p, q))
+        triples[frozenset((suffixes[p], suffixes[q])), suffixes.get(join)] = None
+    return len(suffixes), len(triples)
+
+
+def test_closed_sets_key_one_pair_of_classes_per_triple(monkeypatch):
+    s = enumerate_simplex(FULL_8)
+    # the shortest prefix with C**2 >= N: 36**2 < 6,435 <= 120**2
+    assert analysis._prefix_classes(s)[0] == 3
+    assert _distinct_triples(s, 3) == (120, 36)
+    spy = _PrefixSpy(monkeypatch)
+    for ops in (("+",), ("+", "*")):
+        spy.clear()
+        assert analysis._closure_scan(s, ops) is None
+        [(h, bounds, pairs, joined)] = spy.pairs
+        assert len(pairs) == 36 and (joined >= 0).all()
+        # one keyer call per left class of the pairs, each with the columns
+        # of the right classes of its pairs, and no sums loop
+        widths = np.diff(bounds)
+        assert [rows.start for rows, _ in spy.keyed] == bounds[np.unique(pairs[:, 0])].tolist()
+        assert sum(cols for _, cols in spy.keyed) == widths[pairs[:, 1]].sum()
+        assert spy.looped == []
+    assert "sum_table" not in vars(s)
+
+
+def test_closure_scan_peak_stays_within_the_pair_loops(monkeypatch):
+    # the pair loops this scan replaced peaked at 2,087 KiB here (rank
+    # tables, index table and blocks); the bound leaves a quarter more,
+    # while a representative block keyed in one piece adds about 9 MiB
+    s = enumerate_simplex(FULL_8)
+    tracemalloc.start()
+    try:
+        assert analysis.is_subsemiring(s) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2087 * 1024 * 5 // 4
+
+
+def _shuffled_full_6(rng, drop=None):
+    """The full simplex of C_6 without drop, its top constant first and the
+    other rows shuffled, as a Subset that trusts that order."""
+    V = enumerate_simplex(SimplexSpec(6, tuple(range(6)))).values
+    V = V[[not np.array_equal(v, drop) for v in V]] if drop is not None else V
+    rest = rng.permutation(len(V) - 1)
+    return Subset.from_values(6, np.vstack((V[-1:], V[rest])))
+
+
+def test_the_prefix_pass_refuses_rows_out_of_order():
+    rng = np.random.default_rng(6)
+    # closed, so the scan reaches the sums after row 0 and the products
+    closed = _shuffled_full_6(rng)
+    assert len(closed) ** 2 > analysis._PREFIX_PASS_BLOCKS * analysis._PAIR_BUDGET
+    with pytest.raises(ValueError, match="strictly ascending"):
+        analysis.is_subsemiring(closed)
+    # without the identity the sums escape after row 0 in lex order; row 0
+    # here, the top constant, keeps every sum inside
+    identity = np.arange(6)
+    late = _shuffled_full_6(rng, identity)
+    sorted_hit = ref.closure_scan(Subset.of(late.elements), ("+",))
+    assert sorted_hit[0] > 0 and np.array_equal(sorted_hit[3].values, identity)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        analysis.is_closed(late, "+")
+
+
+def test_the_prefix_pass_refuses_rows_out_of_order_under_optimize():
+    code = (
+        "import numpy as np\n"
+        "from chainendo import analysis, simplex\n"
+        "V = simplex.enumerate_simplex(simplex.SimplexSpec(6, tuple(range(6)))).values\n"
+        "s = analysis.Subset.from_values(6, V[np.random.default_rng(6).permutation(len(V))])\n"
+        "try:\n"
+        "    analysis.is_subsemiring(s)\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "strictly ascending" in done.stdout
 
 
 def _index_tables(s):
