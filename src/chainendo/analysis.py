@@ -33,22 +33,20 @@ and a selection of right operands take one gather of n table rows per x and
 one sum over them.  A closure scan of a set that spans more than one block
 first combines row 0 with every member straight from the weight matrix, and
 builds the rank tables only when row 0 stays inside the set: most sets that
-escape do so there.  After row 0, x * y reads y only on the image of x, so
-the later rows of an image class (rows that take one set of values) are
-keyed only against the first member of each restriction class to that
-image, when they would span more than one block against every member; and
-since the products of such a class are fixed by its signature (the size of
-the image, the rows' step masks and the members' restrictions to the
-image), a class whose signature already stayed inside is not keyed again.
-Sums after row 0 are decided per prefix class (a run of rows that share
-their first h values) when they would span more than _PREFIX_PASS_BLOCKS
-blocks: whether the sums of two classes stay inside depends only on their
+escape do so there.  Its later rows go to pair loops, or, for N maps with
+N**2 * n over _CLASS_PASS_BUDGETS pair budgets, to two class passes that
+build no rank table.  Products go by image class (the rows with one image
+I): x * y reads y only on I, so a class is keyed only against the first
+member of each restriction class to I, and only when its signature (its
+step masks and the set of restrictions to I) has not stayed inside yet;
+the restriction classes come level by level, each image's from its
+parent's.  Sums go by prefix class (a run of rows that share their first h
+values): whether the sums of two classes stay inside depends only on their
 suffix sets and that of the class of their joined prefix, so one pair of
-classes is keyed per distinct triple of suffix sets, from the weights: a
-set whose sums stay inside builds no sum table.  The pair loops stay
-the witness finders, bounded to a known escape: the sums run only over the
+classes is keyed per distinct triple, from the weights.  The sums loop
+stays the witness finder, bounded to a known escape: it runs only over the
 first prefix class with an escaping pair, or up to the row of a product
-escape, whichever applies, so every witness is still the lex-first pair.
+escape, so every witness is still the lex-first pair.
 Subset.index_of turns keys into member indices (-1 when the result leaves
 the set) with one gather from the index table; it is the only way a key
 becomes a member, and s.find(rows), the member index of each row of a value
@@ -85,11 +83,15 @@ MAX_CHAIN = 15
 # Most pairs a scan combines in one numpy call.
 _PAIR_BUDGET = 2**14
 
-# The sums of a closure scan take the prefix pass only when they would span
-# more than this many blocks.  The pass has a fixed cost of about 0.2 ms, and
-# on the closed sets that check --n-max 9 scans it breaks even near 400 maps
-# (some ten blocks), so smaller sets keep the sums loop.
-_PREFIX_PASS_BLOCKS = 8
+# A closure scan takes its class passes after row 0 (products by image
+# class, sums by prefix class) only for a set of N maps of the chain of n
+# whose pair loops would gather more than this many pair budgets, N**2 * n:
+# below, the passes cost more to set up than they save.  On the closed sets
+# of check --n-max 9 (both ops, interleaved, best of 7) 495 maps at n = 8
+# (120 budgets) took 1.10 ms by the loops and 1.30 ms by the passes, 792
+# maps at n = 7 (268) 2.64 and 2.30 ms: break-even near 200, the products
+# alone near 220 and the sums alone near 115.
+_CLASS_PASS_BUDGETS = 200
 
 
 class NotClosed(ValueError):
@@ -497,64 +499,112 @@ def _block_escape(s: Subset, rows: slice, ops, keys_of) -> tuple[int, int, str] 
     return best
 
 
-def _image_classes(s: Subset) -> list[np.ndarray]:
-    """The rows from 1 on grouped by image, each group ascending, keeping the
-    groups whose rows after the first span more than one block of pairs."""
-    size = len(s)
-    images = np.zeros(size - 1, dtype=np.int64)  # bit c is set when c is a value
-    for column in s.values[1:].T:
-        images |= np.left_shift(1, column)
-    counts = np.bincount(images)
-    kept = np.flatnonzero((counts - 1) * size > _PAIR_BUDGET)
-    if not len(kept):
-        return []
-    order = np.argsort(images, kind="stable") + 1  # the rows by image
-    ends = np.cumsum(counts)
-    return [order[ends[image] - counts[image] : ends[image]] for image in kept]
+def _restriction_classes(s: Subset, VT: np.ndarray, images: list[int]):
+    """Yield (I, F, R) for each image mask I in images, level by level from
+    the largest image down: F the ascending first members of the restriction
+    classes to I (members that agree on the points of I), and R the sorted
+    ranks of their restrictions y|I among the monotone |I|-tuples, the keys
+    of the maps with n - |I| zeros before them.  VT is s.values transposed.
 
-
-def _class_escape(s: Subset, G: np.ndarray, passed: dict[tuple, None]) -> tuple[int, int] | None:
-    """First (i, j) with x_i * x_j outside s, for i in G, ascending rows of s
-    that share one image I; passed holds the signatures of the classes found
-    to stay inside, and gains this class's when it does.
-
-    (x * y)(k) = y(x(k)) reads y only on I, so members that agree on I give
-    every row of G one product, and a row's first escape is at the first
-    member of such a restriction class.  The head row, keyed against every
-    member, names these first members F: the first occurrences of its
-    products' member indices.  Each row of G is its quotient onto I, which
-    its step mask fixes, followed by I's inclusion, so the products of G
-    are the restrictions V[F][:, I] after those quotients: a class whose
-    signature (|I|, sorted step masks, V[F][:, I]) has passed stays inside
-    too.  Otherwise the other rows are keyed against F alone.
+    The parent J of I is I with p, the least point of U (the union of
+    images) that I lacks.  A first member of a restriction to I is one to
+    J, so a node keys only its parent's first members; and as the a points
+    of U below p are in I, y|I ranks y|J plus a change in the weights at
+    these points and p: a + 1 gathers, not |I|.  A level runs in order of
+    a, in chunks whose members and table of ranks fit the pair budget.
     """
-    V, size = s.values, len(s)
-    found = np.take(s.index_table, _products(V[G[:1]], s)[0])  # 1 + member index, 0 outside
-    if not found.all():
-        return int(G[0]), int(found.argmin())
-    first = np.full(size + 1, size)
-    np.minimum.at(first, found, np.arange(size))
-    F = np.sort(first[first < size])
-    image = np.flatnonzero(np.bincount(V[G[0]], minlength=s.n))
-    steps = (np.diff(V[G], axis=1) > 0) @ (1 << np.arange(s.n - 1))
-    # below MAX_CHAIN the step masks fit int16 and the values int8
-    masks, restrictions = np.sort(steps).astype(np.int16), V[F][:, image].astype(np.int8)
-    signature = (len(image), masks.tobytes(), restrictions.tobytes())
-    if signature in passed:
-        return None
-    hit = _class_rows_escape(s, G, F)
-    if hit is None:
-        passed[signature] = None
-    return hit
+    size, n = len(s), s.n
+    top = int(np.bitwise_or.reduce(images))
+    U = np.flatnonzero(top >> np.arange(n) & 1) * size
+    parents, shifts = {top: -1}, {top: 0}
+    for I in images:
+        while I not in parents:
+            p = (top & ~I) & -(top & ~I)
+            parents[I], shifts[I] = I | p, (top & (p - 1)).bit_count()
+            I |= p
+    members, wanted = np.arange(size, dtype=_index_dtype(size)), dict.fromkeys(images)
+    level = {-1: (members, np.zeros(size, dtype=_key_dtype(n)))}
+    W = _key_weights(n).reshape(n, n)  # signed, so it holds their differences too
+    for m in range(len(U), 0, -1):
+        if m == len(U):  # U's ranks from scratch
+            D = W[n - m :].ravel()
+        else:  # D[a, k, c]: dropping position a of an (m + 1)-tuple v adds
+            # the sum of D[a, k, v[k]] over k <= a to its rank
+            D = np.zeros((m + 1, m + 1, n), dtype=W.dtype)
+            for a in range(m + 1):
+                D[a, :a] = W[n - m : n - m + a] - W[n - m - 1 : n - m - 1 + a]
+                D[a, a] = -W[n - m - 1 + a]
+            D = D.ravel()
+        nodes = sorted((shifts[I], I) for I in parents if I.bit_count() == m)
+        tuples, sizes = comb(n + m - 1, m), [len(level[parents[I]][0]) for _, I in nodes]
+        above, level = level, {}
+        for run in _blocks(len(nodes), max([tuples, *sizes])):
+            chunk = [I for _, I in nodes[run]]
+            members = np.concatenate([above[parents[I]][0] for I in chunk])
+            owner = np.repeat(np.arange(len(chunk)), sizes[run])
+            codes = owner * tuples + np.concatenate([above[parents[I]][1] for I in chunk])
+            height = m if m == len(U) else nodes[run][-1][0] + 1
+            at = np.arange(0, height * n, n)[:, None]
+            shift = np.repeat([a * (m + 1) * n for a, _ in nodes[run]], sizes[run])
+            for b in _blocks(len(members), height):
+                gathered = np.take(VT, U[:height, None] + members[b])
+                codes[b] += np.take(D, gathered + (at + shift[b])).sum(axis=0)
+            # size - j of the first member j of each code, 0 where none
+            table = np.zeros(len(chunk) * tuples, dtype=members.dtype)
+            np.maximum.at(table, codes, size - members)
+            kept = table[codes] == size - members
+            counts = np.bincount(owner[kept], minlength=len(chunk))
+            members, codes = members[kept], codes[kept]
+            ranks = (codes - np.repeat(np.arange(0, len(table), tuples), counts)).astype(D.dtype)
+            ends = np.cumsum(counts).tolist()
+            for I, a, b in zip(chunk, [0, *ends], ends):
+                level[I] = members[a:b], ranks[a:b]
+                if I in wanted:
+                    yield I, members[a:b], np.sort(ranks[a:b])
 
 
-def _class_rows_escape(s: Subset, G: np.ndarray, F: np.ndarray) -> tuple[int, int] | None:
-    """First (i, j) with x_i * x_j outside s, for i in G after its head row
-    and j in F, both ascending member indices, keyed from the columns F of
-    the product table."""
-    table = np.take(s.product_table, F, axis=1)
-    for rows in _blocks(len(G), len(F), 1):
-        hit = _escape(s, _table_keys(table, s.values[G[rows]], slice(None)), G[rows], F)
+def _product_escape(s: Subset) -> tuple[int, int] | None:
+    """First (i, j) with x_i * x_j outside s and i >= 1, by image class.
+
+    (x * y)(k) = y(x(k)) reads y only on the image I of x: x * y is y|I
+    after x's quotient onto I, which x's step mask fixes.  So the products
+    of an image class G (the rows from 1 on with image I) are fixed by its
+    signature, its step masks and the set of restrictions to I: a class
+    whose signature stayed inside stays inside too.  Otherwise G is keyed
+    against the first member of each restriction class alone, where each
+    row's first escape lies; escaping signatures are not kept, and a class
+    whose first row comes after the least escape so far is skipped.
+    """
+    V, n, size = s.values, s.n, len(s)
+    images = np.bitwise_or.reduce(np.left_shift(1, V), axis=1)  # bit c: c is a value
+    order = np.argsort(images[1:], kind="stable") + 1  # the rows from 1 on by image
+    masks, starts = np.unique(images[order], return_index=True)
+    classes = dict(zip(masks.tolist(), pairwise([*starts.tolist(), size - 1])))
+    # bit n - 2 - k marks a step at k, so in a class the masks ascend with the rows
+    steps = (np.diff(V[order], axis=1) > 0) @ (1 << np.arange(n - 2, -1, -1))
+    VT = np.ascontiguousarray(V.T, dtype=np.int8)  # values fit int8 below MAX_CHAIN
+    passed, best = {}, None  # the signatures of classes that stayed inside
+    for I, F, R in _restriction_classes(s, VT.ravel(), masks.tolist()):
+        a, b = classes[I]
+        signature = (steps[a:b].tobytes(), R.tobytes())  # the masks give |I|
+        if signature in passed or (best is not None and order[a] > best[0]):
+            continue
+        hit = _class_escape(s, order[a:b], F, VT[:, F])
+        if hit is None:
+            passed[signature] = None
+        elif best is None or hit < best:
+            best = hit
+    return best
+
+
+def _class_escape(s: Subset, G: np.ndarray, F: np.ndarray, columns) -> tuple[int, int] | None:
+    """First (i, j) with x_i * x_j outside s, for i in G and j in F, both
+    ascending member indices; columns[c] holds each y in F at c, so the key
+    of x * y sums W[k, y(x(k))] over k, W as in _rank_weights."""
+    at = np.arange(0, s.n * s.n, s.n)[:, None, None]
+    for rows in _blocks(len(G), len(F) * s.n):
+        keys = np.take(_key_weights(s.n), columns[s.values[G[rows]].T] + at).sum(axis=0)
+        hit = _escape(s, keys, G[rows], F)
         if hit is not None:
             return hit
     return None
@@ -663,36 +713,35 @@ def _later_escape(s: Subset, ops) -> tuple[int, int, str] | None:
     """First (i, j, op) escaping with i >= 1, for a set that spans more than
     one block and keeps row 0 inside.
 
-    Products of the rows of an image class from _image_classes run through
-    _class_escape, those of the other rows in blocks against every member.
-    Sums run in blocks of rows, each against the members from its first row
-    on: from row 1 up to the row of the least product escape, or else over
-    the prefix class that _sum_class names, if any.  That suffices: a row
-    before the class has no escaping sum, so neither has any column before
-    it.  Each pass stops at its own first escape; the least (i, j) wins, a
-    tie going to the op given first.
+    A set of more than _CLASS_PASS_BUDGETS pair budgets of gathers (N**2 * n)
+    takes the class passes: products by image class (_product_escape),
+    sums by prefix class (_sum_class).  Below that, products run in blocks
+    of rows against every member.  Sums run in blocks of rows, each against
+    the members from its first row on: from row 1 up to the row of the
+    product escape, or else over the prefix class that _sum_class names, if
+    any.  That suffices: a row before the class has no escaping sum, so
+    neither has any column before it.  Each pass stops at its own first
+    escape; the least (i, j) wins, a tie going to the op given first.
     """
     size, members = len(s), range(len(s))
+    classes = size * size * s.n > _CLASS_PASS_BUDGETS * _PAIR_BUDGET
     found = []  # (i, j, position of op in ops) of each pass's first escape
     if "*" in ops:
-        classes = _image_classes(s)
-        plain = np.ones(size, dtype=bool)
-        plain[np.concatenate([[0], *classes])] = False
-        plain = np.flatnonzero(plain)
-        products = (
-            _escape(s, _products(s.values[plain[b]], s), plain[b], members)
-            for b in _blocks(len(plain), size)
-        )
-        passed: dict[tuple, None] = {}  # the signatures of classes that stayed inside
-        escapes = (_class_escape(s, G, passed) for G in classes)
-        hits = (next(filter(None, products), None), *escapes)
-        found += [(*hit, ops.index("*")) for hit in hits if hit]
+        if classes:
+            hit = _product_escape(s)
+        else:
+            products = (
+                _escape(s, _products(s.values[b], s), members[b], members)
+                for b in _blocks(size, size, 1)
+            )
+            hit = next(filter(None, products), None)
+        found += [(*hit, ops.index("*"))] if hit else []
     if "+" in ops:
         # the sets that escape late mostly do so under *, and no sum in a
         # later row than that escape can come first
         if found:
             rows = slice(1, min(found)[0] + 1)
-        elif size * size > _PREFIX_PASS_BLOCKS * _PAIR_BUDGET:
+        elif classes:
             rows = _sum_class(s)
         else:
             rows = slice(1, size)
@@ -907,22 +956,24 @@ def classify_element(alpha: ChainEndo) -> ElementClass:
 
 
 def iso_check(
-    first: Iterable[ChainEndo], second: Iterable[ChainEndo]
+    first: Iterable[ChainEndo], second: Iterable[ChainEndo], witnesses=None
 ) -> tuple[bool, Mapping[ChainEndo, ChainEndo] | None]:
     """Search for a semiring isomorphism between two closed sets.
 
-    Both sets must be closed under + and *.  Candidate bijections must
-    preserve both operations; the search prunes by order-theoretic and
-    multiplicative invariants (down-set and up-set sizes, idempotency, the
-    square's down-set size).  On chains the down-set sizes leave one
-    candidate per element, so the search runs straight through without a
-    special case.  Returns the first isomorphism found in lexicographic
+    Both sets must be closed under + and *; witnesses, when given, are
+    their is_subsemiring witnesses, so a caller that has them does not scan
+    again.  Candidate bijections must preserve both operations; the search
+    prunes by order-theoretic and multiplicative invariants (down-set and
+    up-set sizes, idempotency, the square's down-set size).  On chains the
+    down-set sizes leave one candidate per element, so the search runs
+    straight through without a special case.  Returns the first isomorphism found in lexicographic
     assignment order, or (False, None).
     """
     src, dst = Subset.of(first), Subset.of(second)
-    for name, s in (("first", src), ("second", dst)):
-        closed, witness = is_subsemiring(s)
-        if not closed:
+    if witnesses is None:
+        witnesses = (is_subsemiring(s)[1] for s in (src, dst))
+    for name, witness in zip(("first", "second"), witnesses):
+        if witness is not None:
             raise NotClosed(f"{name} set is not a subsemiring: {witness}")
     if len(src) != len(dst):
         return False, None

@@ -229,12 +229,22 @@ def _chk_simplex_order(params):
     return True, None
 
 
+@counting._per_audit
+def _closed_simplex(n: int, verts: tuple) -> tuple[np.ndarray, analysis.ClosureWitness | None]:
+    """The value matrix of the simplex on verts (not the Subset, which would
+    keep its tables in the memo) and its is_subsemiring witness: one
+    enumeration and one closure scan per memo scope."""
+    s = simplex.enumerate_simplex(SimplexSpec(n, verts))
+    return s.values, analysis.is_subsemiring(s)[1]
+
+
 def _chk_simplex_noniso(params):
     # strings and triangles are the simplices on two and three vertices
     n, one, two = params
+    found = [_closed_simplex(n, verts) for verts in (one, two)]
     same, _ = analysis.iso_check(
-        simplex.enumerate_simplex(SimplexSpec(n, one)),
-        simplex.enumerate_simplex(SimplexSpec(n, two)),
+        *(analysis.Subset.from_values(n, values) for values, _ in found),
+        [witness for _, witness in found],
     )
     if same:
         return False, {"first": one, "second": two}

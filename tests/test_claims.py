@@ -75,6 +75,39 @@ class TestPairFamilies:
             {"first": verts, "second": verts},
         )
 
+    def test_the_noniso_claims_enumerate_and_scan_each_vertex_set_once(self, monkeypatch):
+        # the 168 pairs of string-noniso up to n = 6 share 34 strings
+        calls = Counter()
+        for module, name in ((simplex, "enumerate_simplex"), (analysis, "_closure_scan")):
+
+            def counted(*args, real=getattr(module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        result = run_claim("string-noniso", 6)
+        assert (result.holds, result.checked) == (True, 168)
+        assert calls == {"enumerate_simplex": 34, "_closure_scan": 34}
+
+    @pytest.mark.parametrize("open_set", [0, 1])
+    def test_a_set_that_is_not_closed_fails_as_iso_check_does(self, monkeypatch, open_set):
+        one, two = (0, 2), (1, 3)
+        bad = simplex.enumerate_simplex(SimplexSpec(4, (one, two)[open_set]))
+        witness = analysis.ClosureWitness(bad[0], bad[1], "*", bad[1])
+        real = analysis.is_subsemiring
+        monkeypatch.setattr(
+            analysis, "is_subsemiring", lambda s: (False, witness) if s == bad else real(s)
+        )
+        with pytest.raises(analysis.NotClosed) as from_iso:
+            analysis.iso_check(
+                simplex.enumerate_simplex(SimplexSpec(4, one)),
+                simplex.enumerate_simplex(SimplexSpec(4, two)),
+            )
+        with counting._memo_scope(), pytest.raises(analysis.NotClosed) as from_claim:
+            claims._chk_simplex_noniso((4, one, two))
+        assert str(from_claim.value) == str(from_iso.value)
+        assert ("first", "second")[open_set] in str(from_iso.value)
+
 
 class TestRunClaim:
     def test_unknown_id(self):

@@ -438,11 +438,12 @@ def test_sums_stop_at_the_row_of_a_later_product_escape(monkeypatch):
     assert analysis.is_closed(s, "+") == (True, None)
 
 
-# The representative path.  After row 0, the products of an image class (the
-# rows from 1 on that take one set of values) whose later rows span more than
-# one block are keyed by _class_escape: its head row against every member,
-# the later rows against the first member of each restriction class to the
-# image alone.  Budget 1 sends every class of two rows or more there.
+# The class pass.  After row 0, the products of a set above the gate, whose
+# N**2 * n gathers exceed _CLASS_PASS_BUDGETS pair budgets, run by image
+# class (the rows from 1 on that take one set of values): _restriction_classes
+# gives each image the first member of each restriction class to it, and
+# _class_escape keys a class against these alone, once per signature that
+# has not stayed inside.  Budgets 1 and 3 open the gate on most small sets.
 
 
 class _RepresentativeSpy:
@@ -453,8 +454,8 @@ class _RepresentativeSpy:
         self.budgets, self.hits = set(), []
         real = analysis._class_escape
 
-        def spy(s, G, passed):
-            hit = real(s, G, passed)
+        def spy(s, G, F, columns):
+            hit = real(s, G, F, columns)
             self.budgets.add(analysis._PAIR_BUDGET)
             if hit is not None:
                 self.hits.append((int(G[0]), hit))
@@ -463,12 +464,12 @@ class _RepresentativeSpy:
         mp.setattr(analysis, "_class_escape", spy)
 
     def scan(self, els, ops):
-        """_closure_scan(els, ops) under small blocks, which must equal the
-        reference loop's."""
+        """_closure_scan(els, ops) under the default budget and budgets 1, 3
+        and 40, which must equal the reference loop's."""
         self.budgets.clear()
         self.hits.clear()
-        hit = _under_small_blocks(analysis._closure_scan, els, ops)
-        assert hit == ref.closure_scan(els, ops)
+        hit = analysis._closure_scan(els, ops)
+        assert hit == _scan_under_budgets(els, ops)
         return hit
 
 
@@ -480,17 +481,21 @@ def _class_heads(els):
     return [group[0] for group in rows.values() if len(group) > 1]
 
 
+def _above_the_gate(els, budget=1):
+    return len(els) ** 2 * els[0].n > analysis._CLASS_PASS_BUDGETS * budget
+
+
 @pytest.mark.parametrize("ops", [("*",), ("+", "*"), ("*", "+")])
 def test_representatives_pass_closed_sets(monkeypatch, ops):
     spy = _RepresentativeSpy(monkeypatch)
     closed = [_normalised(c) for c in CLOSED if len(c) ** 2 > 40 and _class_heads(c)]
     assert len(closed) > 10
-    under_40 = 0
+    under_3 = 0
     for els in closed:
         assert spy.scan(els, ops) is None
         assert 1 in spy.budgets and not spy.hits
-        under_40 += 40 in spy.budgets
-    assert under_40 > 5
+        under_3 += 3 in spy.budgets
+    assert under_3 > 10
 
 
 @settings(max_examples=150, deadline=None)
@@ -499,17 +504,17 @@ def test_representatives_match_reference_with_strays(els, ops):
     with pytest.MonkeyPatch.context() as mp:
         spy = _RepresentativeSpy(mp)
         hit = spy.scan(els, ops)
-    # every pass whose first row is at most the escape's row runs
-    heads = _class_heads(els)
-    if len(els) > 1 and heads and (hit is None or 0 < hit[0] >= min(heads)):
+    # the class pass runs on every set above the gate whose row 0 keeps
+    # its products inside
+    if _above_the_gate(els) and (hit is None or hit[0] > 0):
         assert 1 in spy.budgets
 
 
 # Sets of C_5 whose first escape x_i * x_j, under both op orders, is in
 # neither row 0 nor the head row of the image class of row i, so only the
-# representative path keys it, under budgets 1 and 40 alike: (maps, (i, j,
-# op), rows of the class, the members that agree with x_j on the image of
-# x_i).  In the second, x_j is the first of three such members.
+# class pass keys it, under budgets 1 and 3 alike: (maps, (i, j, op), rows
+# of the class, the members that agree with x_j on the image of x_i).  In
+# the second, x_j is the first of three such members.
 LATE_CLASS_ROWS = [
     (
         (
@@ -545,7 +550,7 @@ def test_first_escape_in_a_later_row_of_a_class(monkeypatch, case):
     spy = _RepresentativeSpy(monkeypatch)
     for ops in (("+", "*"), ("*", "+")):
         assert spy.scan(els, ops)[:3] == want
-        assert {1, 40} <= spy.budgets
+        assert {1, 3} <= spy.budgets
         assert (rows[0], want[:2]) in spy.hits
 
 
@@ -553,9 +558,11 @@ def test_sum_and_product_escape_on_one_pair_of_a_later_class_row(monkeypatch):
     # the first escape of both ops is 0_2 2_2 + 0 1_2 3 = 0 1 2_2 and
     # 0_2 2_2 * 0 1_2 3 = 0_2 1_2 at (3, 4); row 3 is the second of the
     # image class {0, 2} (rows 2, 3 and 5), keyed against representatives
-    # under budget 1, while the sum is keyed in a block of its own
+    # under budget 1, while the sum is keyed in a block of its own; the set
+    # gathers 7**2 * 4 = 196 pairs, so the gate is lowered below that
     maps = ("0_4", "0_3 1", "0_3 2", "0_2 2_2", "0 1_2 3", "0 2_3", "2_4")
     els = _normalised([parse_compact(m, 4) for m in maps])
+    monkeypatch.setattr(analysis, "_CLASS_PASS_BUDGETS", 100)
     spy = _RepresentativeSpy(monkeypatch)
     for ops in (("+", "*"), ("*", "+")):
         assert spy.scan(els, ops)[:3] == (3, 4, ops[0])
@@ -582,24 +589,67 @@ def test_representatives_key_under_a_quarter_of_the_products(monkeypatch):
 FULL_8 = SimplexSpec(8, tuple(range(8)))
 
 
+class _ClassSpy:
+    """Records each image, with its numbers of first members and of ranks,
+    that _restriction_classes yields, and the image size of each class that
+    _class_escape scans."""
+
+    def __init__(self, mp):
+        self.images, self.scanned = [], []
+        classes, escape = analysis._restriction_classes, analysis._class_escape
+
+        def spy_classes(*args):
+            for I, F, R in classes(*args):
+                self.images.append((I, len(F), len(R)))
+                yield I, F, R
+
+        def spy_escape(s, G, F, columns):
+            self.scanned.append(len(np.unique(s.values[G[0]])))
+            return escape(s, G, F, columns)
+
+        mp.setattr(analysis, "_restriction_classes", spy_classes)
+        mp.setattr(analysis, "_class_escape", spy_escape)
+
+
 def test_image_classes_of_one_signature_scan_their_rows_once(monkeypatch):
     # on the full simplex the members restricted to an image I are every
-    # monotone map of I, and the quotients of a class onto I are every
-    # surjection, so a class's signature is fixed by |I|
+    # monotone |I|-tuple, and the quotients of a class onto I are every
+    # surjection, so a class's signature is fixed by |I|: 254 classes (all
+    # images but {0}, row 0's alone) and 8 signatures, one G x F scan each
     s = enumerate_simplex(FULL_8)
-    classes = analysis._image_classes(s)
-    sizes = {len(np.unique(s.values[G[0]])) for G in classes}
-    assert (len(classes), len(sizes)) == (246, 6)
-    calls = {"_class_escape": 0, "_class_rows_escape": 0}
-    for name in calls:
-
-        def counted(*args, real=getattr(analysis, name), name=name):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(analysis, name, counted)
+    spy = _ClassSpy(monkeypatch)
     assert analysis._closure_scan(s, ("*",)) is None
-    assert calls == {"_class_escape": 246, "_class_rows_escape": 6}
+    assert len(spy.images) == 254
+    for I, first, ranks in spy.images:
+        assert first == ranks == comb(8 + I.bit_count() - 1, I.bit_count())
+    assert sorted(spy.scanned) == list(range(1, 9))
+    assert "product_table" not in vars(s)
+
+
+def test_images_of_equal_restriction_sets_share_a_signature_in_any_order(monkeypatch):
+    # the full simplex of C_4 without the identity is closed under *; its
+    # images {0, 1, 2} and {1, 2, 3} hold all 20 monotone triples as
+    # restrictions, but 1 2 3 comes last on {1, 2, 3}, where the identity
+    # would have held it first; their classes share one signature (a set of
+    # restrictions), so only the first is scanned
+    els = _normalised([e for e in MAPS[4] if e.values != (0, 1, 2, 3)])
+    s = Subset.of(els)
+    V = s.values
+    first = {}
+    for points in ((0, 1, 2), (1, 2, 3)):
+        seen = dict.fromkeys(tuple(v) for v in V[:, points].tolist())
+        first[points] = list(seen)
+    assert set(first[0, 1, 2]) == set(first[1, 2, 3]) and len(first[0, 1, 2]) == 20
+    assert first[0, 1, 2] != first[1, 2, 3]
+    spy = _ClassSpy(monkeypatch)
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "_PAIR_BUDGET", 1)
+        assert analysis._closure_scan(els, ("*",)) is None
+    yielded = [I for I, _, _ in spy.images]
+    assert {0b0111, 0b1110} <= set(yielded)
+    assert spy.scanned.count(3) == 1
+    for ops in (("+",), ("*",), ("+", "*"), ("*", "+")):
+        _scan_under_budgets(els, ops)
 
 
 # Sets of C_4 whose image classes G and H (rows from 1 on, given by their
@@ -607,17 +657,16 @@ def test_image_classes_of_one_signature_scan_their_rows_once(monkeypatch):
 # H holds the first escape: (maps, G, H, own first escape of G and of H).
 ONE_SIGNATURE_CASES = [
     (
-        # the full simplex of C_4 without 2_2 3_2 and 2 3_3
+        # the full simplex of C_4 without 0 1 3_2, 0 2 3_2, 2_2 3_2 and 2 3_3
         (
             "0_4", "0_3 1", "0_3 2", "0_3 3", "0_2 1_2", "0_2 1 2", "0_2 1 3", "0_2 2_2",
             "0_2 2 3", "0_2 3_2", "0 1_3", "0 1_2 2", "0 1_2 3", "0 1 2_2", "0 1 2 3",
-            "0 1 3_2", "0 2_3", "0 2_2 3", "0 2 3_2", "0 3_3", "1_4", "1_3 2", "1_3 3",
-            "1_2 2_2", "1_2 2 3", "1_2 3_2", "1 2_3", "1 2_2 3", "1 2 3_2", "1 3_3", "2_4",
-            "2_3 3", "3_4",
+            "0 2_3", "0 2_2 3", "0 3_3", "1_4", "1_3 2", "1_3 3", "1_2 2_2", "1_2 2 3",
+            "1_2 3_2", "1 2_3", "1 2_2 3", "1 2 3_2", "1 3_3", "2_4", "2_3 3", "3_4",
         ),
-        [21, 23, 26],
-        [3, 9, 19],
-        ((23, 18), (9, 31)),
+        [19, 21, 24],
+        [3, 9, 17],
+        ((21, 26), (9, 29)),
     ),
 ]
 
@@ -636,12 +685,107 @@ def test_a_later_class_of_one_signature_reports_its_own_escape(monkeypatch, case
         assert {(G[0], own_g), (H[0], own_h)} <= set(spy.hits)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_PAIR_BUDGET", 1)
-        classes = [G.tolist() for G in analysis._image_classes(Subset.of(els))]
-    assert classes.index(G) < classes.index(H)
+        spy.hits.clear()
+        analysis._closure_scan(els, ("*",))
+    heads = [head for head, _ in spy.hits]
+    assert heads.index(G[0]) < heads.index(H[0])
+
+
+# Sets that exercise the class pass around the cases above: (n, maps).
+# "after a pass": a class stays inside, so its signature is kept, and a
+# later class of another signature escapes.  "U short of the chain": the
+# simplex on {0, 2, 4} of C_5 without 0 2_4, whose rows take no value 1 or
+# 3, so U, the union of their images, is {0, 2, 4} and the restriction
+# classes start below the whole chain.
+CLASS_PASS_CASES = {
+    "after a pass": (
+        4,
+        (
+            "0_4", "0_2 1 2", "0 1_3", "0 1 2 3", "0 2 3_2", "0 3_3", "1_4", "1_3 3",
+            "1 2_3", "1 2_2 3", "2_4", "2_2 3_2", "2 3_3", "3_4",
+        ),
+    ),
+    "U short of the chain": (
+        5,
+        (
+            "0_5", "0_4 2", "0_4 4", "0_3 2_2", "0_3 2 4", "0_3 4_2", "0_2 2_3", "0_2 2_2 4",
+            "0_2 2 4_2", "0_2 4_3", "0 2_3 4", "0 2_2 4_2", "0 2 4_3", "0 4_4", "2_5",
+            "2_4 4", "2_3 4_2", "2_2 4_3", "2 4_4", "4_5",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CLASS_PASS_CASES)
+def test_class_pass_cases_match_reference(monkeypatch, case):
+    n, maps = CLASS_PASS_CASES[case]
+    els = _normalised([parse_compact(m, n) for m in maps])
+    spy = _RepresentativeSpy(monkeypatch)
+    scans = []
+    real = analysis._restriction_classes
+
+    def spy_classes(s, VT, images):
+        scans.append(int(np.bitwise_or.reduce(images)))
+        return real(s, VT, images)
+
+    monkeypatch.setattr(analysis, "_restriction_classes", spy_classes)
+    for ops in (("+",), ("*",), ("+", "*"), ("*", "+")):
+        spy.scan(els, ops)
+    assert 1 in spy.budgets
+    if case == "after a pass":
+        with monkeypatch.context() as mp:
+            mp.setattr(analysis, "_PAIR_BUDGET", 1)
+            spy.hits.clear()
+            hit = analysis._closure_scan(els, ("*",))
+        assert hit[:3] == ref.closure_scan(els, ("*",))[:3] and spy.hits
+    else:
+        assert set(scans) == {0b10101}
+
+
+def _picks_of_one_chain():
+    """Two to 60 maps of one chain of 3 to 6 points, with repeats."""
+    return st.integers(3, 6).flatmap(
+        lambda n: st.lists(st.sampled_from(MAPS[n]), min_size=2, max_size=60)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _picks_of_one_chain().map(_normalised),
+    st.sampled_from([("+",), ("*",), ("+", "*"), ("*", "+")]),
+    st.sampled_from([1, 3]),
+)
+def test_class_pass_matches_reference_on_random_sets(els, ops, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_PAIR_BUDGET", budget)
+        assert analysis._closure_scan(els, ops) == ref.closure_scan(els, ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_picks_of_one_chain())
+def test_restriction_classes_match_a_direct_count(picks):
+    # F: the first member of each distinct restriction y|I; R: their ranks
+    # among the monotone |I|-tuples, the key of the map with n - |I| zeros
+    # before the tuple
+    s = Subset.of(picks)
+    if len(s) < 2:
+        return
+    n, V = s.n, s.values
+    images = sorted({sum(1 << v for v in set(row)) for row in V[1:].tolist()})
+    VT = np.ascontiguousarray(V.T, dtype=np.int8).ravel()
+    got = {I: (F.tolist(), R.tolist()) for I, F, R in analysis._restriction_classes(s, VT, images)}
+    assert sorted(got) == images
+    for I in images:
+        points = [k for k in range(n) if I >> k & 1]
+        first = {}
+        for j, row in enumerate(V[:, points].tolist()):
+            first.setdefault(tuple(row), j)
+        ranks = sorted(_rank(ChainEndo(n, [0] * (n - len(points)) + list(r))) for r in first)
+        assert got[I] == (sorted(first.values()), ranks)
 
 
 # The prefix pass.  After row 0, when no product escapes first, the sums of a
-# set that spans more than _PREFIX_PASS_BLOCKS blocks are decided per triple
+# set above the gate (see the class pass) are decided per triple
 # of suffix sets of its prefix classes, one representative pair of classes
 # each, and the sums loop runs only over the first class that escapes.
 
@@ -711,10 +855,10 @@ def test_prefix_pass_matches_reference(els, ops):
     with pytest.MonkeyPatch.context() as mp:
         spy = _PrefixSpy(mp)
         hit = _scan_under_budgets(els, ops)
-    # under budget 1 every set of 3 maps or more whose sums are not cut
-    # short by row 0 or a product escape takes the pass
+    # under budget 1 every set above the gate whose sums are not cut short
+    # by row 0 or a product escape takes the pass
     late = hit is None or (hit[2] == "+" and hit[0] > 0 and ops == ("+",))
-    if late and len(els) >= 3:
+    if late and _above_the_gate(els):
         assert spy.pairs
 
 
@@ -755,12 +899,16 @@ def test_sums_escape_in_a_later_prefix_class(monkeypatch, case):
     spy = _PrefixSpy(monkeypatch)
     for ops in (("+",), ("+", "*"), ("*", "+")):
         spy.clear()
-        assert _scan_under_budgets(els, ops)[:3] == want
+        assert _scan_under_budgets(els, ops, (1, 3))[:3] == want
         # the pass ran under each budget, and the sums loop only over the
         # rows of the class
-        assert len(spy.pairs) == 3
+        assert len(spy.pairs) == 2
         rows = slice(bounds[cls], bounds[cls + 1])
         assert all(rows.start <= b.start < b.stop <= rows.stop for b in spy.looped)
+    # budget 40 leaves the set below the gate, to the sums loop from row 1
+    assert not _above_the_gate(els, 40)
+    for ops in (("+",), ("+", "*"), ("*", "+")):
+        assert _scan_under_budgets(els, ops, (40,))[:3] == want
     _, _, pairs, joined = spy.pairs[0]
     lost = joined[pairs[:, 0] == cls] < 0
     keyed_rows = [rows for rows, _ in spy.keyed]
@@ -822,26 +970,27 @@ def test_closure_scan_peak_stays_within_the_pair_loops(monkeypatch):
     assert peak < 2087 * 1024 * 5 // 4
 
 
-def _shuffled_full_6(rng, drop=None):
-    """The full simplex of C_6 without drop, its top constant first and the
+def _shuffled_full_7(rng, drop=None):
+    """The full simplex of C_7 without drop, its top constant first and the
     other rows shuffled, as a Subset that trusts that order."""
-    V = enumerate_simplex(SimplexSpec(6, tuple(range(6)))).values
+    V = enumerate_simplex(SimplexSpec(7, tuple(range(7)))).values
     V = V[[not np.array_equal(v, drop) for v in V]] if drop is not None else V
     rest = rng.permutation(len(V) - 1)
-    return Subset.from_values(6, np.vstack((V[-1:], V[rest])))
+    return Subset.from_values(7, np.vstack((V[-1:], V[rest])))
 
 
 def test_the_prefix_pass_refuses_rows_out_of_order():
     rng = np.random.default_rng(6)
-    # closed, so the scan reaches the sums after row 0 and the products
-    closed = _shuffled_full_6(rng)
-    assert len(closed) ** 2 > analysis._PREFIX_PASS_BLOCKS * analysis._PAIR_BUDGET
+    # closed, so the scan reaches the sums after row 0 and the products,
+    # which the class pass takes in any row order
+    closed = _shuffled_full_7(rng)
+    assert _above_the_gate(closed, analysis._PAIR_BUDGET)
     with pytest.raises(ValueError, match="strictly ascending"):
         analysis.is_subsemiring(closed)
     # without the identity the sums escape after row 0 in lex order; row 0
     # here, the top constant, keeps every sum inside
-    identity = np.arange(6)
-    late = _shuffled_full_6(rng, identity)
+    identity = np.arange(7)
+    late = _shuffled_full_7(rng, identity)
     sorted_hit = ref.closure_scan(Subset.of(late.elements), ("+",))
     assert sorted_hit[0] > 0 and np.array_equal(sorted_hit[3].values, identity)
     with pytest.raises(ValueError, match="strictly ascending"):
@@ -852,8 +1001,8 @@ def test_the_prefix_pass_refuses_rows_out_of_order_under_optimize():
     code = (
         "import numpy as np\n"
         "from chainendo import analysis, simplex\n"
-        "V = simplex.enumerate_simplex(simplex.SimplexSpec(6, tuple(range(6)))).values\n"
-        "s = analysis.Subset.from_values(6, V[np.random.default_rng(6).permutation(len(V))])\n"
+        "V = simplex.enumerate_simplex(simplex.SimplexSpec(7, tuple(range(7)))).values\n"
+        "s = analysis.Subset.from_values(7, V[np.random.default_rng(6).permutation(len(V))])\n"
         "try:\n"
         "    analysis.is_subsemiring(s)\n"
         "except ValueError as err:\n"
