@@ -16,37 +16,38 @@ idempotent; none of them reads keys, so they work at any n.  Derived from
 the matrix are one (n, N) weight matrix, whose column j holds the weight of
 each position of map j, so that it sums to one exact int64 key per map (the
 map's lexicographic rank among all C(2n-1, n) monotone maps of its chain);
-two (n*n, N) rank tables, one for sums and one for products; one index table
-over every rank of the chain; and the ChainEndo objects themselves.  The
-weights and tables are in the smallest integer type that holds every rank.
-These and the limits are built on first use and kept on the Subset, so a
-check that passes its Subset on to another check does not rebuild them; no
-other state survives a call.  A matrix may hold a chain of any length;
-building the weights, keys or a rank table of a chain longer than MAX_CHAIN
-raises ChainTooLong.
+one (n*n, N) rank table for products; one index table over every rank of
+the chain; and the ChainEndo objects themselves.  The weights and the table
+are in the smallest integer type that holds every rank.  These and the
+limits are built on first use and kept on the Subset, so a check that
+passes its Subset on to another check does not rebuild them; no other state
+survives a call.  A matrix may hold a chain of any length; building the
+weights, keys or the rank table of a chain longer than MAX_CHAIN raises
+ChainTooLong.
 
 The scans run on these arrays, not on ChainEndo objects.  The rank of a map
-is a sum of one weight per position, and row k*n + c of a table holds, for
-every right operand y, the weight at k of the result when the left operand
-holds c at k.  So the keys of x + y or x * y for a block of left operands
-and a selection of right operands take one gather of n table rows per x and
-one sum over them.  A closure scan of a set that spans more than one block
-first combines row 0 with every member straight from the weight matrix, and
-builds the rank tables only when row 0 stays inside the set: most sets that
-escape do so there.  Its later rows go to pair loops, or, for N maps with
-N**2 * n over _CLASS_PASS_BUDGETS pair budgets, to two class passes that
-build no rank table.  Products go by image class (the rows with one image
-I): x * y reads y only on I, so a class is keyed only against the first
-member of each restriction class to I, and only when its signature (its
-step masks and the set of restrictions to I) has not stayed inside yet;
-the restriction classes come level by level, each image's from its
-parent's.  Sums go by prefix class (a run of rows that share their first h
-values): whether the sums of two classes stay inside depends only on their
-suffix sets and that of the class of their joined prefix, so one pair of
-classes is keyed per distinct triple, from the weights.  The sums loop
-stays the witness finder, bounded to a known escape: it runs only over the
-first prefix class with an escaping pair, or up to the row of a product
-escape, so every witness is still the lex-first pair.
+is a sum of one weight per position, and the weights at a position never
+fall as the value grows, so the keys of sums come from the weight matrix.  Row
+k*n + c of the product table holds, for every y, the weight at k of x * y
+when x holds c at k, so the keys of a block of products take one gather of
+n table rows per x and one sum; the pair loop keys one row from the values.
+One pair loop scans rows in blocks.  A closure scan runs it over the whole
+of a set that fits one block, and over row 0 alone of a larger set first,
+so a set that escapes there, as most escaping sets do, builds no rank
+table.  Its later rows go to the pair loop, or, for N maps with N**2 * n
+over _CLASS_PASS_BUDGETS pair budgets, to two class passes that build none.
+Products go by image class (the rows with one image I): x * y reads y only
+on I, so a class is keyed only against the first member of each
+restriction class to I, and only when its signature (its step masks and
+the set of restrictions to I) has not stayed inside yet; the restriction
+classes come level by level, each image's from its parent's.  Sums go by
+prefix class (a run of rows that share their first h values): whether the
+sums of two classes stay inside depends only on their suffix sets and that
+of the class of their joined prefix, so one pair of classes is keyed per
+distinct triple, from the weights.  The pair loop stays the witness finder
+of sums, bounded to a known escape: it runs only over the first prefix
+class with an escaping pair, or up to the row of a product escape, so
+every witness is still the lex-first pair.
 Subset.index_of turns keys into member indices (-1 when the result leaves
 the set) with one gather from the index table; it is the only way a key
 becomes a member, and s.find(rows), the member index of each row of a value
@@ -76,8 +77,7 @@ from .core import ChainEndo, ChainEndoError, OutOfRange, SizeMismatch
 # entry per monotone map, C(2n-1, n) of them, in the smallest signed type
 # that holds N, for N maps: one byte up to N = 127 (74 MiB of address space
 # at n = 15, 286 MiB at 16), two up to 32767 and four beyond.  Only the
-# members' pages are touched.  Each set's two rank tables add 2 * n**2 * N
-# entries.
+# members' pages are touched.  Each set's rank table adds n**2 * N entries.
 MAX_CHAIN = 15
 
 # Most pairs a scan combines in one numpy call.
@@ -115,7 +115,7 @@ class SetTooLarge(ChainEndoError):
 class Subset:
     """Distinct maps of one chain in lexicographic order: a read-only
     sequence of ChainEndo backed by their (N, n) value matrix, with weights,
-    keys, rank tables and index table (see the module docstring) and the
+    keys, rank table and index table (see the module docstring) and the
     ChainEndo objects themselves, each built on first use."""
 
     n: int
@@ -220,7 +220,7 @@ class Subset:
         return L
 
     def _check_limit(self) -> None:
-        """Raise ChainTooLong beyond MAX_CHAIN: the weights and every rank table start here."""
+        """Raise ChainTooLong beyond MAX_CHAIN: the weights and the rank table start here."""
         if self.n > MAX_CHAIN:
             raise ChainTooLong(
                 f"chain size {self.n} is beyond the limit n <= {MAX_CHAIN} of the set checks"
@@ -256,17 +256,6 @@ class Subset:
         self._check_limit()
         W = _key_weights(self.n).reshape(self.n, self.n)
         return W[:, self.values.T].reshape(self.n**2, len(self))
-
-    @cached_property
-    def sum_table(self) -> np.ndarray:
-        """(n*n, N) table: row k*n + c, column j holds W[k, max(c, y_j[k])].
-
-        The key of x + y_j is the sum over k of row k*n + x[k] at column j.
-        Rows of W are nondecreasing, so the entry is max(W[k, c], weights[k, j]).
-        """
-        weights = self.weights  # beyond MAX_CHAIN this raises first
-        W = _key_weights(self.n).reshape(self.n, self.n)
-        return np.maximum(W[:, :, None], weights[:, None, :]).reshape(self.n**2, len(self))
 
     @cached_property
     def index_table(self) -> np.ndarray:
@@ -374,10 +363,18 @@ def _blocks(size: int, width: int, first: int = 0):
         yield slice(start, min(start + height, size))
 
 
-def _table_keys(table: np.ndarray, X: np.ndarray, cols) -> np.ndarray:
-    """(len(X), width) keys: for each row x of X, the sum over k of
-    table[k*n + x[k], cols], cols a slice or an index array of columns."""
-    n = X.shape[1]
+def _sums(X: np.ndarray, s: "Subset", cols=slice(None)) -> np.ndarray:
+    """Keys of x + y for x in the rows of X and y in s.elements[cols]: rows of
+    W (see _rank_weights) never descend, so W[k, max(c, v)] = max(W[k, c], W[k, v])."""
+    right = s.weights[:, cols]  # beyond MAX_CHAIN this raises first
+    left = np.take(_key_weights(s.n), X.T + np.arange(0, s.n**2, s.n)[:, None])
+    return np.maximum(left[:, :, None], right[:, None, :]).sum(axis=0, dtype=right.dtype)
+
+
+def _products(X: np.ndarray, s: "Subset", cols=slice(None)) -> np.ndarray:
+    """Keys of x * y (x first, then y) for x in the rows of X and y in
+    s.elements[cols], cols a slice or an index array, from product_table."""
+    table, n = s.product_table, s.n
     # [k, i]: the table row of position k of x_i; the gather is position
     # first, so the sum over k adds whole (len(X), width) slabs
     rows = X.T + np.arange(0, n * n, n)[:, None]
@@ -389,14 +386,14 @@ def _table_keys(table: np.ndarray, X: np.ndarray, cols) -> np.ndarray:
     return table[rows].sum(axis=0, dtype=table.dtype)[:, cols]
 
 
-def _sums(X: np.ndarray, s: "Subset", cols=slice(None)) -> np.ndarray:
-    """Keys of x + y for x in the rows of X and y in s.elements[cols]."""
-    return _table_keys(s.sum_table, X, cols)
-
-
-def _products(X: np.ndarray, s: "Subset", cols=slice(None)) -> np.ndarray:
-    """Keys of x * y (x first, then y) for x in the rows of X and y in s.elements[cols]."""
-    return _table_keys(s.product_table, X, cols)
+def _value_products(X: np.ndarray, YT: np.ndarray, n: int) -> np.ndarray:
+    """(len(X), width) keys of x * y for x in the rows of X and y in the
+    columns of YT, the int64 values of the right operands transposed: the
+    sum over k of W[k, y(x(k))], W as in _rank_weights."""
+    at = YT[X.T]  # [k, i, j]: (x_i * y_j)[k] = y_j[x_i[k]]
+    # in place: a fresh index array would slow every row-0 escape
+    at += np.arange(0, n * n, n)[:, None, None]
+    return np.take(_key_weights(n), at).sum(axis=0, dtype=_key_dtype(n))
 
 
 def _hom_mismatch(src: Subset, dst: Subset, p, op) -> tuple[int, int] | None:
@@ -449,32 +446,6 @@ def _triple_law_scan(A: np.ndarray, M: np.ndarray) -> tuple[int, int, int, str] 
     return None
 
 
-def _block_keys(s: Subset, rows: slice, op: str) -> tuple[int, np.ndarray]:
-    """(first column, keys) of x op y for x in the rows of s and y in s from
-    that column on, read from the rank tables."""
-    if op == "+":
-        # x + y = y + x: every pair (i, j) with j < rows.start was scanned
-        # as (j, i) in an earlier block
-        return rows.start, _sums(s.values[rows], s, slice(rows.start, None))
-    return 0, _products(s.values[rows], s)
-
-
-def _row_zero_keys(s: Subset, rows: slice, op: str) -> tuple[int, np.ndarray]:
-    """(0, keys) of x_0 op y for every y in s, read from the weights alone,
-    in the key dtype: no rank table is built.  rows is slice(0, 1); it is
-    taken so that the scan calls this and _block_keys alike."""
-    weights = s.weights
-    if op == "+":
-        # rows of W are nondecreasing: W[k, max(c, v)] = max(W[k, c], W[k, v])
-        combined = np.maximum(weights, weights[:, :1])
-    else:
-        V, n = s.values, s.n
-        at = V.T[V[0]]  # [k, j]: (x_0 * y_j)[k] = y_j[x_0[k]]
-        at += np.arange(0, n * n, n)[:, None]
-        combined = np.take(_key_weights(n), at)
-    return 0, combined.sum(axis=0, dtype=weights.dtype)[None, :]
-
-
 def _escape(s: Subset, keys: np.ndarray, rows, cols) -> tuple[int, int] | None:
     """(i, j) of the first key, row by row, that is no member's rank, or None;
     rows and cols hold the ascending member indices of the keys' rows and
@@ -486,17 +457,33 @@ def _escape(s: Subset, keys: np.ndarray, rows, cols) -> tuple[int, int] | None:
     return int(rows[i]), int(cols[j])
 
 
-def _block_escape(s: Subset, rows: slice, ops, keys_of) -> tuple[int, int, str] | None:
-    """First (i, j, op) escaping among the rows of one block, each op's keys
-    from keys_of(s, rows, op); a pair that escapes under several ops reports
-    the first of them."""
-    members, best = range(len(s)), None
-    for op in ops:
-        first, keys = keys_of(s, rows, op)
-        hit = _escape(s, keys, members[rows], members[first:])
-        if hit is not None and (best is None or hit < best[:2]):
-            best = (*hit, op)
-    return best
+def _pair_escape(s: Subset, rows: slice, ops) -> tuple[int, int, str] | None:
+    """First (i, j, op) escaping with i in rows, a block of rows at a time
+    against every member; a pair that escapes under several ops reports the
+    first of them.  In a block, products are keyed first: from the values
+    for a block of one row, so that a row-0 escape builds no rank table,
+    and from product_table, about ten times faster per block, for a taller
+    one.  Sums follow only up to the row of a product escape, as no later
+    sum can come first, and from the block's first column: x + y = y + x,
+    so a pair (i, j) with j before it was scanned as (j, i) in an earlier
+    block, or in a row before rows, which callers leave out only when it
+    has no escaping sum."""
+    V, members = s.values, range(len(s))
+    for b in _blocks(rows.stop, len(s), rows.start):
+        found = []  # (i, j, position of op in ops)
+        if "*" in ops:
+            keys = _value_products(V[b], V.T, s.n) if b.stop - b.start == 1 else _products(V[b], s)
+            if hit := _escape(s, keys, members[b], members):
+                found.append((*hit, ops.index("*")))
+                b = slice(b.start, hit[0] + 1)
+        if "+" in ops:
+            keys = _sums(V[b], s, slice(b.start, None))
+            if hit := _escape(s, keys, members[b], members[b.start :]):
+                found.append((*hit, ops.index("+")))
+        if found:
+            i, j, op = min(found)
+            return i, j, ops[op]
+    return None
 
 
 def _restriction_classes(s: Subset, VT: np.ndarray, images: list[int]):
@@ -589,7 +576,7 @@ def _product_escape(s: Subset) -> tuple[int, int] | None:
         signature = (steps[a:b].tobytes(), R.tobytes())  # the masks give |I|
         if signature in passed or (best is not None and order[a] > best[0]):
             continue
-        hit = _class_escape(s, order[a:b], F, VT[:, F])
+        hit = _class_escape(s, order[a:b], F, V.T[:, F])
         if hit is None:
             passed[signature] = None
         elif best is None or hit < best:
@@ -599,12 +586,9 @@ def _product_escape(s: Subset) -> tuple[int, int] | None:
 
 def _class_escape(s: Subset, G: np.ndarray, F: np.ndarray, columns) -> tuple[int, int] | None:
     """First (i, j) with x_i * x_j outside s, for i in G and j in F, both
-    ascending member indices; columns[c] holds each y in F at c, so the key
-    of x * y sums W[k, y(x(k))] over k, W as in _rank_weights."""
-    at = np.arange(0, s.n * s.n, s.n)[:, None, None]
+    ascending member indices, keyed by _value_products on columns, F's values."""
     for rows in _blocks(len(G), len(F) * s.n):
-        keys = np.take(_key_weights(s.n), columns[s.values[G[rows]].T] + at).sum(axis=0)
-        hit = _escape(s, keys, G[rows], F)
+        hit = _escape(s, _value_products(s.values[G[rows]], columns, s.n), G[rows], F)
         if hit is not None:
             return hit
     return None
@@ -710,67 +694,43 @@ def _prefix_sums_escape(s: Subset, rows: slice, cols, h: int, prefix: np.ndarray
 
 
 def _later_escape(s: Subset, ops) -> tuple[int, int, str] | None:
-    """First (i, j, op) escaping with i >= 1, for a set that spans more than
-    one block and keeps row 0 inside.
-
-    A set of more than _CLASS_PASS_BUDGETS pair budgets of gathers (N**2 * n)
-    takes the class passes: products by image class (_product_escape),
-    sums by prefix class (_sum_class).  Below that, products run in blocks
-    of rows against every member.  Sums run in blocks of rows, each against
-    the members from its first row on: from row 1 up to the row of the
-    product escape, or else over the prefix class that _sum_class names, if
-    any.  That suffices: a row before the class has no escaping sum, so
-    neither has any column before it.  Each pass stops at its own first
-    escape; the least (i, j) wins, a tie going to the op given first.
-    """
-    size, members = len(s), range(len(s))
-    classes = size * size * s.n > _CLASS_PASS_BUDGETS * _PAIR_BUDGET
-    found = []  # (i, j, position of op in ops) of each pass's first escape
-    if "*" in ops:
-        if classes:
-            hit = _product_escape(s)
-        else:
-            products = (
-                _escape(s, _products(s.values[b], s), members[b], members)
-                for b in _blocks(size, size, 1)
-            )
-            hit = next(filter(None, products), None)
-        found += [(*hit, ops.index("*"))] if hit else []
+    """First (i, j, op) escaping with i >= 1, for a set of more than one
+    block whose row 0 stays inside: by the pair loop, or, when N**2 * n
+    gathers exceed _CLASS_PASS_BUDGETS pair budgets, by the class passes,
+    products by image class (_product_escape) and sums by prefix class
+    (_sum_class).  The pair loop then finds the sums' witness from row 1 up
+    to the row of the product escape, or else over the prefix class that
+    _sum_class names, if any: a row before the class has no escaping sum.
+    The least (i, j) wins, a tie going to the op given first."""
+    if len(s) ** 2 * s.n <= _CLASS_PASS_BUDGETS * _PAIR_BUDGET:
+        return _pair_escape(s, slice(1, len(s)), ops)
+    found = []  # (i, j, op) of each pass's first escape
+    if "*" in ops and (hit := _product_escape(s)):
+        found.append((*hit, "*"))
     if "+" in ops:
         # the sets that escape late mostly do so under *, and no sum in a
         # later row than that escape can come first
-        if found:
-            rows = slice(1, min(found)[0] + 1)
-        elif classes:
-            rows = _sum_class(s)
-        else:
-            rows = slice(1, size)
-        if rows is not None:
-            sums = (
-                _escape(s, _block_keys(s, b, "+")[1], members[b], members[b.start :])
-                for b in _blocks(rows.stop, size, rows.start)
-            )
-            hit = next(filter(None, sums), None)
-            found += [(*hit, ops.index("+"))] if hit else []
-    best = min(found, default=None)
-    return best and (best[0], best[1], ops[best[2]])
+        summed = slice(1, found[0][0] + 1) if found else _sum_class(s)
+        if summed is not None and (hit := _pair_escape(s, summed, ("+",))):
+            found.append(hit)
+    return min(found, key=lambda hit: (*hit[:2], ops.index(hit[2])), default=None)
 
 
 def _closure_scan(els, ops):
     """First (i, j, op, result) whose result escapes, scanning pairs in lex order.
 
     i and j index the elements of Subset.of(els).  Within one pair the ops
-    are tried in the order given.  Returns None when closed.  A set that
-    spans more than one block scans row 0 first from its weights, so a set
-    that escapes there, as most escaping sets do, builds no rank table; its
-    later rows go to _later_escape.
+    are tried in the order given.  Returns None when closed.  The pair loop
+    scans the first block, all of a set that fits one and row 0 alone of a
+    larger set, where most escaping sets escape and build no rank table;
+    the rows after it go to _later_escape.
     """
     s = Subset.of(els)
     V, n, size = s.values, s.n, len(s)
-    if size * size <= _PAIR_BUDGET:  # one block
-        hit = _block_escape(s, slice(0, size), ops, _block_keys)
-    else:
-        hit = _block_escape(s, slice(0, 1), ops, _row_zero_keys) or _later_escape(s, ops)
+    first = size if size * size <= _PAIR_BUDGET else 1
+    hit = _pair_escape(s, slice(0, first), ops)
+    if hit is None and first < size:
+        hit = _later_escape(s, ops)
     if hit is None:
         return None
     i, j, op = hit

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -122,12 +122,6 @@ def face(spec: SimplexSpec, vertices) -> SimplexSpec:
     if not set(sub) <= set(spec.vertices):
         raise OutOfRange(f"{sub} is not a subset of {spec.vertices}")
     return SimplexSpec(spec.n, sub)
-
-
-def proper_faces(spec: SimplexSpec) -> tuple[SimplexSpec, ...]:
-    """Faces on the nonempty proper vertex subsets, smallest first."""
-    subsets = (sub for size in range(1, spec.k) for sub in combinations(spec.vertices, size))
-    return tuple(SimplexSpec(spec.n, sub) for sub in subsets)
 
 
 def is_internal(spec: SimplexSpec) -> bool:

@@ -484,17 +484,3 @@ def idempotent_sum_counterexample(spec: TriangleSpec) -> IdempotentSumEscape:
     right = strings.elem(spec.string_bc(), spec.b + 1)
     total = left + right
     return IdempotentSumEscape(left, right, total, total * total)
-
-
-def component_map(
-    src: TriangleSpec, dst: TriangleSpec
-) -> dict[ChainEndo, ChainEndo]:
-    """Match members by multiplicity vector between two triangles.
-
-    Always a bijection preserving addition; a semiring isomorphism only
-    when the vertex triples coincide.  Both triangles are gathers of one
-    (n, 3) pattern, so the match pairs the members of equal index.
-    """
-    if src.n != dst.n:
-        raise OutOfRange(f"chain sizes differ: {src.n} vs {dst.n}")
-    return dict(zip(elements(src), elements(dst)))

@@ -400,6 +400,12 @@ def boundary(spec):
     return tuple(e for e in enumerate_simplex(spec) if e.image() != spec.vertices)
 
 
+def proper_faces(spec):
+    """Faces on the nonempty proper vertex subsets, smallest first."""
+    subsets = (sub for size in range(1, spec.k) for sub in combinations(spec.vertices, size))
+    return tuple(SimplexSpec(spec.n, sub) for sub in subsets)
+
+
 def neighborhood_criterion(spec, alpha):
     """The per-map walk of simplex.nilpotent_rows for one member fixing a0."""
     a0 = spec.vertices[0]

@@ -71,7 +71,7 @@ def test_subset_carries_its_values_and_sorted_keys(picks):
     # a Subset passed along is neither re-normalised nor re-packed
     assert Subset.of(s) is s
     assert s.values is s.values and s.keys is s.keys
-    assert s.sum_table is s.sum_table and s.product_table is s.product_table
+    assert s.weights is s.weights and s.product_table is s.product_table
 
 
 @st.composite
@@ -165,14 +165,16 @@ def test_weights_beyond_the_limit_are_refused_before_any_allocation(monkeypatch)
     monkeypatch.setattr(analysis, "_key_weights", None)
     tracemalloc.start()
     try:
-        for name in ("weights", "keys", "sum_table"):
+        for name in ("weights", "keys", "product_table"):
             with pytest.raises(ChainTooLong, match="n <= 15"):
                 getattr(s, name)
+        with pytest.raises(ChainTooLong, match="n <= 15"):  # sums read the weights
+            analysis._sums(s.values, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < s.values.nbytes // 4
-    assert not {"weights", "keys", "sum_table"} & vars(s).keys()
+    assert not {"weights", "keys", "product_table"} & vars(s).keys()
 
 
 @settings(max_examples=150, deadline=None)
@@ -211,18 +213,22 @@ def _rank(e):
 
 
 def _kernel_keys(X, s, cols):
-    return analysis._sums(X, s, cols), analysis._products(X, s, cols)
+    # the pair loop keys a block of one row from the values, and a taller
+    # one from the table: both keyers meet each input
+    values = analysis._value_products(X, s.values.T[:, cols], s.n)
+    return analysis._sums(X, s, cols), analysis._products(X, s, cols), values
 
 
 def _assert_kernels_match_objects(xs, s, cols):
-    """_sums/_products keys of xs against s.elements[cols] are the ranks of
-    the object sums and products, in the set's key dtype."""
+    """_sums, _products and _value_products keys of xs against
+    s.elements[cols] are the ranks of the object sums and products, in the
+    set's key dtype."""
     X = np.array([x.values for x in xs], dtype=np.int64).reshape(len(xs), s.n)
-    sums, products = _under_small_blocks(_kernel_keys, X, s, cols)
+    sums, products, values = _under_small_blocks(_kernel_keys, X, s, cols)
     ys = np.array(s.elements, dtype=object)[cols].tolist()
-    assert sums.dtype == products.dtype == analysis._key_dtype(s.n)
+    assert sums.dtype == products.dtype == values.dtype == analysis._key_dtype(s.n)
     assert sums.tolist() == [[_rank(x + y) for y in ys] for x in xs]
-    assert products.tolist() == [[_rank(x * y) for y in ys] for x in xs]
+    assert products.tolist() == values.tolist() == [[_rank(x * y) for y in ys] for x in xs]
 
 
 @st.composite
@@ -267,8 +273,8 @@ def test_kernel_keys_at_the_dtype_change(n, dtype):
     # int16 holds every rank up to n = 9 (C(17, 9) - 1 = 24309), not at 10
     maps = _fixed_maps(n)
     s = Subset.of(maps)
-    assert s.sum_table.dtype == s.product_table.dtype == dtype
-    assert s.sum_table.shape == s.product_table.shape == (n * n, len(s))
+    assert s.weights.dtype == s.product_table.dtype == dtype
+    assert s.product_table.shape == (n * n, len(s))
     for cols in (slice(None), slice(2, 5), np.array([6, 0, 3, 3], dtype=np.intp)):
         _assert_kernels_match_objects(maps, s, cols)
 
@@ -277,7 +283,7 @@ def test_kernel_keys_at_the_dtype_change(n, dtype):
 def test_rank_tables_cannot_overflow(n):
     # the key dtype holds the largest rank, and W is nonnegative, so no
     # partial sum of a key passes its rank; W's rows are nondecreasing, so
-    # W[k, max(c, v)] = max(W[k, c], W[k, v]), the form sum_table is built in
+    # W[k, max(c, v)] = max(W[k, c], W[k, v]), the form _sums keys x + y in
     top = comb(2 * n - 1, n) - 1
     assert np.iinfo(analysis._key_dtype(n)).max >= top
     W = analysis._rank_weights(n)
@@ -328,6 +334,32 @@ def test_closure_scan_matches_reference(els, ops):
             assert analysis._closure_scan(els, ops) == expected
 
 
+@pytest.fixture(scope="module")
+def sweep_sets():
+    """Every distinct set whose closure claims.run_all(5) scans."""
+    seen = {}
+    real = analysis._closure_scan
+
+    def record(els, ops):
+        s = Subset.of(els)
+        seen.setdefault((s.n, s.values.tobytes()), s)
+        return real(els, ops)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_closure_scan", record)
+        claims.run_all(5)
+    return list(seen.values())
+
+
+def test_closure_scans_of_the_sweep_match_reference(sweep_sets):
+    # the sets the claims scan, replayed under every op order with blocks of
+    # the default size, of a few rows and of one row
+    assert len(sweep_sets) == 496 and max(map(len, sweep_sets)) == 126
+    for s in sweep_sets:
+        for ops in (("+",), ("*",), ("+", "*"), ("*", "+")):
+            _scan_under_budgets(s, ops, (analysis._PAIR_BUDGET, 40, 3, 1))
+
+
 def test_closure_scan_tries_ops_in_the_given_order_within_a_pair():
     # the first pair escapes under both ops: 0_2 2 + 0 1_2 = 0 1 2 and
     # 0_2 2 * 0 1_2 = 0_2 1
@@ -339,8 +371,8 @@ def test_closure_scan_tries_ops_in_the_given_order_within_a_pair():
 
 
 # Sets of C_4 whose first escape is known.  With 8 or 9 maps each spans
-# several blocks under budgets 1 and 40, so the scan takes row 0 from the
-# weights first.  hits: the first escape under ("+", "*") and ("*", "+").
+# several blocks under budgets 1 and 40, so the scan takes row 0 alone
+# first.  hits: the first escape under ("+", "*") and ("*", "+").
 ROW_ZERO_CASES = {
     "row 0 under + only": (
         ("0_2 2 3", "0_2 3_2", "0 1 2 3", "0 2_2 3", "1_3 3", "1_2 3_2", "1 2 3_2", "1 3_3"),
@@ -362,18 +394,20 @@ ROW_ZERO_CASES = {
 
 
 def _scan_through_row_zero(monkeypatch, els, ops):
-    """_closure_scan(els, ops) under small blocks, required to have taken
-    row 0 from the weights under both small budgets."""
-    calls = []
+    """_closure_scan(els, ops) under small blocks, required to have scanned
+    row 0 alone first, under every op, with both small budgets (and the
+    whole set at once with the default)."""
+    first = []
 
-    def spy(s, rows, op):
-        calls.append(op)
-        return row_zero(s, rows, op)
+    def spy(s, rows, scanned):
+        if rows.start == 0:
+            first.append((rows.stop, scanned))
+        return pair_escape(s, rows, scanned)
 
-    row_zero = analysis._row_zero_keys
-    monkeypatch.setattr(analysis, "_row_zero_keys", spy)
+    pair_escape = analysis._pair_escape
+    monkeypatch.setattr(analysis, "_pair_escape", spy)
     hit = _under_small_blocks(analysis._closure_scan, els, ops)
-    assert calls == [*ops, *ops]
+    assert first == [(len(els), ops), (1, ops), (1, ops)]
     return hit
 
 
@@ -410,31 +444,32 @@ def test_row_zero_escape_builds_no_rank_table():
     s = discrete_neighborhood(SimplexSpec(8, tuple(range(8))), 1, 7)
     assert analysis._closure_scan(s, ("+", "*")) == ref.closure_scan(s, ("+", "*"))
     assert analysis._closure_scan(s, ("+", "*"))[:3] == (0, 0, "*")
-    assert not {"sum_table", "product_table"} & vars(s).keys()
+    assert "product_table" not in vars(s)
     closed = enumerate_simplex(SimplexSpec(8, (0, 2, 4, 6)))  # 165 maps, two blocks
     assert len(closed) ** 2 > analysis._PAIR_BUDGET
     assert analysis._closure_scan(closed, ("+", "*")) is None
-    assert {"sum_table", "product_table"} <= vars(closed).keys()
+    assert "product_table" in vars(closed)
 
 
 def test_sums_stop_at_the_row_of_a_later_product_escape(monkeypatch):
     # the radius-4 neighborhood of vertex 4 of the n = 8 simplex (330 maps,
     # two or more blocks) keeps row 0 inside, is closed under + and escapes
-    # first at row 4 under *; only the sums of rows 1 to 4 can come first
+    # first at row 4 under *; after row 0, only the sums of rows 1 to 4 can
+    # come first
     s = discrete_neighborhood(SimplexSpec(8, tuple(range(8))), 4, 4)
     summed = []
-    real = analysis._block_keys
+    real = analysis._sums
 
-    def spy(s, rows, op):
-        summed.append(rows)
-        return real(s, rows, op)
+    def spy(X, s, cols=slice(None)):
+        summed.append(s.find(X).tolist())
+        return real(X, s, cols)
 
-    monkeypatch.setattr(analysis, "_block_keys", spy)
+    monkeypatch.setattr(analysis, "_sums", spy)
     for ops in (("+", "*"), ("*", "+")):
         summed.clear()
         hit = analysis._closure_scan(s, ops)
         assert hit == ref.closure_scan(s, ops) and hit[:3] == (4, 315, "*")
-        assert summed == [slice(1, 5)]
+        assert summed == [[0], [1, 2, 3, 4]]
     assert analysis.is_closed(s, "+") == (True, None)
 
 
@@ -792,15 +827,15 @@ def test_restriction_classes_match_a_direct_count(picks):
 
 class _PrefixSpy:
     """Records the representative pairs of each prefix pass, the rows and
-    the number of columns of each block of sums it keys, and the row blocks
-    of the sums loop."""
+    the number of columns of each block of sums it keys, and the rows of
+    each block the pair loop sums after row 0."""
 
     def __init__(self, mp):
         self.pairs, self.keyed, self.looped = [], [], []
-        reps, keyer, block_keys = (
+        reps, keyer, sums = (
             analysis._sum_representatives,
             analysis._prefix_sums_escape,
-            analysis._block_keys,
+            analysis._sums,
         )
 
         def spy_reps(s):
@@ -812,14 +847,15 @@ class _PrefixSpy:
             self.keyed.append((rows, len(cols)))
             return keyer(s, rows, cols, h, prefix)
 
-        def spy_block_keys(s, rows, op):
-            if op == "+":
-                self.looped.append(rows)
-            return block_keys(s, rows, op)
+        def spy_sums(X, s, cols=slice(None)):
+            rows = s.find(X)
+            if rows[0] > 0:  # row 0 is summed alone before any pass
+                self.looped.append(slice(int(rows[0]), int(rows[-1]) + 1))
+            return sums(X, s, cols)
 
         mp.setattr(analysis, "_sum_representatives", spy_reps)
         mp.setattr(analysis, "_prefix_sums_escape", spy_keyer)
-        mp.setattr(analysis, "_block_keys", spy_block_keys)
+        mp.setattr(analysis, "_sums", spy_sums)
 
     def clear(self):
         self.pairs.clear()
@@ -953,7 +989,7 @@ def test_closed_sets_key_one_pair_of_classes_per_triple(monkeypatch):
         assert [rows.start for rows, _ in spy.keyed] == bounds[np.unique(pairs[:, 0])].tolist()
         assert sum(cols for _, cols in spy.keyed) == widths[pairs[:, 1]].sum()
         assert spy.looped == []
-    assert "sum_table" not in vars(s)
+    assert "product_table" not in vars(s)
 
 
 def test_closure_scan_peak_stays_within_the_pair_loops(monkeypatch):
