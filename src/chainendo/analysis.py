@@ -44,10 +44,10 @@ classes come level by level, each image's from its parent's.  Sums go by
 prefix class (a run of rows that share their first h values): whether the
 sums of two classes stay inside depends only on their suffix sets and that
 of the class of their joined prefix, so one pair of classes is keyed per
-distinct triple, from the weights.  The pair loop stays the witness finder
-of sums, bounded to a known escape: it runs only over the first prefix
-class with an escaping pair, or up to the row of a product escape, so
-every witness is still the lex-first pair.
+distinct triple, in row order, from the weights.  The pair loop stays the
+witness finder of sums, bounded to a known escape: it runs only over the
+first prefix class with an escaping pair, or up to the row of a product
+escape, so every witness is still the lex-first pair.
 Subset.index_of turns keys into member indices (-1 when the result leaves
 the set) with one gather from the index table; it is the only way a key
 becomes a member, and s.find(rows), the member index of each row of a value
@@ -594,6 +594,12 @@ def _class_escape(s: Subset, G: np.ndarray, F: np.ndarray, columns) -> tuple[int
     return None
 
 
+def _strictly_ascending(s: Subset) -> bool:
+    """Whether the rows of s strictly ascend in lex order; reads no keys, so any n."""
+    steps = np.diff(s.values, axis=0)
+    return bool((steps[np.arange(len(steps)), (steps != 0).argmax(axis=1)] > 0).all())
+
+
 def _prefix_classes(s: Subset) -> tuple[int, np.ndarray]:
     """(h, bounds): the prefix classes of s, the runs of rows that share
     their first h values, for the least h that gives C classes with
@@ -604,11 +610,9 @@ def _prefix_classes(s: Subset) -> tuple[int, np.ndarray]:
     ValueError otherwise.
     """
     V, size = s.values, len(s)
-    later, earlier = V[1:], V[:-1]
-    split = (later != earlier).argmax(axis=1)  # where each row first differs from the last
-    at = np.arange(size - 1)
-    if not (later[at, split] > earlier[at, split]).all():
+    if not _strictly_ascending(s):
         raise ValueError("the rows of a Subset must be strictly ascending in lex order")
+    split = (V[1:] != V[:-1]).argmax(axis=1)  # where each row first differs from the last
     classes = 1 + np.cumsum(np.bincount(split, minlength=s.n))  # [h - 1]: classes of prefix h
     h = 1 + int(np.argmax(classes**2 >= size))
     return h, np.concatenate(([0], np.flatnonzero(split < h) + 1, [size]))
@@ -657,40 +661,24 @@ def _sum_class(s: Subset) -> slice | None:
     whether a pair of classes escapes depends only on the triple of its two
     suffix sets and that of the class of p | q (equal sets one id), and a
     pair escapes outright when no class has the prefix p | q.  The first
-    pair of each triple is keyed, all those of one left class at once, from
-    the weights at positions h on plus the partial rank of p | q.  Pairs
-    run in row order, so the first that escapes names the class.
+    pair of each triple is keyed, one pair at a time in row order, from the
+    weights at positions h on plus the partial rank of p | q, so the first
+    class with a pair that escapes is the one named.
     """
     h, bounds, pairs, joined = _sum_representatives(s)
-    # the columns of every pair's right class, one run after another, and
-    # the partial rank of the pair's joined prefix at each of them
-    right = pairs[:, 1]
-    widths = bounds[right + 1] - bounds[right]
-    ends = np.cumsum(widths)
-    cols = np.arange(ends[-1]) + np.repeat(bounds[right] - ends + widths, widths)
-    prefix = np.repeat(joined.astype(s.weights.dtype), widths)
-    starts = (ends - widths).tolist()
-    lefts, heads = np.unique(pairs[:, 0], return_index=True)
-    for c, first, last in zip(lefts.tolist(), heads.tolist(), [*heads[1:].tolist(), len(pairs)]):
-        rows, run = slice(bounds[c], bounds[c + 1]), slice(starts[first], ends[last - 1])
-        lost = (joined[first:last] < 0).any()  # no class holds a joined prefix
-        if lost or _prefix_sums_escape(s, rows, cols[run], h, prefix[run]):
+    bounds, weights = bounds.tolist(), s.weights[h:]
+    lost = pairs[joined < 0, 0].tolist()  # classes with a joined prefix no class holds
+    for (c, d), prefix in zip(pairs.tolist(), joined.tolist()):
+        rows = slice(bounds[c], bounds[c + 1])
+        if c in lost:  # fails before any of its pairs is keyed
             return slice(max(1, rows.start), rows.stop)
+        right = weights[:, None, bounds[d] : bounds[d + 1]]
+        for b in _blocks(rows.stop, bounds[d + 1] - bounds[d], rows.start):
+            # W[k, max(c, v)] = max(W[k, c], W[k, v]): rows of W are nondecreasing
+            keys = np.maximum(weights[:, b, None], right).sum(axis=0, dtype=weights.dtype)
+            if not np.take(s.index_table, keys + prefix).all():
+                return slice(max(1, rows.start), rows.stop)
     return None
-
-
-def _prefix_sums_escape(s: Subset, rows: slice, cols, h: int, prefix: np.ndarray) -> bool:
-    """Whether x + y leaves s for some x in rows and y in cols, where the
-    prefixes of length h of x and of y_j join to partial rank prefix[j];
-    keyed from the weights at positions h on, in blocks of the pair budget."""
-    weights = s.weights[h:]
-    right = weights[:, cols][:, None, :]
-    for b in _blocks(rows.stop, len(cols), rows.start):
-        # W[k, max(c, v)] = max(W[k, c], W[k, v]): rows of W are nondecreasing
-        keys = np.maximum(weights[:, b, None], right).sum(axis=0, dtype=weights.dtype)
-        if not np.take(s.index_table, keys + prefix).all():
-            return True
-    return False
 
 
 def _later_escape(s: Subset, ops) -> tuple[int, int, str] | None:

@@ -201,13 +201,6 @@ def _chk_idempotent_count(params):
 # simplex checks
 
 
-def _strictly_ascending(s: analysis.Subset) -> bool:
-    """Rows strictly ascend in lex order: the first nonzero entry of every
-    difference of consecutive rows is positive.  Reads no keys, so any n."""
-    steps = np.diff(s.values, axis=0)
-    return bool((steps[np.arange(len(steps)), (steps != 0).argmax(axis=1)] > 0).all())
-
-
 def _closed(build: Callable[..., analysis.Subset]):
     """The check that the set build(*params) is a subsemiring."""
 
@@ -224,7 +217,7 @@ def _chk_simplex_order(params):
     want = counting.simplex_order(n, len(verts))
     if len(els) != want:
         return False, {"formula": want, "enumerated": len(els)}
-    if not _strictly_ascending(els):
+    if not analysis._strictly_ascending(els):
         return False, {"note": "enumeration must be strictly ascending"}
     return True, None
 
@@ -358,7 +351,7 @@ def _chk_string_partition(params):
     n, a, b = params
     spec = StringSpec(n, a, b)
     els = strings.elements(spec)
-    if len(els) != n + 1 or not _strictly_ascending(els):
+    if len(els) != n + 1 or not analysis._strictly_ascending(els):
         return False, {"note": "a string must be a chain of n + 1 members"}
     part = strings.partition_string(spec)
     sizes = (len(part.nil_low), len(part.idem), len(part.nil_high))
@@ -512,7 +505,7 @@ def _chk_triangle_order(params):
     want = counting.triangle_order(n)
     if len(els) != want or want != comb(n + 2, 2):
         return False, {"formula": want, "enumerated": len(els)}
-    if not _strictly_ascending(els):
+    if not analysis._strictly_ascending(els):
         return False, {"note": "enumeration must be strictly ascending"}
     return True, None
 
@@ -813,7 +806,7 @@ def _chk_basic_layers(params):
         for bl in layers:
             if len(bl.elements) != n - bl.k + 1:
                 return False, {"vertex": vertex, "k": bl.k}
-            if not _strictly_ascending(bl.elements):
+            if not analysis._strictly_ascending(bl.elements):
                 return False, {"vertex": vertex, "k": bl.k, "note": "not ascending"}
             if any(e.values.count(vertex) != bl.k for e in bl.elements):
                 return False, {"vertex": vertex, "k": bl.k, "note": "bad multiplicity"}

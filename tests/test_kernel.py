@@ -827,14 +827,17 @@ def test_restriction_classes_match_a_direct_count(picks):
 
 class _PrefixSpy:
     """Records the representative pairs of each prefix pass, the rows and
-    the number of columns of each block of sums it keys, and the rows of
+    the number of columns of each pair of classes it keys (its blocks of
+    the rows of one class against the columns of another), and the rows of
     each block the pair loop sums after row 0."""
 
     def __init__(self, mp):
         self.pairs, self.keyed, self.looped = [], [], []
-        reps, keyer, sums = (
+        self.passing = False
+        reps, sum_class, blocks, sums = (
             analysis._sum_representatives,
-            analysis._prefix_sums_escape,
+            analysis._sum_class,
+            analysis._blocks,
             analysis._sums,
         )
 
@@ -843,9 +846,19 @@ class _PrefixSpy:
             self.pairs.append(found)
             return found
 
-        def spy_keyer(s, rows, cols, h, prefix):
-            self.keyed.append((rows, len(cols)))
-            return keyer(s, rows, cols, h, prefix)
+        def spy_class(s):
+            self.passing = True
+            try:
+                return sum_class(s)
+            finally:
+                self.passing = False
+
+        def spy_blocks(size, width, first=0):
+            # in the pass, one call per pair keyed: its left class's rows
+            # against its right class's width columns
+            if self.passing:
+                self.keyed.append((slice(first, size), width))
+            return blocks(size, width, first)
 
         def spy_sums(X, s, cols=slice(None)):
             rows = s.find(X)
@@ -854,7 +867,8 @@ class _PrefixSpy:
             return sums(X, s, cols)
 
         mp.setattr(analysis, "_sum_representatives", spy_reps)
-        mp.setattr(analysis, "_prefix_sums_escape", spy_keyer)
+        mp.setattr(analysis, "_sum_class", spy_class)
+        mp.setattr(analysis, "_blocks", spy_blocks)
         mp.setattr(analysis, "_sums", spy_sums)
 
     def clear(self):
@@ -900,8 +914,10 @@ def test_prefix_pass_matches_reference(els, ops):
 
 # Sets closed under * whose first escape is a sum after row 0, in a prefix
 # class after the first: (n, maps, first escape, class of its row).  In
-# the first the class's triples are all keyed; in the second the class of
-# its row pairs with a class whose prefix it joins to none of the set's.
+# the first the class's first pair is keyed and escapes; in the second the
+# class of its row pairs with a class whose prefix it joins to none of the
+# set's; in the third the class's first pair stays inside and a later one
+# escapes, after the pairs of an earlier class all stayed inside.
 LATE_SUM_CASES = {
     "keyed": (
         4,
@@ -921,6 +937,15 @@ LATE_SUM_CASES = {
         ),
         (9, 16, "+"),
         3,
+    ),
+    "later pair of the class": (
+        6,
+        (
+            "0_6", "0_5 1", "0_5 2", "0_4 1_2", "0_4 1 2", "0_3 1_3", "0_3 1_2 2",
+            "0_3 1 2_2", "0_3 2_3", "0_2 1_4", "0_2 1_3 2", "0_2 1 2_3",
+        ),
+        (7, 9, "+"),
+        1,
     ),
 }
 
@@ -951,10 +976,20 @@ def test_sums_escape_in_a_later_prefix_class(monkeypatch, case):
     if case == "keyed":
         assert len(lost) and not lost.any()
         assert slice(bounds[cls], bounds[cls + 1]) in keyed_rows
-    else:
+    elif case == "missing joined prefix":
         # the class fails without a key: no member holds the joined prefix
         assert lost.any()
         assert slice(bounds[cls], bounds[cls + 1]) not in keyed_rows
+    else:
+        # each of the two passes keys the pairs in row order up to the one
+        # that escapes: an earlier class's first, then two or more of the
+        # class's, so that its first pair stayed inside
+        assert len(lost) > 1 and not lost.any()
+        every = [(slice(bounds[c], bounds[c + 1]), bounds[d + 1] - bounds[d]) for c, d in pairs]
+        one = spy.keyed[: len(spy.keyed) // 2]
+        assert spy.keyed == 2 * one and one == every[: len(one)] and len(one) < len(every)
+        assert one[0][0].stop <= rows.start and one[-1][0] == rows
+        assert keyed_rows[: len(one)].count(rows) > 1
 
 
 def _distinct_triples(s, h):
@@ -983,11 +1018,11 @@ def test_closed_sets_key_one_pair_of_classes_per_triple(monkeypatch):
         assert analysis._closure_scan(s, ops) is None
         [(h, bounds, pairs, joined)] = spy.pairs
         assert len(pairs) == 36 and (joined >= 0).all()
-        # one keyer call per left class of the pairs, each with the columns
-        # of the right classes of its pairs, and no sums loop
-        widths = np.diff(bounds)
-        assert [rows.start for rows, _ in spy.keyed] == bounds[np.unique(pairs[:, 0])].tolist()
-        assert sum(cols for _, cols in spy.keyed) == widths[pairs[:, 1]].sum()
+        # each pair keyed once, in row order: the rows of its left class
+        # against the columns of its right class; and no sums loop
+        assert spy.keyed == [
+            (slice(bounds[c], bounds[c + 1]), bounds[d + 1] - bounds[d]) for c, d in pairs
+        ]
         assert spy.looped == []
     assert "product_table" not in vars(s)
 
