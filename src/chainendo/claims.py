@@ -152,20 +152,31 @@ def _chk_mul_noncommutative(params):
 
 
 def _chk_power_stabilization(params):
+    # e**(n - 1) by its own gathers, against the atlas's power walk
     (n,) = params
     cap = max(1, n - 1)
-    for e in all_endomorphisms(n):
-        stable = e**cap
-        if not stable.is_idempotent():
-            return False, {"element": _fmt(e), "power": cap}
-        if n >= 2 and stable * e != stable:
-            return False, {"element": _fmt(e), "note": "power sequence moved again"}
-        cls = analysis.classify_element(e)
-        if cls.idempotent != stable:
-            return False, {"element": _fmt(e), "note": "eventual idempotent mismatch"}
-        if cls.exponent > cap:
-            return False, {"element": _fmt(e), "exponent": cls.exponent}
-    return True, None
+    V, limits, exponents = counting._chain_atlas(n)
+    stable = V
+    for _ in range(cap - 1):
+        stable = np.take_along_axis(V, stable, axis=1)
+    checks = (
+        (np.take_along_axis(stable, stable, axis=1) != stable).any(axis=1),
+        (np.take_along_axis(V, stable, axis=1) != stable).any(axis=1) & (n >= 2),
+        (limits != stable).any(axis=1),
+        exponents > cap,
+    )
+    bad = np.logical_or.reduce(checks)
+    if not bad.any():
+        return True, None
+    i = int(bad.argmax())
+    element = _fmt(ChainEndo._wrap(n, tuple(V[i].tolist())))
+    witnesses = (
+        {"power": cap},
+        {"note": "power sequence moved again"},
+        {"note": "eventual idempotent mismatch"},
+        {"exponent": int(exponents[i])},
+    )
+    return False, next({"element": element, **w} for c, w in zip(checks, witnesses) if c[i])
 
 
 def _chk_catalan_count(params):
@@ -377,20 +388,26 @@ def _chk_string_partition(params):
 
 
 def _chk_string_mul_cases(params):
+    # products[r, k, ell] is elem(left, k) * elem(specs[r], ell), one block
+    # per left string, against the rule's index table; the first failing
+    # pair in the order left, right, k, ell is reported
     (n,) = params
     specs = [StringSpec(n, a, b) for a, b in combinations(range(n), 2)]
-    for left in specs:
-        for right in specs:
-            for k in range(n + 1):
-                x = strings.elem(left, k)
-                for ell in range(n + 1):
-                    want = strings.string_mul_cases(left, k, right, ell)
-                    if x * strings.elem(right, ell) != want:
-                        return False, {
-                            "left": _fmt(x),
-                            "right": _fmt(strings.elem(right, ell)),
-                            "predicted": _fmt(want),
-                        }
+    # members by index: row i of a string's elements has index n - i
+    Y = np.stack([strings.elements(spec).values[::-1] for spec in specs])
+    index = np.arange(n + 1)
+    for left, X in zip(specs, Y):
+        products = np.take_along_axis(Y[:, None], X[None, :, None], axis=-1)
+        predicted = Y[:, strings._product_index(left, index[:, None], index)]
+        bad = (products != predicted).any(axis=-1)
+        if bad.any():
+            r, k, ell = map(int, np.unravel_index(bad.argmax(), bad.shape))
+            right = specs[r]
+            return False, {
+                "left": _fmt(strings.elem(left, k)),
+                "right": _fmt(strings.elem(right, ell)),
+                "predicted": _fmt(strings.string_mul_cases(left, k, right, ell)),
+            }
     return True, None
 
 
@@ -703,6 +720,13 @@ def _chk_idempotent_sum_escape(params):
     return True, None
 
 
+def _left_zeros(zeros: analysis.Subset, s: analysis.Subset) -> bool:
+    """Whether x * y == x for every x in zeros and y in s: each row of s,
+    read at the values of x, gives x again."""
+    X = zeros.values
+    return bool((s.values[:, X] == X).all())
+
+
 def _chk_it_ideals(params):
     n, a, b, c = params
     spec = TriangleSpec(n, a, b, c)
@@ -726,10 +750,11 @@ def _chk_it_ideals(params):
         ok, wit = analysis.is_subsemiring(corner)
         if not ok:
             return False, _pair(wit)
-    for x in rep.corner_left:
-        for y in rep.corner_right:
-            if not x.pointwise_le(y) or x == y:
-                return False, {"left": _fmt(x), "right": _fmt(y)}
+    X, Y = rep.corner_left.values[:, None], rep.corner_right.values[None]
+    bad = (X > Y).any(axis=-1) | (X == Y).all(axis=-1)
+    if bad.any():
+        i, j = map(int, np.unravel_index(bad.argmax(), bad.shape))
+        return False, {"left": _fmt(rep.corner_left[i]), "right": _fmt(rep.corner_right[j])}
     ac = strings.elements(spec.string_ac())
     V = ac.values
     if rep.diagonal != ac[(ac.limits == V).all(axis=1) & (V[:, 0] != V[:, -1])]:
@@ -745,7 +770,7 @@ def _chk_it_ideals(params):
         (analysis.is_subsemiring(rep.rest)[0], "rest_closed"),
         (analysis.is_ideal(rep.diagonal, rep.it)[0], "diagonal_ideal"),
         (analysis.is_ideal(rep.rest, rep.it)[0], "rest_ideal"),
-        (all(x * y == x for x in rep.diagonal for y in rep.it), "diagonal_left_zero"),
+        (_left_zeros(rep.diagonal, rep.it), "diagonal_left_zero"),
     ):
         if not ok:
             return False, {"verdict": name}

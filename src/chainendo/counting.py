@@ -9,10 +9,11 @@ enumeration everywhere; its audit passes only when the disagreement shows
 up as expected.
 
 The oracles for maps of the whole chain (nilpotent, idempotent and simplex
-counts) read a census built by one brute-force enumeration of the n-chain
-per n per audit call.  The census records what each map is by definition,
-never what a formula says, so it stays independent of every formula it
-audits.  Nothing it holds outlives the audit call that built it.
+counts) read a census tallied from one atlas of the n-chain, built by one
+brute-force enumeration and power walk per n per audit call.  The census
+records what each map is by definition, never what a formula says, so it
+stays independent of every formula it audits.  Nothing it holds outlives
+the audit call that built it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from .core import all_endomorphisms
 
@@ -167,17 +170,22 @@ def r_par_order(n: int, a: int, b: int, c: int) -> int:
 # Imports are local to keep this module importable from the triangle module.
 #
 # The chain oracles (nilpotent, idempotent, simplex) read a census of the
-# n-chain, made by one brute-force pass over all of its monotone maps.  The
-# census reads each map's limit and exponent from core's one power loop
-# (ChainEndo._power_limit), which walks the powers until they stop moving:
-# that is the definition of both facts, never a formula.  It tallies the
-# constant the powers reach, the fixed points of each map that is its own
-# limit (exponent 1), and each map's top value, so a lookup in it is the
-# same count that a loop over all maps per tuple makes, and stays
-# independent of the formula it audits.
+# n-chain, tallied from its atlas: the value matrix of all of its monotone
+# maps, row r the map of lex rank r, one enumeration per n, with each row's
+# limit and exponent from the literal power walk, one gather per power
+# until a power equals the next, which is the definition of both facts,
+# never a formula.  The census tallies the constant the limit is, the fixed
+# points of each map that is its own limit (exponent 1), and each map's top
+# value, so a lookup in it is the same count that a loop over all maps per
+# tuple makes, and stays independent of the formula it audits.  The
+# triangle oracles are row masks on the members' values and limits; the
+# string oracle finds right identities by one gather and walks the powers
+# of the few other members as ChainEndo objects.  tests/reference_loops.py
+# keeps the object loops these replaced, and the tests require each oracle
+# to equal its loop.
 #
-# Censuses, string classifications and triangle members are kept in _memo
-# only while a _memo_scope() is open: one audit() call, one
+# Atlases, censuses, string classifications and triangle members are kept
+# in _memo only while a _memo_scope() is open: one audit() call, one
 # claims.run_claim call (a claim job of a pooled sweep), or one in-process
 # claims.run_all sweep, whose claims share it.  So each of these enumerates
 # each chain once, and none starts from an earlier scope's results.  An
@@ -219,6 +227,37 @@ def _per_audit(build):
     return memoized
 
 
+class _ChainAtlas(NamedTuple):
+    values: np.ndarray  # (N, n), row r the map of lex rank r
+    limits: np.ndarray  # (N, n), row r its eventual idempotent
+    exponents: np.ndarray  # (N,), the least k with power k == power k + 1
+
+
+@_per_audit
+def _chain_atlas(n):
+    """Every monotone map of the n-chain with its limit and exponent, each
+    in the smallest unsigned type that holds it."""
+    maps = (e.values for e in all_endomorphisms(n))
+    V = np.fromiter(maps, dtype=(np.min_scalar_type(n - 1), n), count=math.comb(2 * n - 1, n))
+    exponents = np.zeros(len(V), dtype=np.min_scalar_type(n))
+    limits = V.copy()
+    # the rows whose powers still move, and their current powers; every
+    # trajectory stops moving within n - 1 steps (ChainEndo._power_limit)
+    rows, power = np.arange(len(V)), V
+    for exponent in range(1, n + 1):
+        following = np.take_along_axis(V[rows], power, axis=1)
+        moved = (following != power).any(axis=1)
+        exponents[rows[~moved]] = exponent
+        limits[rows[~moved]] = power[~moved]
+        rows, power = rows[moved], following[moved]
+        if not len(rows):
+            for table in (V, limits, exponents):
+                table.flags.writeable = False
+            return _ChainAtlas(V, limits, exponents)
+    stuck = tuple(V[rows[0]].tolist())
+    raise AssertionError(f"powers of {stuck} did not stabilise within {n} steps")
+
+
 class _ChainCensus(NamedTuple):
     nilpotent: Counter  # a -> maps whose powers reach the constant a
     idempotent: Counter  # fixed-point set -> idempotents with that set
@@ -227,15 +266,13 @@ class _ChainCensus(NamedTuple):
 
 @_per_audit
 def _chain_census(n):
-    nilpotent, idempotent, top = Counter(), Counter(), Counter()
-    for e in all_endomorphisms(n):
-        limit, exponent = e._power_limit()
-        if limit.is_constant():
-            nilpotent[limit.values[0]] += 1
-        if exponent == 1:
-            idempotent[e.fixed_points()] += 1
-        top[max(e.image())] += 1
-    return _ChainCensus(nilpotent, idempotent, top)
+    V, L, exponents = _chain_atlas(n)
+    fixed = (V[exponents == 1] == np.arange(n)).tolist()
+    return _ChainCensus(
+        Counter(L[L[:, 0] == L[:, -1], 0].tolist()),
+        Counter(tuple(i for i, f in enumerate(row) if f) for row in fixed),
+        Counter(V[:, -1].tolist()),
+    )
 
 
 def _oracle_nilpotent(n, a):
@@ -261,16 +298,15 @@ def _oracle_triangle(n):
 def _classify_string(n, a, b):
     # Right identities before nilpotency: the two constants are idempotent
     # in every string but belong to the blocks that collapse onto them.
+    # Member j is one when x * member j == x for every member x: row j read
+    # at every row, V[j][V[i]] == V[i], in one gather.
     from . import strings
 
-    spec = strings.StringSpec(n, a, b)
-    els = strings.elements(spec)
-    rids = {e for e in els if all(x * e == x for x in els)}
-    low = high = idem = 0
-    for e in els:
-        if e in rids:
-            idem += 1
-            continue
+    els = strings.elements(strings.StringSpec(n, a, b))
+    V = els.values
+    rids = (V[:, V] == V).all(axis=(1, 2))
+    low = high = 0
+    for e in els[~rids]:
         target = e.nilpotency_target()
         if target == a:
             low += 1
@@ -278,7 +314,7 @@ def _classify_string(n, a, b):
             high += 1
         else:
             raise AssertionError(f"unclassifiable string element {e}")
-    return low, idem, high
+    return low, int(rids.sum()), high
 
 
 def _oracle_string_nil_low(n, a, b):
@@ -302,24 +338,24 @@ def _triangle_members(n, a, b, c):
 
 @_per_audit
 def _triangle_targets(n, a, b, c):
-    """Members of the triangle by the constant their powers reach (or None)."""
-    return Counter(e.nilpotency_target() for e in _triangle_members(n, a, b, c))
+    """Members of the triangle by the constant their powers reach; members
+    that reach no constant are left out."""
+    L = _triangle_members(n, a, b, c).limits
+    return Counter(L[L[:, 0] == L[:, -1], 0].tolist())
+
+
+def _count_fixing(n, a, b, c, *vertices):
+    """Triangle members that fix every one of vertices."""
+    V = _triangle_members(n, a, b, c).values
+    return int(np.logical_and.reduce([V[:, v] == v for v in vertices]).sum())
 
 
 def _oracle_ri(n, a, b, c):
-    return sum(
-        1
-        for e in _triangle_members(n, a, b, c)
-        if e.values[a] == a and e.values[b] == b and e.values[c] == c
-    )
+    return _count_fixing(n, a, b, c, a, b, c)
 
 
 def _oracle_it(n, a, b, c):
-    return sum(
-        1
-        for e in _triangle_members(n, a, b, c)
-        if e.values[a] == a and e.values[c] == c
-    )
+    return _count_fixing(n, a, b, c, a, c)
 
 
 def _oracle_it_rest(n, a, b, c):
@@ -327,22 +363,20 @@ def _oracle_it_rest(n, a, b, c):
 
 
 def _count_by_copies(n, a, b, c, inside):
-    """Triangle members with inside(copies of a, copies of c) true."""
-    return sum(
-        1
-        for e in _triangle_members(n, a, b, c)
-        if inside(e.values.count(a), e.values.count(c))
-    )
+    """Triangle members with inside(copies of a, copies of c) true, inside
+    taking one array of copies per vertex."""
+    V = _triangle_members(n, a, b, c).values
+    return int(inside((V == a).sum(axis=1), (V == c).sum(axis=1)).sum())
 
 
 def _oracle_l_tri(n, a, b, c):
     # Index-range construction: at least b + 1 copies of a and at least
     # n - c copies of c.
-    return _count_by_copies(n, a, b, c, lambda k, i: k >= b + 1 and i >= n - c)
+    return _count_by_copies(n, a, b, c, lambda k, i: (k >= b + 1) & (i >= n - c))
 
 
 def _oracle_r_tri(n, a, b, c):
-    return _count_by_copies(n, a, b, c, lambda k, i: k >= a + 1 and i >= n - b)
+    return _count_by_copies(n, a, b, c, lambda k, i: (k >= a + 1) & (i >= n - b))
 
 
 def _oracle_nil_to(value):
@@ -356,11 +390,11 @@ def _oracle_nil_to(value):
 def _oracle_l_par(n, a, b, c):
     # Left blocks of the basic layers at the a corner: a + 1 <= k <= b
     # copies of a, at most n - c - 1 copies of c.
-    return _count_by_copies(n, a, b, c, lambda k, i: a + 1 <= k <= b and i <= n - c - 1)
+    return _count_by_copies(n, a, b, c, lambda k, i: (a + 1 <= k) & (k <= b) & (i <= n - c - 1))
 
 
 def _oracle_r_par(n, a, b, c):
-    return _count_by_copies(n, a, b, c, lambda k, i: k <= a and n - c <= i <= n - b - 1)
+    return _count_by_copies(n, a, b, c, lambda k, i: (k <= a) & (n - c <= i) & (i <= n - b - 1))
 
 
 # --- admissible parameter domains ---------------------------------------

@@ -112,11 +112,15 @@ def string_mul_cases(
         raise OutOfRange(f"index {k} outside 0..{spec.n}")
     if not 0 <= ell <= other.n:
         raise OutOfRange(f"index {ell} outside 0..{other.n}")
-    if ell >= spec.b + 1:
-        return elem(other, other.n)
-    if ell >= spec.a + 1:
-        return elem(other, k)
-    return elem(other, 0)
+    return elem(other, _product_index(spec, k, ell))
+
+
+def _product_index(spec: StringSpec, k, ell):
+    """The index rule of string_mul_cases: the index, in the right factor's
+    string, of elem(spec, k) times its member of index ell.  k and ell are
+    ints, giving an int, or integer arrays, giving the array they broadcast
+    to, so that the claim registry checks the same rule on every pair at once."""
+    return (ell > spec.b) * spec.n + ((ell > spec.a) & (ell <= spec.b)) * k
 
 
 def family_top(spec: StringSpec, r: int) -> analysis.Subset:

@@ -6,8 +6,10 @@ so that property tests can require the kernel to return the same verdicts
 and the same lex-first witnesses.
 
 The chain oracles are the per-tuple loops over every map of the chain that
-``chainendo.counting`` replaced with one census per chain size; tests
-require each census lookup to equal its loop.
+``chainendo.counting`` replaced with one census per chain size, and the
+object oracles of the string and triangle counts that it replaced with
+gathers and row masks on value matrices; ``ORACLE_LOOPS`` names one loop
+per registry entry, and tests require each oracle to equal its loop.
 
 The power loops are the square test of ``eventual_idempotent`` and the
 second walk of ``classify_element`` that ``ChainEndo._power_limit``
@@ -48,11 +50,15 @@ before they asked ``Subset.limits`` once per set: each walks the powers of
 every member (``is_nilpotent_to``, ``eventual_idempotent``,
 ``nilpotency_target``) or squares every member (``is_idempotent``) as a
 ``ChainEndo``.  ``interior_sum`` counts, for each member, the pairs of the
-two strings that sum to it.  They call the library through its modules, so
+two strings that sum to it.  ``power_stabilization`` and
+``string_mul_cases`` are the chain-wide object loops that the claims
+replaced with gathers on the chain's atlas and on the strings' value
+matrices.  They call the library through its modules, so
 a test that patches one library call changes what both versions read, and
 requires the check and its loop to return the same verdict and witness.
 """
 
+from collections import Counter
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 from operator import add, mul
@@ -304,6 +310,105 @@ def simplex_oracle(n, k):
     """Maps of the n-chain with image inside the lowest k vertices."""
     vertices = set(range(k))
     return sum(1 for e in all_endomorphisms(n) if set(e.image()) <= vertices)
+
+
+def triangle_oracle(n):
+    """Maps of the n-chain with image inside the vertices 0, 1, 2."""
+    return simplex_oracle(n, 3)
+
+
+def classify_string(n, a, b):
+    # Right identities before nilpotency: the two constants are idempotent
+    # in every string but belong to the blocks that collapse onto them.
+    spec = strings.StringSpec(n, a, b)
+    els = strings.elements(spec)
+    rids = {e for e in els if all(x * e == x for x in els)}
+    low = high = idem = 0
+    for e in els:
+        if e in rids:
+            idem += 1
+            continue
+        target = e.nilpotency_target()
+        if target == a:
+            low += 1
+        elif target == b:
+            high += 1
+        else:
+            raise AssertionError(f"unclassifiable string element {e}")
+    return low, idem, high
+
+
+def triangle_members(n, a, b, c):
+    return triangle.elements(triangle.TriangleSpec(n, a, b, c))
+
+
+def triangle_targets(n, a, b, c):
+    """Members of the triangle by the constant their powers reach (or None)."""
+    return Counter(e.nilpotency_target() for e in triangle_members(n, a, b, c))
+
+
+def oracle_ri(n, a, b, c):
+    return sum(
+        1
+        for e in triangle_members(n, a, b, c)
+        if e.values[a] == a and e.values[b] == b and e.values[c] == c
+    )
+
+
+def oracle_it(n, a, b, c):
+    return sum(
+        1
+        for e in triangle_members(n, a, b, c)
+        if e.values[a] == a and e.values[c] == c
+    )
+
+
+def count_by_copies(n, a, b, c, inside):
+    """Triangle members with inside(copies of a, copies of c) true."""
+    return sum(
+        1
+        for e in triangle_members(n, a, b, c)
+        if inside(e.values.count(a), e.values.count(c))
+    )
+
+
+def _nil_to(value):
+    def oracle(n, a, b, c):
+        target = {"a": a, "b": b, "c": c}[value]
+        return triangle_targets(n, a, b, c)[target]
+
+    return oracle
+
+
+# formula id -> the loop its oracle in chainendo.counting must equal
+ORACLE_LOOPS = {
+    "nilpotent_count": nilpotent_oracle,
+    "idempotent_count": idempotent_oracle,
+    "simplex_order": simplex_oracle,
+    "triangle_order": triangle_oracle,
+    "string_nil_low_order": lambda n, a, b: classify_string(n, a, b)[0],
+    "string_idem_order": lambda n, a, b: classify_string(n, a, b)[1],
+    "string_nil_high_order": lambda n, a, b: classify_string(n, a, b)[2],
+    "ri_order": oracle_ri,
+    "ri_order_variant": oracle_ri,
+    "it_order": oracle_it,
+    "it_rest_order": lambda n, a, b, c: oracle_it(n, a, b, c) - oracle_ri(n, a, b, c),
+    "l_tri_order": lambda n, a, b, c: count_by_copies(
+        n, a, b, c, lambda k, i: k >= b + 1 and i >= n - c
+    ),
+    "r_tri_order": lambda n, a, b, c: count_by_copies(
+        n, a, b, c, lambda k, i: k >= a + 1 and i >= n - b
+    ),
+    "nil_a_order": _nil_to("a"),
+    "nil_b_order": _nil_to("b"),
+    "nil_c_order": _nil_to("c"),
+    "l_par_order": lambda n, a, b, c: count_by_copies(
+        n, a, b, c, lambda k, i: a + 1 <= k <= b and i <= n - c - 1
+    ),
+    "r_par_order": lambda n, a, b, c: count_by_copies(
+        n, a, b, c, lambda k, i: k <= a and n - c <= i <= n - b - 1
+    ),
+}
 
 
 def eventual_idempotent(e):
@@ -737,4 +842,39 @@ def it_ideals(params):
     ):
         if not ok:
             return False, {"verdict": name}
+    return True, None
+
+
+def power_stabilization(params):
+    (n,) = params
+    cap = max(1, n - 1)
+    for e in all_endomorphisms(n):
+        stable = e**cap
+        if not stable.is_idempotent():
+            return False, {"element": format_compact(e), "power": cap}
+        if n >= 2 and stable * e != stable:
+            return False, {"element": format_compact(e), "note": "power sequence moved again"}
+        cls = analysis.classify_element(e)
+        if cls.idempotent != stable:
+            return False, {"element": format_compact(e), "note": "eventual idempotent mismatch"}
+        if cls.exponent > cap:
+            return False, {"element": format_compact(e), "exponent": cls.exponent}
+    return True, None
+
+
+def string_mul_cases(params):
+    (n,) = params
+    specs = [StringSpec(n, a, b) for a, b in combinations(range(n), 2)]
+    for left in specs:
+        for right in specs:
+            for k in range(n + 1):
+                x = strings.elem(left, k)
+                for ell in range(n + 1):
+                    want = strings.string_mul_cases(left, k, right, ell)
+                    if x * strings.elem(right, ell) != want:
+                        return False, {
+                            "left": format_compact(x),
+                            "right": format_compact(strings.elem(right, ell)),
+                            "predicted": format_compact(want),
+                        }
     return True, None

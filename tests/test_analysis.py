@@ -5,14 +5,16 @@ import dataclasses
 import inspect
 import random
 import typing
+from collections import Counter
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_loops as ref
-from chainendo import analysis, claims, simplex, strings, triangle
+from chainendo import analysis, claims, counting, simplex, strings, triangle
 from chainendo.analysis import (
     ChainTooLong,
     ClosureWitness,
@@ -587,6 +589,51 @@ class TestIsoCheck:
             triangle.elements(TriangleSpec(4, 1, 2, 3)),
         )
         assert not same
+
+
+class TestChainWideClaimsWalkNoObjects:
+    """The chain-wide claims read every map's powers from the chain's atlas
+    and the string products from value blocks; they make a small number of
+    ChainEndo products and power walks that does not grow with n."""
+
+    IDS = ("power-stabilization", "string-mul-cases", "catalan-count", "idempotent-count")
+    MOST_CALLS = 4
+
+    @staticmethod
+    def _object_calls(monkeypatch, claim_id, n_max):
+        calls = Counter()
+        with monkeypatch.context() as patch:
+            for name in ("__mul__", "__pow__", "_power_limit"):
+                real = getattr(ChainEndo, name)
+
+                def counted(*args, _real=real, _name=name):
+                    calls[_name] += 1
+                    return _real(*args)
+
+                patch.setattr(ChainEndo, name, counted)
+            assert claims.run_claim(claim_id, n_max).holds
+        return calls
+
+    @pytest.mark.parametrize("claim_id", IDS)
+    def test_object_calls_do_not_grow_with_n(self, monkeypatch, claim_id):
+        six, seven = (self._object_calls(monkeypatch, claim_id, n) for n in (6, 7))
+        assert six == seven and sum(seven.values()) <= self.MOST_CALLS
+
+    def test_the_guard_counts_object_calls(self, monkeypatch):
+        # the count claims read the census, and mul-noncommutative multiplies
+        # its first pair of maps
+        calls = self._object_calls(monkeypatch, "mul-noncommutative", 3)
+        assert calls["__mul__"] >= 2
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_atlas_equals_the_power_walk(self, n):
+        V, limits, exponents = counting._chain_atlas(n)
+        assert len(V) == comb(2 * n - 1, n)
+        for row, e in enumerate(all_endomorphisms(n)):
+            cls = ref.classify_element(e)
+            assert tuple(V[row].tolist()) == e.values
+            assert tuple(limits[row].tolist()) == cls.idempotent.values
+            assert int(exponents[row]) == cls.exponent
 
 
 class TestOneSetType:

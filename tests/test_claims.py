@@ -21,7 +21,7 @@ from chainendo.claims import (
     run_all,
     run_claim,
 )
-from chainendo.core import constant
+from chainendo.core import ChainEndo, constant
 from chainendo.simplex import SimplexSpec
 from chainendo.triangle import Region, TriangleSpec
 
@@ -305,8 +305,8 @@ class TestMovedVerdictsCanFail:
         assert claims._chk_it_ideals(self.PARAMS) == (False, {"verdict": verdict})
 
     def test_it_ideals_left_zero_verdict(self, monkeypatch):
-        # the left-zero verdict is the one all(...) of the check
-        monkeypatch.setattr(claims, "all", lambda _: False, raising=False)
+        # the left-zero verdict is the one _left_zeros(...) of the check
+        monkeypatch.setattr(claims, "_left_zeros", lambda zeros, s: False)
         assert claims._chk_it_ideals(self.PARAMS) == (
             False,
             {"verdict": "diagonal_left_zero"},
@@ -493,6 +493,55 @@ class TestPortedChecksKeepTheirWitnesses:
         holds, _ = self._same(claims._chk_it_ideals, ref.it_ideals, params)
         assert holds == (shift == 0)
 
+    @pytest.mark.parametrize("params", TestItIdealsDiagonal.PARAMS)
+    def test_it_ideals_corners_swapped(self, monkeypatch, params):
+        # corners swapped in the report and in the regions pass every check
+        # before the pointwise order, which then fails at its first pair
+        real_report, real_regions = triangle.idempotent_triangle, triangle.regions
+
+        def report(spec):
+            rep = real_report(spec)
+            return dataclasses.replace(
+                rep, corner_left=rep.corner_right, corner_right=rep.corner_left
+            )
+
+        def regions(spec):
+            cut = dict(real_regions(spec))
+            cut[Region.L_TRI], cut[Region.R_TRI] = cut[Region.R_TRI], cut[Region.L_TRI]
+            return cut
+
+        monkeypatch.setattr(triangle, "idempotent_triangle", report)
+        monkeypatch.setattr(triangle, "regions", regions)
+        holds, witness = self._same(claims._chk_it_ideals, ref.it_ideals, params)
+        assert not holds and set(witness) == {"left", "right"}
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_power_stabilization(self, n):
+        assert self._same(claims._chk_power_stabilization, ref.power_stabilization, (n,)) == (
+            True,
+            None,
+        )
+
+    @pytest.mark.parametrize(
+        "field, witness",
+        [
+            ("limits", {"note": "eventual idempotent mismatch"}),
+            ("exponents", {"exponent": 6}),
+        ],
+    )
+    def test_power_stabilization_reads_the_atlas(self, monkeypatch, field, witness):
+        # a wrong limit, or an exponent over the cap, at one row of the atlas
+        # is reported at that row's map
+        n, row = 6, 100
+        atlas = counting._chain_atlas(n)
+        table = getattr(atlas, field).copy()
+        table[row] = n if field == "exponents" else table[row] ^ 1
+        monkeypatch.setattr(
+            counting, "_chain_atlas", lambda _: atlas._replace(**{field: table})
+        )
+        element = claims._fmt(ChainEndo(n, atlas.values[row].tolist()))
+        assert claims._chk_power_stabilization((n,)) == (False, {"element": element, **witness})
+
 
 class TestLayerStringIsoRuns:
     """layer-string-iso reads the images of the three runs of a basic layer
@@ -573,6 +622,49 @@ class TestCountClaimsCanFail:
         assert audited[formula_id].first_mismatch == (wrong, real(*wrong) + 1, real(*wrong))
         assert audited[formula_id].checked == list(entry.domain(7)).index(wrong) + 1
         assert all(r.ok for r in audited.values() if r.id != formula_id)
+
+
+# Falsifiers of string-mul-cases: the strings index rule made wrong at two
+# (n, a, b, k, ell) pairs of the left factor, each given the index it then
+# names; the claim must report the pair the old object loop met first, in
+# the order left string, right string, k, ell.
+STRING_RULE_FALSIFIERS = [
+    pytest.param(
+        ((5, 0, 2, 1, 4, 0), (5, 0, 1, 4, 0, 5)),
+        {"left": "0_4 1", "right": "1_5", "predicted": "0_5"},
+        id="earlier-left-string",
+    ),
+    pytest.param(
+        ((5, 1, 3, 3, 1, 5), (5, 1, 3, 1, 4, 0)),
+        {"left": "1 3_4", "right": "0_4 1", "predicted": "1_5"},
+        id="same-left-string-lower-k",
+    ),
+]
+
+
+class TestStringMulCasesCanFail:
+    @pytest.mark.parametrize("wrong, witness", STRING_RULE_FALSIFIERS)
+    def test_the_first_wrong_pair_is_reported(self, monkeypatch, wrong, witness):
+        real = strings._product_index
+
+        def rule(spec, k, ell):
+            # ints or arrays, as the claim and string_mul_cases ask
+            index = real(spec, k, ell)
+            for n, a, b, at_k, at_ell, wrong_index in wrong:
+                if (spec.n, spec.a, spec.b) == (n, a, b):
+                    hit = (k == at_k) & (ell == at_ell)
+                    index = index + (wrong_index - index) * hit
+            return index
+
+        monkeypatch.setattr(strings, "_product_index", rule)
+        result = run_claim("string-mul-cases", 6)
+        assert not result.holds and result.failure_params == (5,) and result.checked == 3
+        assert result.witness == witness == ref.string_mul_cases((5,))[1]
+        assert claims._chk_string_mul_cases((4,)) == (True, None)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_holds_as_the_loop_does(self, n):
+        assert claims._chk_string_mul_cases((n,)) == ref.string_mul_cases((n,)) == (True, None)
 
 
 class TestRunAll:

@@ -457,6 +457,9 @@ def test_check_json_matches_the_golden_file(capsys):
             "dn1-semiring",
             "dn2-internal-semiring",
             "string-partition",
+            "string-mul-cases",
+            "catalan-count",
+            "idempotent-count",
             "--n-max",
             "8",
             "--json",

@@ -7,6 +7,7 @@ import pytest
 
 import reference_loops as ref
 from chainendo import counting
+from chainendo.core import ChainEndo
 from chainendo.counting import (
     DomainError,
     audit,
@@ -185,20 +186,27 @@ class TestAudit:
 
 
 class TestChainCensus:
-    @pytest.mark.parametrize(
-        "formula_id, loop",
-        [
-            ("nilpotent_count", ref.nilpotent_oracle),
-            ("idempotent_count", ref.idempotent_oracle),
-            ("simplex_order", ref.simplex_oracle),
-        ],
-    )
-    def test_census_oracle_equals_the_per_tuple_loop(self, formula_id, loop):
-        formula = counting.FORMULAS[formula_id]
+    def test_every_formula_has_a_loop(self):
+        assert set(ref.ORACLE_LOOPS) == set(counting.FORMULAS)
+
+    @pytest.mark.parametrize("formula_id", list(ref.ORACLE_LOOPS))
+    def test_oracle_equals_the_per_tuple_loop(self, formula_id):
+        # the object loop the oracle replaced, at every tuple up to n = 6,
+        # and a plain int, never a numpy scalar
+        formula, loop = counting.FORMULAS[formula_id], ref.ORACLE_LOOPS[formula_id]
         tuples = list(formula.domain(6))
         assert tuples
         for params in tuples:
-            assert formula.oracle(*params) == loop(*params), params
+            counted = formula.oracle(*params)
+            assert type(counted) is int and counted == loop(*params), params
+
+    def test_a_walk_past_the_cap_raises(self, monkeypatch):
+        # the swap (1, 0) is no map of the chain: its powers alternate, and
+        # the walk stops at n steps with an error, under python -O too
+        maps = [ChainEndo._wrap(2, values) for values in ((0, 0), (1, 0), (1, 1))]
+        monkeypatch.setattr(counting, "all_endomorphisms", lambda n: iter(maps))
+        with pytest.raises(AssertionError, match=r"powers of \(1, 0\) did not stabilise within 2"):
+            counting._chain_atlas(2)
 
     def test_audit_enumerates_each_chain_once(self, monkeypatch):
         enumerated = Counter()
